@@ -30,6 +30,7 @@ from .decoders import (
     METHOD_NAIVE,
     METHOD_REG_EXACT,
     METHODS,
+    ChannelStage,
     DecodeGate,
     DecodeOutcome,
     GdfeFilters,
@@ -38,11 +39,13 @@ from .decoders import (
     approximation_ratio,
     babai_nearest_plane,
     decode,
+    detect,
     gram_inverse_regularizer,
     lr_aided_linear,
     ml_decode,
     mmse_gdfe_filters,
     naive_lattice_decode,
+    prepare,
     regularized_metric,
     sphere_decode_regularized,
 )
@@ -56,7 +59,6 @@ from .dmtsim import (
     dmt_reference_breakpoints,
     dmt_reference_value,
     estimate_diversity_slope,
-    estimate_error_rate,
     estimate_outage_probability,
     run_sweep,
     sweep_cell,
@@ -68,12 +70,12 @@ from .errors import (
     InsufficientData,
     IterationOverflow,
     LatdecError,
+    MetricMismatch,
     NearSingularChannel,
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
     SchemaError,
-    SingularInput,
     SingularTriangular,
 )
 from .experiment import load_experiment, parse_experiment
@@ -110,7 +112,7 @@ __all__ = [
     "__version__",
     # errors
     "LatdecError", "NotSymmetric", "NotPositiveDefinite", "RankDeficient",
-    "SingularTriangular", "SingularInput", "BudgetExceeded",
+    "SingularTriangular", "MetricMismatch", "BudgetExceeded",
     "EnumerationOverflow", "IterationOverflow", "NearSingularChannel",
     "InsufficientData", "SchemaError",
     # lattice
@@ -129,7 +131,7 @@ __all__ = [
     "DecodeOutcome", "mmse_gdfe_filters", "gram_inverse_regularizer",
     "regularized_metric", "ml_decode", "sphere_decode_regularized",
     "naive_lattice_decode", "babai_nearest_plane", "lr_aided_linear",
-    "approximation_ratio", "decode",
+    "approximation_ratio", "ChannelStage", "prepare", "detect", "decode",
     # channels
     "ChannelSample", "NoiseModel", "ArqEpisode", "trial_rng",
     "standard_normal", "complex_gaussian", "embed_complex",
@@ -137,7 +139,7 @@ __all__ = [
     "fixed_channel", "arq_ack", "simulate_arq_episode", "sample_noise",
     # dmtsim
     "ChannelConfig", "SweepConfig", "ErrorRateRecord", "SlopeEstimate",
-    "OutageEstimate", "SweepResult", "wilson_interval", "estimate_error_rate",
+    "OutageEstimate", "SweepResult", "wilson_interval",
     "sweep_cell", "estimate_outage_probability", "estimate_diversity_slope",
     "run_sweep", "dmt_reference_breakpoints", "dmt_reference_value",
     # experiment / validation

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeDesign, enumerate_codebook, scaling_factor
+from .decoders import decode
+from .errors import NotPositiveDefinite
+from .lattice import Codebook, LatticeDesign, enumerate_codebook, scaling_factor
 from .numkernel import as_matrix, as_vector
 
 __all__ = [
@@ -38,6 +40,9 @@ __all__ = [
     "sample_naf_relay",
     "fixed_channel",
     "arq_ack",
+    "TrialDraw",
+    "arq_codebooks",
+    "draw_arq_trial",
     "simulate_arq_episode",
     "sample_noise",
 ]
@@ -212,8 +217,83 @@ def arq_ack(hc, rho: float, x_thresh: float, round_index: int) -> bool:
     gram = np.eye(hc.shape[0], dtype=np.complex128) + rho * (hc @ hc.conj().T)
     sign, logdet = np.linalg.slogdet(gram)
     if sign.real <= 0.0:
-        raise ArithmeticError("mutual-information Gram matrix not positive")
+        raise NotPositiveDefinite("mutual-information Gram matrix not positive")
     return bool(logdet >= (x_thresh / round_index) * math.log(rho))
+
+
+@dataclass
+class TrialDraw:
+    """One received block with what every decoder needs to decode it:
+    the transmitted codeword is entry `message` of `codebook`, whose
+    scale is the design's phi."""
+
+    y: np.ndarray
+    h: np.ndarray
+    design: LatticeDesign
+    codebook: Codebook
+    message: int
+
+    def decoded_by(self, outcome) -> bool:
+        """True iff a decode outcome is the transmitted codeword."""
+        return outcome.is_codeword and np.array_equal(
+            outcome.coords, self.codebook.coords[self.message])
+
+
+def arq_codebooks(fragments, rho: float, r1: float,
+                  integer_nesting: bool = False) -> list:
+    """Check the fragment ladder and enumerate each fragment's codebook.
+
+    Fragment l (1-based) is decoded after round l at rate r1/l; it must
+    cover l rounds of fragment 1: l times its dimension and its coding
+    duration."""
+    if len(fragments) < 1:
+        raise ValueError("need at least one fragment design")
+    base = fragments[0]
+    for l, frag in enumerate(fragments, start=1):
+        if (frag.dimension, frag.coding_duration) != (
+                l * base.dimension, l * base.coding_duration):
+            raise ValueError(f"fragment {l} must span {l} rounds of fragment 1: "
+                             f"dimension {l * base.dimension}, coding duration "
+                             f"{l * base.coding_duration}")
+    return [enumerate_codebook(frag, scaling_factor(
+                rho, r1 / l, frag.coding_duration, frag.dimension,
+                integer_nesting=integer_nesting))
+            for l, frag in enumerate(fragments, start=1)]
+
+
+def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
+                   rng, noise: NoiseModel) -> tuple[TrialDraw, list]:
+    """Draw one ARQ episode over long-term static fading up to its
+    stopping round; returns the block decoded there and the ACK history.
+
+    `books` are the fragments' codebooks from `arq_codebooks`.  Rounds
+    1..L-1 stop on ACK; round L always stops.  A message index is drawn
+    uniformly below the smallest codebook size and encoded by the
+    stopping fragment through its canonical codebook order; each round
+    adds its own noise."""
+    hc = _as_complex_matrix(hc)
+    base = fragments[0]
+    h_round = embed_complex(hc, base.coding_duration, rho)
+    m_round, dim_round = h_round.shape
+    if dim_round != base.dimension:
+        raise ValueError(f"fragment 1 dimension {base.dimension} != {dim_round} "
+                         "channel input dims per round")
+    rounds = len(fragments)
+    acks = []
+    for l in range(1, rounds + 1):
+        acks.append(l == rounds or arq_ack(hc, rho, x_thresh, l))
+        if acks[-1]:
+            break
+    stop = len(acks)
+    book = books[stop - 1]
+    message = int(rng.integers(min(b.size for b in books)))
+    x = book.points[message]
+    w = np.concatenate([
+        sample_noise(m_round, noise, x[j * dim_round:(j + 1) * dim_round], rng)
+        for j in range(stop)])
+    h = np.kron(np.eye(stop), h_round)
+    return TrialDraw(y=h @ x + w, h=h, design=fragments[stop - 1],
+                     codebook=book, message=message), acks
 
 
 @dataclass
@@ -231,83 +311,20 @@ def simulate_arq_episode(fragments, hc, rho: float, r1: float,
                          x_thresh: float, method: str, rng,
                          gate=None, noise: NoiseModel | None = None,
                          node_budget: int = 10**8) -> ArqEpisode:
-    """Run one ARQ episode over long-term static fading.
+    """Run and decode one ARQ episode (see `draw_arq_trial`).
 
     `fragments[l-1]` is the design decoded after round l (its coding
-    duration covers rounds 1..l, and its rate is r1/l).  A message index
-    is drawn uniformly and encoded by each fragment through its canonical
-    codebook order; per-round noise is drawn once and shared by every
-    fragment that includes the round.  Rounds 1..L-1 decode only on ACK;
-    round L always decodes.  The episode errs iff the decoded index at
-    the stopping round differs from the transmitted one."""
-    from .decoders import decode  # local import to avoid a cycle
-
-    if noise is None:
-        noise = NoiseModel()
-    hc = _as_complex_matrix(hc)
-    rounds = len(fragments)
-    if rounds < 1:
-        raise ValueError("need at least one fragment design")
-    base = fragments[0]
-    t_round = base.coding_duration
-    h_round = embed_complex(hc, t_round, rho)
-    m_round = h_round.shape[0]
-    dim_round = h_round.shape[1]
-    for l, frag in enumerate(fragments, start=1):
-        if frag.dimension != l * dim_round:
-            raise ValueError(
-                f"fragment {l} dimension {frag.dimension} != {l} rounds x {dim_round}"
-            )
-        if frag.coding_duration != l * t_round:
-            raise ValueError(f"fragment {l} coding duration must be {l * t_round}")
-
-    phis = [scaling_factor(rho, r1 / l, frag.coding_duration, frag.dimension)
-            for l, frag in enumerate(fragments, start=1)]
-    books = [enumerate_codebook(frag, phi) for frag, phi in zip(fragments, phis)]
-    n_messages = min(book.size for book in books)
-
-    message = int(rng.integers(n_messages))
-
-    # Draw per-round noise ingredients up front so every fragment sees the
-    # same realization of the rounds it includes.
-    vs = []
-    es = []
-    for _ in range(rounds):
-        if noise.kind == "self_interference":
-            scale_e = noise.sigma_e / math.sqrt(m_round * dim_round)
-            es.append(scale_e * standard_normal(rng, m_round * dim_round)
-                      .reshape(m_round, dim_round))
-        else:
-            es.append(None)
-        vs.append(standard_normal(rng, m_round))
-
-    ack_history = []
-    for l in range(1, rounds + 1):
-        frag = fragments[l - 1]
-        book = books[l - 1]
-        x = book.points[message]
-        h_l = np.kron(np.eye(l), h_round)
-        w_parts = []
-        for j in range(l):
-            chunk = x[j * dim_round:(j + 1) * dim_round]
-            wj = vs[j].copy()
-            if es[j] is not None:
-                wj = es[j] @ chunk + wj
-            w_parts.append(noise.scale * wj)
-        y = h_l @ x + np.concatenate(w_parts)
-        last_round = l == rounds
-        ack = True if last_round else arq_ack(hc, rho, x_thresh, l)
-        ack_history.append(bool(ack))
-        if not ack:
-            continue
-        outcome = decode(y, h_l, frag, phis[l - 1], method, rho=rho,
-                         gate=gate, codebook=book, node_budget=node_budget)
-        err = not (outcome.is_codeword
-                   and np.array_equal(outcome.coords, book.coords[message]))
-        return ArqEpisode(rounds_used=l, error=bool(err),
-                          ack_history=ack_history,
-                          outcome_kind=outcome.kind, message=message)
-    raise AssertionError("unreachable: final round always decodes")
+    duration covers rounds 1..l, and its rate is r1/l).  The episode errs
+    iff the decode at the stopping round is not the transmitted codeword."""
+    books = arq_codebooks(fragments, rho, r1)
+    draw, acks = draw_arq_trial(fragments, books, hc, rho, x_thresh, rng,
+                                noise or NoiseModel())
+    outcome = decode(draw.y, draw.h, draw.design, draw.codebook.scale, method,
+                     rho=rho, gate=gate, codebook=draw.codebook,
+                     node_budget=node_budget)
+    return ArqEpisode(rounds_used=len(acks), error=not draw.decoded_by(outcome),
+                      ack_history=acks, outcome_kind=outcome.kind,
+                      message=draw.message)
 
 
 def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:

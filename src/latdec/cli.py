@@ -23,15 +23,8 @@ from .errors import (
     BudgetExceeded,
     EnumerationOverflow,
     InsufficientData,
-    IterationOverflow,
     LatdecError,
-    NearSingularChannel,
-    NotPositiveDefinite,
-    NotSymmetric,
-    RankDeficient,
     SchemaError,
-    SingularInput,
-    SingularTriangular,
 )
 from .experiment import load_experiment
 from .validation import SUITES, run_suites
@@ -39,12 +32,6 @@ from .validation import SUITES, run_suites
 __all__ = ["main", "write_results_csv", "write_results_json", "write_slopes_json"]
 
 CSV_HEADER = "rho_db,rho_linear,r,method,trials,errors,oob,timeouts,p_hat,ci_lo,ci_hi"
-
-_BUDGET_ERRORS = (BudgetExceeded, EnumerationOverflow)
-_NUMERICAL_ERRORS = (NotPositiveDefinite, NotSymmetric, RankDeficient,
-                     SingularTriangular, SingularInput, IterationOverflow,
-                     NearSingularChannel, FloatingPointError, ArithmeticError,
-                     AssertionError)
 
 
 def _fmt(value) -> str:
@@ -114,25 +101,14 @@ def _parallel_cells(workers: int):
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = load_experiment(args.config, seed_override=args.seed)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = load_experiment(args.config, seed_override=args.seed)
     n_cells = len(config.rho_db) * len(config.methods)
     if args.dry_run:
         print(f"config ok: {n_cells} cells "
               f"({len(config.rho_db)} signal levels x {len(config.methods)} methods)")
         return 0
     runner = _parallel_cells(args.workers) if args.workers > 1 else None
-    try:
-        result = dmtsim.run_sweep(config, cell_runner=runner)
-    except _BUDGET_ERRORS as exc:
-        print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    result = dmtsim.run_sweep(config, cell_runner=runner)
     os.makedirs(args.out, exist_ok=True)
     write_results_csv(os.path.join(args.out, "results.csv"), result.records)
     write_results_json(os.path.join(args.out, "results.json"), result.records)
@@ -214,13 +190,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LatdecError as exc:
-        # Anything deliberate that escaped the per-command mapping.
+    except (SchemaError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _BUDGET_ERRORS):
-            return 2
-        if isinstance(exc, SchemaError) or isinstance(exc, InsufficientData):
-            return 1
+        return 1
+    except (BudgetExceeded, EnumerationOverflow) as exc:
+        print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except LatdecError as exc:
+        # Every other deliberate failure is numerical; anything else is a
+        # bug and surfaces as a traceback.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationOverflow, NearSingularChannel
+from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel
 from .lattice import (
     Codebook,
     LatticeDesign,
@@ -66,6 +67,9 @@ __all__ = [
     "babai_nearest_plane",
     "lr_aided_linear",
     "approximation_ratio",
+    "ChannelStage",
+    "prepare",
+    "detect",
     "decode",
 ]
 
@@ -244,7 +248,7 @@ def regularized_metric(problem: RegularizedProblem, xhat) -> float:
     alt_resid = prep.yprime - prep.filters.b @ xlat
     alt = float(alt_resid @ alt_resid) + prep.gamma
     if abs(direct - alt) > 1e-8 * (1.0 + abs(direct)):
-        raise AssertionError(
+        raise MetricMismatch(
             f"metric forms disagree: direct={direct!r} triangular={alt!r}"
         )
     return direct
@@ -443,60 +447,90 @@ def approximation_ratio(problem: RegularizedProblem, candidate,
     return xc / xe
 
 
+@dataclass(eq=False)
+class ChannelStage:
+    """Channel-side preprocessing of one received block, shared by every
+    method that decodes it.  The regularized problem (whose GDFE filters
+    it factors on first use) and the gated reduction of its basis are
+    each built at most once, and only for methods that need them."""
+
+    y: np.ndarray
+    h: np.ndarray
+    design: LatticeDesign
+    phi: float
+    rho: float | None = None
+    gate: DecodeGate | None = None
+    codebook: Codebook | None = None
+    t_reg: np.ndarray | None = None
+    node_budget: int = DEFAULT_NODE_BUDGET
+
+    @cached_property
+    def problem(self) -> RegularizedProblem:
+        """Penalized problem (identity penalty unless t_reg is given)."""
+        t_reg = np.eye(self.design.dimension) if self.t_reg is None else self.t_reg
+        return RegularizedProblem(y=self.y, h=self.h, t_reg=t_reg,
+                                  scaled_generator=self.phi * self.design.generator,
+                                  dither=self.design.dither)
+
+    @cached_property
+    def reduction(self) -> GateOutcome:
+        """The problem's basis through the condition gate and LLL."""
+        if self.gate is None:
+            raise ValueError("reduction-aided methods require gate settings")
+        if self.rho is None:
+            raise ValueError("reduction-aided methods require rho for the gate")
+        return gated_reduce(self.problem.prepared().basis, self.rho,
+                            self.gate.alpha, delta=self.gate.delta)
+
+
+def prepare(y, h, design: LatticeDesign, phi: float,
+            rho: float | None = None, gate: DecodeGate | None = None,
+            codebook: Codebook | None = None,
+            t_reg: np.ndarray | None = None,
+            node_budget: int = DEFAULT_NODE_BUDGET) -> ChannelStage:
+    """Channel stage of one received block for a design at scale phi.
+
+    The reduction-aided methods need `rho` and `gate`; `codebook` spares
+    ML an enumeration."""
+    h = as_matrix(h, "H")
+    if h.shape[1] != design.dimension:
+        raise ValueError("H columns must match design dimension")
+    return ChannelStage(as_vector(y, "y"), h, design, phi, rho=rho, gate=gate,
+                        codebook=codebook, t_reg=t_reg, node_budget=node_budget)
+
+
+def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
+    """Decode a prepared block with `method`.
+
+    A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
+    are classified against the shaping region."""
+    if method == METHOD_ML:
+        book = stage.codebook or enumerate_codebook(stage.design, stage.phi)
+        return ml_decode(stage.y, stage.h, book)
+    if method == METHOD_NAIVE:
+        return naive_lattice_decode(stage.y, stage.h, stage.phi * stage.design.generator,
+                                    stage.design.region, dither=stage.design.dither,
+                                    node_budget=stage.node_budget)
+    if method == METHOD_REG_EXACT:
+        res = sphere_decode_regularized(stage.problem, node_budget=stage.node_budget)
+        return _classify(stage.design, res)
+    if method in (METHOD_LR_SIC, METHOD_LR_LINEAR):
+        outcome = stage.reduction
+        if outcome.timed_out:
+            return DecodeOutcome.timeout()
+        detector = babai_nearest_plane if method == METHOD_LR_SIC else lr_aided_linear
+        return _classify(stage.design, detector(stage.problem, outcome.basis))
+    raise ValueError(f"unknown method {method!r}")
+
+
 def decode(y, h, design: LatticeDesign, phi: float, method: str,
            rho: float | None = None, gate: DecodeGate | None = None,
            codebook: Codebook | None = None,
            t_reg: np.ndarray | None = None,
            node_budget: int = DEFAULT_NODE_BUDGET) -> DecodeOutcome:
-    """One-shot decode pipeline for a design at scale phi.
-
-    Builds the penalty (identity unless t_reg is given), the GDFE filters,
-    and dispatches on `method`.  The reduction-aided methods require `rho`
-    and `gate`; their basis is reduced through the condition gate and a
-    refusal surfaces as a timeout outcome.  Lattice-decoder outputs are
-    classified against the shaping region."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    y = as_vector(y, "y")
-    h = as_matrix(h, "H")
-    n = design.dimension
-    if h.shape[1] != n:
-        raise ValueError("H columns must match design dimension")
-    scaled = phi * design.generator
-    u = design.dither
-
-    if method == METHOD_ML:
-        if codebook is None:
-            codebook = enumerate_codebook(design, phi)
-        return ml_decode(y, h, codebook)
-
-    if method == METHOD_NAIVE:
-        return naive_lattice_decode(y, h, scaled, design.region, dither=u,
-                                    node_budget=node_budget)
-
-    if t_reg is None:
-        t_reg = np.eye(n)
-    problem = RegularizedProblem(y=y, h=h, t_reg=t_reg,
-                                 scaled_generator=scaled, dither=u)
-
-    if method == METHOD_REG_EXACT:
-        res = sphere_decode_regularized(problem, node_budget=node_budget)
-        return _classify(design, res)
-
-    # Reduction-aided methods.
-    if gate is None:
-        raise ValueError("reduction-aided methods require gate settings")
-    if rho is None:
-        raise ValueError("reduction-aided methods require rho for the gate")
-    outcome: GateOutcome = gated_reduce(problem.prepared().basis, rho,
-                                        gate.alpha, delta=gate.delta)
-    if outcome.timed_out:
-        return DecodeOutcome.timeout()
-    if method == METHOD_LR_SIC:
-        res = babai_nearest_plane(problem, outcome.basis)
-    else:
-        res = lr_aided_linear(problem, outcome.basis)
-    return _classify(design, res)
+    """One-shot decode: `detect(prepare(...), method)`."""
+    return detect(prepare(y, h, design, phi, rho=rho, gate=gate, codebook=codebook,
+                          t_reg=t_reg, node_budget=node_budget), method)
 
 
 def _classify(design: LatticeDesign, res: LatticeDecodeResult) -> DecodeOutcome:

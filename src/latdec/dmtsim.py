@@ -17,22 +17,25 @@ against log10(rho) over the top qualifying signal levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
-    ChannelSample,
     NoiseModel,
-    embed_complex,
+    TrialDraw,
+    arq_codebooks,
+    complex_gaussian,
+    draw_arq_trial,
     fixed_channel,
     sample_mimo_ofdm,
     sample_naf_relay,
+    sample_noise,
     sample_quasi_static_rayleigh,
-    simulate_arq_episode,
     trial_rng,
 )
-from .decoders import METHODS, DecodeGate, decode
+from .decoders import METHODS, DecodeGate, detect, prepare
 from .errors import InsufficientData
 from .lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
 from .numkernel import as_matrix, cholesky_upper
@@ -45,7 +48,6 @@ __all__ = [
     "OutageEstimate",
     "SweepResult",
     "wilson_interval",
-    "estimate_error_rate",
     "estimate_outage_probability",
     "estimate_diversity_slope",
     "run_sweep",
@@ -93,6 +95,15 @@ class ChannelConfig:
             if self.arq_x_thresh is None:
                 raise ValueError("ARQ channel requires x_thresh (no default)")
 
+    def input_dims(self, t: int) -> int:
+        """Real input dimension of one draw over a t-use codeword (of one
+        round, for ARQ)."""
+        if self.model == "fixed":
+            return self.h_real.shape[1]
+        if self.model == "naf_relay":
+            return 4  # whitened 2x2 complex channel
+        return 2 * self.nt * t
+
 
 @dataclass
 class SweepConfig:
@@ -133,6 +144,15 @@ class SweepConfig:
         needs_gate = any(m in ("lr_sic", "lr_linear") for m in self.methods)
         if needs_gate and self.gate_alpha is None:
             raise ValueError("reduction-aided methods need gate_alpha")
+        t = self.design.coding_duration
+        if self.channel.model == "mimo_arq" and self.design.region.kind != "box":
+            raise ValueError("ARQ sweeps support box shaping regions only")
+        if self.channel.model == "mimo_ofdm" and t % self.channel.tones != 0:
+            raise ValueError("coding duration must be a multiple of the tone count")
+        dims = self.channel.input_dims(t)
+        if dims != self.design.dimension:
+            raise ValueError(f"channel gives {dims} input dims, "
+                             f"design has {self.design.dimension}")
 
     def gate(self) -> DecodeGate | None:
         if self.gate_alpha is None:
@@ -219,20 +239,19 @@ def _key_from_float(x: float) -> int:
     return int(round(float(x) * 1_000_000)) & 0xFFFFFFFF
 
 
-def _sample_channel(cfg: ChannelConfig, design: LatticeDesign, rho: float,
-                    rng) -> ChannelSample:
-    t = design.coding_duration
+def _sample_channel(cfg: ChannelConfig, t: int, rho: float, rng) -> np.ndarray:
+    """Real-embedded matrix of one non-ARQ channel draw over t uses."""
     if cfg.model == "quasi_static_rayleigh":
-        return sample_quasi_static_rayleigh(cfg.nt, cfg.nr, t, rho, rng)
+        return sample_quasi_static_rayleigh(cfg.nt, cfg.nr, t, rho, rng).h_real
     if cfg.model == "mimo_ofdm":
         if t % cfg.tones != 0:
             raise ValueError("coding duration must be a multiple of the tone count")
         return sample_mimo_ofdm(cfg.nt, cfg.nr, cfg.tones, cfg.taps,
-                                t // cfg.tones, rho, rng)
+                                t // cfg.tones, rho, rng).h_real
     if cfg.model == "naf_relay":
-        return sample_naf_relay(rho, rng)
+        return sample_naf_relay(rho, rng).h_real
     if cfg.model == "fixed":
-        return fixed_channel(cfg.h_real, rho, channel_uses=t)
+        return fixed_channel(cfg.h_real, rho, channel_uses=t).h_real
     raise ValueError(f"cannot sample model {cfg.model!r} directly")
 
 
@@ -241,8 +260,6 @@ def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
 
     Box regions only: the generator goes block diagonal and the box
     half-widths and dither tile across rounds."""
-    if design.region.kind != "box":
-        raise ValueError("ARQ sweeps support box shaping regions only")
     frags = []
     for l in range(1, rounds + 1):
         gen = np.kron(np.eye(l), design.generator)
@@ -254,86 +271,73 @@ def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
     return frags
 
 
-def _run_cell_trials(config: SweepConfig, rho_db: float, methods) -> list:
-    """Shared-trial engine: run one signal level for several methods with
-    common per-trial randomness and per-method stopping."""
-    rho = 10.0 ** (float(rho_db) / 10.0)
+def _trial_sampler(config: SweepConfig, rho: float, rho_key: int, r_key: int):
+    """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.
+
+    Each trial draws from its own stream keyed by (seed, kind, rho, r,
+    trial); an ARQ episode's message and noise come from a second stream
+    under the same key, apart from the channel."""
+    cfg = config.channel
     design = config.design
-    n = design.dimension
-    phi = scaling_factor(rho, config.r, design.coding_duration, n,
-                         integer_nesting=config.integer_nesting)
+
+    def stream(trial: int, *sub: int):
+        return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
+
+    if cfg.model == "mimo_arq":
+        fragments = _arq_fragments(design, cfg.arq_rounds)
+        books = arq_codebooks(fragments, rho, config.r,
+                              integer_nesting=config.integer_nesting)
+
+        def draw_arq(trial: int) -> TrialDraw:
+            hc = complex_gaussian(stream(trial), (cfg.nr, cfg.nt))
+            return draw_arq_trial(fragments, books, hc, rho, cfg.arq_x_thresh,
+                                  stream(trial, 1), cfg.noise)[0]
+
+        return draw_arq
+
+    phi = scaling_factor(rho, config.r, design.coding_duration,
+                         design.dimension, integer_nesting=config.integer_nesting)
     codebook = enumerate_codebook(design, phi)
-    gate = config.gate()
-    rho_key = _key_from_float(rho_db)
-    r_key = _key_from_float(config.r)
-    noise = config.channel.noise
 
-    state = {m: {"trials": 0, "errors": 0, "oob": 0, "timeouts": 0,
-                 "stopped": False} for m in methods}
-
-    if config.channel.model == "mimo_arq":
-        fragments = _arq_fragments(design, config.channel.arq_rounds)
-
-    for trial in range(config.max_trials):
-        if all(st["stopped"] for st in state.values()):
-            break
-        rng = trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial)
-
-        if config.channel.model == "mimo_arq":
-            hc = _arq_channel_draw(config.channel, rng)
-            for method, st in state.items():
-                if st["stopped"]:
-                    continue
-                # Episode randomness (message + noise) must be identical
-                # across methods: derive it from the trial key, not from
-                # the shared channel stream.
-                ep_rng = trial_rng(config.seed, _KIND_ERROR, rho_key, r_key,
-                                   trial, 1)
-                episode = simulate_arq_episode(
-                    fragments, hc, rho, config.r,
-                    config.channel.arq_x_thresh, method, ep_rng, gate=gate,
-                    noise=noise, node_budget=config.node_budget)
-                st["trials"] += 1
-                if episode.error:
-                    st["errors"] += 1
-                    if episode.outcome_kind == "out_of_codebook":
-                        st["oob"] += 1
-                    elif episode.outcome_kind == "timeout":
-                        st["timeouts"] += 1
-                if st["errors"] >= config.min_errors:
-                    st["stopped"] = True
-            continue
-
-        sample = _sample_channel(config.channel, design, rho, rng)
-        h = sample.h_real
-        if h.shape[1] != n:
-            raise ValueError(
-                f"channel gives {h.shape[1]} input dims, design has {n}")
+    def draw(trial: int) -> TrialDraw:
+        rng = stream(trial)
+        h = _sample_channel(cfg, design.coding_duration, rho, rng)
         msg = int(rng.integers(codebook.size))
         x = codebook.points[msg]
-        w = _draw_noise(h.shape[0], noise, x, rng)
-        y = h @ x + w
-        truth = codebook.coords[msg]
-        for method, st in state.items():
-            if st["stopped"]:
-                continue
-            outcome = decode(y, h, design, phi, method, rho=rho, gate=gate,
-                             codebook=codebook, node_budget=config.node_budget)
+        y = h @ x + sample_noise(h.shape[0], cfg.noise, x, rng)
+        return TrialDraw(y=y, h=h, design=design, codebook=codebook, message=msg)
+
+    return draw
+
+
+def sweep_cell(config: SweepConfig, rho_db: float) -> list:
+    """All methods of one signal level: each trial's draw and channel
+    stage are shared by every method still running, and each method
+    stops at its own error count."""
+    rho = 10.0 ** (float(rho_db) / 10.0)
+    draw_trial = _trial_sampler(config, rho, _key_from_float(rho_db),
+                                _key_from_float(config.r))
+    gate = config.gate()
+    state = {m: Counter() for m in config.methods}
+
+    for trial in range(config.max_trials):
+        active = [m for m, st in state.items() if st["errors"] < config.min_errors]
+        if not active:
+            break
+        draw = draw_trial(trial)
+        stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
+                        gate=gate, codebook=draw.codebook,
+                        node_budget=config.node_budget)
+        for method in active:
+            outcome = detect(stage, method)
+            st = state[method]
             st["trials"] += 1
-            if outcome.kind == "timeout":
-                st["errors"] += 1
-                st["timeouts"] += 1
-            elif outcome.kind == "out_of_codebook":
-                st["errors"] += 1
-                st["oob"] += 1
-            elif not np.array_equal(outcome.coords, truth):
-                st["errors"] += 1
-            if st["errors"] >= config.min_errors:
-                st["stopped"] = True
+            st["errors"] += not draw.decoded_by(outcome)
+            st["oob"] += outcome.kind == "out_of_codebook"
+            st["timeouts"] += outcome.kind == "timeout"
 
     records = []
-    for method in methods:
-        st = state[method]
+    for method, st in state.items():
         trials = st["trials"]
         lo, hi = wilson_interval(st["errors"], trials)
         records.append(ErrorRateRecord(
@@ -342,32 +346,6 @@ def _run_cell_trials(config: SweepConfig, rho_db: float, methods) -> list:
             timeouts=st["timeouts"], p_hat=st["errors"] / trials,
             ci_lo=lo, ci_hi=hi))
     return records
-
-
-def _arq_channel_draw(cfg: ChannelConfig, rng) -> np.ndarray:
-    from .channels import complex_gaussian
-    return complex_gaussian(rng, (cfg.nr, cfg.nt))
-
-
-def _draw_noise(m: int, noise: NoiseModel, x, rng) -> np.ndarray:
-    from .channels import sample_noise
-    return sample_noise(m, noise, x, rng)
-
-
-def estimate_error_rate(config: SweepConfig, rho_db: float,
-                        method: str) -> ErrorRateRecord:
-    """Error rate of one (rho, method) cell: i.i.d. trials of
-    channel -> uniform codeword -> noise -> decode, stopping at
-    min_errors errors or max_trials.  Out-of-codebook and timeout
-    outcomes count as errors."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return _run_cell_trials(config, rho_db, [method])[0]
-
-
-def sweep_cell(config: SweepConfig, rho_db: float) -> list:
-    """All methods of one signal level, sharing per-trial randomness."""
-    return _run_cell_trials(config, rho_db, list(config.methods))
 
 
 def estimate_outage_probability(rho: float, rate_bits: float, t: int,
@@ -380,15 +358,11 @@ def estimate_outage_probability(rho: float, rate_bits: float, t: int,
     if rate_bits < 0.0:
         raise ValueError("rate must be nonnegative")
     rho_key = _key_from_float(10.0 * math.log10(rho))
-    # Real embedding needs a design duration; build a throwaway design-less
-    # sample via the channel config with duration t.
-    dummy = _DurationOnly(t)
     count = 0
     threshold = 2.0 * rate_bits * t
     for trial in range(trials):
         rng = trial_rng(seed, _KIND_OUTAGE, rho_key, 0, trial)
-        sample = _sample_channel(channel, dummy, rho, rng)
-        h = sample.h_real
+        h = _sample_channel(channel, t, rho, rng)
         gram = np.eye(h.shape[0]) + h @ h.T
         u = cholesky_upper(0.5 * (gram + gram.T))
         log2det = 2.0 * float(np.sum(np.log2(np.diag(u))))
@@ -398,13 +372,6 @@ def estimate_outage_probability(rho: float, rate_bits: float, t: int,
     return OutageEstimate(rho_linear=float(rho), rate_bits=float(rate_bits),
                           trials=trials, count=count, p_hat=count / trials,
                           ci_lo=lo, ci_hi=hi)
-
-
-class _DurationOnly:
-    """Minimal stand-in with just the field the samplers read."""
-
-    def __init__(self, t: int):
-        self.coding_duration = t
 
 
 def estimate_diversity_slope(records, min_errors: int = 50,

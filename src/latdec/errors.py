@@ -26,8 +26,8 @@ class SingularTriangular(LatdecError):
     """Triangular solve hit a diagonal entry too close to zero."""
 
 
-class SingularInput(LatdecError):
-    """Input matrix is singular where an invertible one is required."""
+class MetricMismatch(LatdecError):
+    """Direct and triangular forms of the regularized metric disagree."""
 
 
 class BudgetExceeded(LatdecError):

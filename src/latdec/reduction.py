@@ -83,14 +83,13 @@ def _gso(b: np.ndarray):
     return mu, bsq
 
 
-def lll_reduce(m, delta: float = 0.75, effective: bool = False,
+def lll_reduce(m, delta: float = 0.75,
                max_swaps: int | None = None) -> ReducedBasis:
     """LLL-reduce the columns of a full-rank matrix.
 
-    delta must sit in (1/4, 1).  `effective` skips size reduction against
-    non-adjacent columns (cheaper, weaker output).  `max_swaps` caps the
-    swap count; when omitted the cap is ten times the closed-form bound,
-    and exceeding the cap raises IterationOverflow.
+    delta must sit in (1/4, 1).  `max_swaps` caps the swap count; when
+    omitted the cap is ten times the closed-form bound, and exceeding the
+    cap raises IterationOverflow.
     """
     m = as_matrix(m, "M")
     n = m.shape[1]
@@ -152,9 +151,8 @@ def lll_reduce(m, delta: float = 0.75, effective: bool = False,
                 mu[i, k - 1] = t + mu_new * mu[i, k]
             k = max(k - 1, 1)
         else:
-            if not effective:
-                for j in range(k - 2, -1, -1):
-                    size_reduce(k, j)
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
             k += 1
     return ReducedBasis(reduced=b, unimodular=z, iterations=swaps,
                         size_reductions=size_reds, delta=delta)

@@ -17,6 +17,7 @@ from .decoders import (
     regularized_metric,
     sphere_decode_regularized,
 )
+from .errors import MetricMismatch
 from .reduction import integer_det, is_lll_reduced, iteration_bound, lll_reduce
 
 __all__ = ["SUITES", "run_suites"]
@@ -49,7 +50,7 @@ def _suite_metric_identity(poison: bool, checks: int = 2000) -> dict:
             prob.t_reg = prob.t_reg + 0.1
         try:
             regularized_metric(prob, x)
-        except AssertionError:
+        except MetricMismatch:
             return {"passed": False,
                     "detail": f"metric forms disagreed at check {i}",
                     "checks": checks}

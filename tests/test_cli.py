@@ -180,3 +180,44 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n") == ["r,d", "0,1.0", "1,0.0"]
+
+
+def test_validate_metric_identity_poison_fails(capsys):
+    code = main(["validate", "--suite", "metric-identity",
+                 "--poison", "metric-identity"])
+    assert code == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert "disagreed" in doc["suites"][0]["detail"]
+
+
+def dry_run_exit(tmp_path, capsys, text):
+    code = main(["sweep", write_config(tmp_path, text), "--dry-run"])
+    return code, capsys.readouterr()
+
+
+def test_dry_run_rejects_arq_ball_region(tmp_path, capsys):
+    text = TINY.replace(
+        "  model: quasi_static_rayleigh\n",
+        "  model: mimo_arq\n  arq:\n    rounds: 2\n    x_thresh: 1.0\n",
+    ).replace("kind: box\n    half_widths: [0.6, 0.6]",
+              "kind: ball\n    radius: 0.8")
+    code, out = dry_run_exit(tmp_path, capsys, text)
+    assert code == 1
+    assert "box" in out.err and "config ok" not in out.out
+
+
+def test_dry_run_rejects_channel_design_dimension_mismatch(tmp_path, capsys):
+    text = TINY.replace("  nt: 1\n  nr: 1\n", "  nt: 2\n  nr: 2\n")
+    code, out = dry_run_exit(tmp_path, capsys, text)
+    assert code == 1
+    assert "4 input dims, design has 2" in out.err
+
+
+def test_dry_run_rejects_ofdm_duration_not_multiple_of_tones(tmp_path, capsys):
+    text = TINY.replace(
+        "  model: quasi_static_rayleigh\n",
+        "  model: mimo_ofdm\n  tones: 2\n  taps: 2\n")
+    code, out = dry_run_exit(tmp_path, capsys, text)
+    assert code == 1
+    assert "multiple of the tone count" in out.err

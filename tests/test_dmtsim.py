@@ -6,7 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from latdec.channels import NoiseModel
+from latdec import channels, decoders, dmtsim
+from latdec.channels import (
+    NoiseModel,
+    complex_gaussian,
+    fixed_channel,
+    sample_mimo_ofdm,
+    sample_naf_relay,
+    sample_noise,
+    sample_quasi_static_rayleigh,
+    simulate_arq_episode,
+    trial_rng,
+)
+from latdec.decoders import decode
 from latdec.dmtsim import (
     ChannelConfig,
     ErrorRateRecord,
@@ -15,14 +27,13 @@ from latdec.dmtsim import (
     dmt_reference_breakpoints,
     dmt_reference_value,
     estimate_diversity_slope,
-    estimate_error_rate,
     estimate_outage_probability,
     run_sweep,
     sweep_cell,
     wilson_interval,
 )
 from latdec.errors import InsufficientData
-from latdec.lattice import LatticeDesign, ShapingRegion
+from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
 
 
 def square_design(n, t=1):
@@ -165,7 +176,7 @@ def test_methods_share_trials_regardless_of_grouping():
     # alongside others: trial randomness is keyed by (seed, level, rate,
     # trial index) and never by the method set.
     joint = sweep_cell(rayleigh_config(methods=("ml", "reg_exact")), 10.0)
-    alone = estimate_error_rate(rayleigh_config(methods=("ml",)), 10.0, "ml")
+    [alone] = sweep_cell(rayleigh_config(methods=("ml",)), 10.0)
     ml_joint = [rec for rec in joint if rec.method == "ml"][0]
     assert ml_joint == alone
 
@@ -297,3 +308,137 @@ def test_reference_value_interpolation():
     assert dmt_reference_value(0.5, 2, 2, taps=2) == pytest.approx(5.5)
     with pytest.raises(ValueError):
         dmt_reference_value(-0.1, 2, 2)
+
+
+ALL_METHODS = ("ml", "naive", "reg_exact", "lr_sic", "lr_linear")
+
+# (channel, design, signal level dB, rate, gate exponent) per model; the
+# levels are set so that the methods stop at different trials, and the
+# Rayleigh case's low gate exponent makes the gate refuse some channels.
+DIFFERENTIAL_CASES = {
+    "quasi_static_rayleigh": (
+        ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+        square_design(4), 12.0, 0.0, 0.6),
+    "mimo_ofdm": (
+        ChannelConfig(model="mimo_ofdm", nt=1, nr=1, tones=2, taps=2),
+        square_design(4, t=2), 14.0, 0.0, 1.0),
+    "naf_relay": (
+        ChannelConfig(model="naf_relay"), square_design(4, t=2), 16.0, 0.0, 1.0),
+    "fixed": (
+        ChannelConfig(model="fixed", h_real=np.array([[1.0, 0.9], [0.2, 0.3]])),
+        square_design(2), 8.0, 0.0, 1.0),
+    "mimo_arq": (
+        ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=3,
+                      arq_x_thresh=1.5,
+                      noise=NoiseModel(kind="self_interference", sigma_e=0.5)),
+        square_design(2), 20.0, 0.5, 1.0),
+}
+
+
+def _reference_plain_outcome(cfg, rho, key, trial, method):
+    """One decode() call on the trial's channel, codeword and noise."""
+    chan, design = cfg.channel, cfg.design
+    t = design.coding_duration
+    phi = scaling_factor(rho, cfg.r, t, design.dimension)
+    book = enumerate_codebook(design, phi)
+    rng = trial_rng(cfg.seed, 0, *key, trial)
+    if chan.model == "quasi_static_rayleigh":
+        h = sample_quasi_static_rayleigh(chan.nt, chan.nr, t, rho, rng).h_real
+    elif chan.model == "mimo_ofdm":
+        h = sample_mimo_ofdm(chan.nt, chan.nr, chan.tones, chan.taps,
+                             t // chan.tones, rho, rng).h_real
+    elif chan.model == "naf_relay":
+        h = sample_naf_relay(rho, rng).h_real
+    else:
+        h = fixed_channel(chan.h_real, rho, channel_uses=t).h_real
+    msg = int(rng.integers(book.size))
+    x = book.points[msg]
+    y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
+    out = decode(y, h, design, phi, method, rho=rho, gate=cfg.gate(),
+                 codebook=book, node_budget=cfg.node_budget)
+    wrong = not (out.is_codeword and np.array_equal(out.coords, book.coords[msg]))
+    return wrong, out.kind
+
+
+def _reference_arq_outcome(cfg, rho, key, trial, method):
+    """One simulate_arq_episode() call on the trial's channel."""
+    chan = cfg.channel
+    hc = complex_gaussian(trial_rng(cfg.seed, 0, *key, trial), (chan.nr, chan.nt))
+    frags = [LatticeDesign(generator=np.kron(np.eye(l), cfg.design.generator),
+                           region=ShapingRegion.box(
+                               np.tile(cfg.design.region.half_widths, l)),
+                           coding_duration=l * cfg.design.coding_duration,
+                           dither=np.tile(cfg.design.dither, l))
+             for l in range(1, chan.arq_rounds + 1)]
+    ep = simulate_arq_episode(frags, hc, rho, cfg.r, chan.arq_x_thresh, method,
+                              trial_rng(cfg.seed, 0, *key, trial, 1),
+                              gate=cfg.gate(), noise=chan.noise,
+                              node_budget=cfg.node_budget)
+    return ep.error, ep.outcome_kind
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_CASES))
+def test_sweep_cell_matches_per_method_reference(model):
+    # The engine runs one channel stage per trial for every method; the
+    # reference decodes each (trial, method) on its own, as a lone method
+    # would, so any work shared wrongly across methods shows up here.
+    chan, design, rho_db, r, alpha = DIFFERENTIAL_CASES[model]
+    cfg = SweepConfig(design=design, channel=chan, methods=ALL_METHODS,
+                      rho_db=(rho_db, rho_db + 4.0), r=r, min_errors=20,
+                      max_trials=400, seed=5, gate_alpha=alpha)
+    rho = 10.0 ** (rho_db / 10.0)
+    key = (dmtsim._key_from_float(rho_db), dmtsim._key_from_float(r))
+    outcome = (_reference_arq_outcome if model == "mimo_arq"
+               else _reference_plain_outcome)
+    records = sweep_cell(cfg, rho_db)
+    for rec in records:
+        counts = {"trials": 0, "errors": 0, "oob": 0, "timeouts": 0}
+        while counts["trials"] < cfg.max_trials and counts["errors"] < cfg.min_errors:
+            wrong, kind = outcome(cfg, rho, key, counts["trials"], rec.method)
+            counts["trials"] += 1
+            counts["errors"] += wrong
+            counts["oob"] += kind == "out_of_codebook"
+            counts["timeouts"] += kind == "timeout"
+        got = {k: getattr(rec, k) for k in counts}
+        assert got == counts, rec.method
+    assert len({rec.trials for rec in records}) > 1   # methods stop apart
+
+
+def test_channel_stage_runs_once_per_trial(monkeypatch):
+    calls = {"gdfe": 0, "gate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decoders, "mmse_gdfe_filters",
+                        counted("gdfe", decoders.mmse_gdfe_filters))
+    monkeypatch.setattr(decoders, "gated_reduce",
+                        counted("gate", decoders.gated_reduce))
+    cfg = rayleigh_config(n_ant=2, methods=("reg_exact", "lr_sic", "lr_linear"),
+                          min_errors=10**6, max_trials=60)
+    recs = sweep_cell(cfg, 14.0)
+    assert all(rec.trials == 60 for rec in recs)
+    assert calls == {"gdfe": 60, "gate": 60}
+
+
+def test_arq_sweep_applies_integer_nesting(monkeypatch):
+    ladders = []
+
+    def spy(*args, **kwargs):
+        ladders.append(channels.arq_codebooks(*args, **kwargs))
+        return ladders[-1]
+
+    monkeypatch.setattr(dmtsim, "arq_codebooks", spy)
+    chan = ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=3,
+                         arq_x_thresh=1.0)
+    cfg = SweepConfig(design=square_design(2), channel=chan, methods=("ml",),
+                      rho_db=(10.0, 17.0), r=0.7, min_errors=20,
+                      max_trials=20, seed=9, integer_nesting=True)
+    sweep_cell(cfg, 17.0)
+    [books] = ladders
+    inverse = [1.0 / book.scale for book in books]
+    assert inverse == [float(round(v)) for v in inverse]
+    assert min(inverse) >= 1.0 and max(inverse) > 1.0
