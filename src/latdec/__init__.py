@@ -83,14 +83,10 @@ from .lattice import (
     Codebook,
     LatticeDesign,
     ShapingRegion,
-    codebook_size_estimate,
     enumerate_codebook,
-    min_lattice_distance_nu,
-    pep_lower_bound,
     random_dither,
     round_half_away_from_zero,
     scaling_factor,
-    squarify_generator,
 )
 from .reduction import (
     GateOutcome,
@@ -102,7 +98,6 @@ from .reduction import (
     iteration_bound,
     iteration_bound_for_kappa,
     lll_reduce,
-    orthogonality_defect,
 )
 from .validation import run_suites
 
@@ -117,13 +112,11 @@ __all__ = [
     "InsufficientData", "SchemaError",
     # lattice
     "ShapingRegion", "LatticeDesign", "Codebook", "round_half_away_from_zero",
-    "scaling_factor", "enumerate_codebook", "codebook_size_estimate",
-    "squarify_generator", "min_lattice_distance_nu", "pep_lower_bound",
-    "random_dither",
+    "scaling_factor", "enumerate_codebook", "random_dither",
     # reduction
     "ReducedBasis", "GateOutcome", "lll_reduce", "is_lll_reduced",
     "iteration_bound", "iteration_bound_for_kappa", "gate_exponent_default",
-    "gated_reduce", "integer_det", "orthogonality_defect",
+    "gated_reduce", "integer_det",
     # decoders
     "METHODS", "METHOD_ML", "METHOD_NAIVE", "METHOD_REG_EXACT",
     "METHOD_LR_SIC", "METHOD_LR_LINEAR", "DEFAULT_NODE_BUDGET",

@@ -39,8 +39,6 @@ from .numkernel import (
     as_vector,
     cholesky_upper,
     qr_decompose,
-    qr_decompose_full,
-    singular_values,
     solve_lower_triangular,
     solve_upper_triangular,
 )
@@ -215,12 +213,7 @@ def mmse_gdfe_filters(h, t_reg) -> GdfeFilters:
     # Symmetrize against roundoff before factoring.
     gram = 0.5 * (gram + gram.T)
     b = cholesky_upper(gram)
-    ht = h.T
-    f = np.zeros((n, h.shape[0]))
-    bt = b.T
-    for j in range(h.shape[0]):
-        f[:, j] = solve_lower_triangular(bt, ht[:, j])
-    return GdfeFilters(b=b, f=f)
+    return GdfeFilters(b=b, f=solve_lower_triangular(b.T, h.T))
 
 
 def gram_inverse_regularizer(g) -> np.ndarray:
@@ -228,11 +221,7 @@ def gram_inverse_regularizer(g) -> np.ndarray:
     penalizes integer coordinates instead of signal-space norm."""
     g = as_matrix(g, "G")
     q, r = qr_decompose(g)
-    n = g.shape[0]
-    ginv = np.zeros((n, n))
-    qt = q.T
-    for j in range(n):
-        ginv[:, j] = solve_upper_triangular(r, qt[:, j])
+    ginv = solve_upper_triangular(r, q.T)
     return ginv @ ginv.T
 
 
@@ -388,22 +377,16 @@ def _min_singular_value(a: np.ndarray) -> float:
     m, n = a.shape
     if m < n:
         return 0.0  # genuine null space: fewer observations than unknowns
-    if m > n:
-        # sigma(A) = sigma(R) for the full QR of a tall A.
-        _, r = qr_decompose_full(a)
-        a = r[:n, :]
-    return float(singular_values(a)[-1])
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def babai_nearest_plane(problem: RegularizedProblem,
                         reduced: ReducedBasis) -> LatticeDecodeResult:
-    """Successive-cancellation decode on a reduced basis: QR, then one
-    rounding per layer during back-substitution.  The metric is within a
-    factor 2^(n/2) of the exact regularized minimum."""
+    """Successive-cancellation decode on a reduced basis: one rounding per
+    layer during back-substitution on the reducer's triangle.  The metric
+    is within a factor 2^(n/2) of the exact regularized minimum."""
     prep = problem.prepared()
-    q, r = qr_decompose(reduced.reduced)
-    ytil = q.T @ prep.yprime
-    c = _babai_backsub(r, ytil)
+    c = _babai_backsub(reduced.r, reduced.q.T @ prep.yprime)
     return _map_back(problem, prep, reduced, c)
 
 
@@ -414,10 +397,8 @@ def lr_aided_linear(problem: RegularizedProblem,
     transform.  The metric is within a factor 1 + 2n (9/2)^(n/2) of the
     exact regularized minimum."""
     prep = problem.prepared()
-    q, r = qr_decompose(reduced.reduced)
-    c_real = solve_upper_triangular(r, q.T @ prep.yprime)
-    c = round_half_away_from_zero(c_real)
-    return _map_back(problem, prep, reduced, c)
+    c_real = solve_upper_triangular(reduced.r, reduced.q.T @ prep.yprime)
+    return _map_back(problem, prep, reduced, round_half_away_from_zero(c_real))
 
 
 def _map_back(problem: RegularizedProblem, prep: _Prepared,
@@ -425,12 +406,7 @@ def _map_back(problem: RegularizedProblem, prep: _Prepared,
     resid = prep.yprime - reduced.reduced @ c
     metric = float(resid @ resid) + prep.gamma
     # Exact integer map through the unimodular transform.
-    c_int = [int(v) for v in c]
-    z = np.array(
-        [sum(int(reduced.unimodular[i, j]) * c_int[j] for j in range(len(c_int)))
-         for i in range(reduced.unimodular.shape[0])],
-        dtype=np.int64,
-    )
+    z = reduced.unimodular @ c.astype(np.int64)
     point = problem.scaled_generator @ z.astype(np.float64) + problem.dither_or_zero()
     return LatticeDecodeResult(coords=z, point=point, metric=metric)
 

@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, RankDeficient
-from .numkernel import (
-    as_matrix,
-    as_vector,
-    qr_decompose,
-    qr_decompose_full,
-    solve_upper_triangular,
-)
+from .errors import BudgetExceeded
+from .numkernel import as_matrix, as_vector, qr_decompose, solve_upper_triangular
 
 __all__ = [
     "ShapingRegion",
@@ -30,10 +24,6 @@ __all__ = [
     "round_half_away_from_zero",
     "scaling_factor",
     "enumerate_codebook",
-    "codebook_size_estimate",
-    "squarify_generator",
-    "min_lattice_distance_nu",
-    "pep_lower_bound",
     "random_dither",
 ]
 
@@ -199,12 +189,7 @@ def scaling_factor(rho: float, r: float, t: int, n: int, integer_nesting: bool =
 def _inverse_from_qr(m: np.ndarray) -> np.ndarray:
     """Inverse of a square full-rank matrix via its QR factors."""
     q, r = qr_decompose(m)
-    n = m.shape[0]
-    inv = np.zeros((n, n))
-    qt = q.T
-    for j in range(n):
-        inv[:, j] = solve_upper_triangular(r, qt[:, j])
-    return inv
+    return solve_upper_triangular(r, q.T)
 
 
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray, budget: int):
@@ -262,100 +247,6 @@ def enumerate_codebook(design: LatticeDesign, phi: float,
     # Canonical order: lexicographic by point coordinates.
     order = np.lexsort(pts.T[::-1])
     return Codebook(points=pts[order], coords=zs[order], scale=float(phi))
-
-
-def codebook_size_estimate(design: LatticeDesign, phi: float) -> float:
-    """Volume estimate of the codebook size: phi^-n vol(R) / |det G|."""
-    if not (phi > 0.0):
-        raise ValueError("phi must be positive")
-    n = design.dimension
-    _, r = qr_decompose(design.generator)
-    absdet = float(np.prod(np.diag(r)))
-    return phi ** (-n) * design.region.volume(n) / absdet
-
-
-def squarify_generator(g, h) -> tuple[np.ndarray, np.ndarray]:
-    """Rewrite a non-square generator as a square one, preserving the
-    channel-times-codeword map: H G z = H' G' z for all integer z.
-
-    Tall G (n x k, k < n): G = U G' by thin QR, H' = H U.
-    Wide G (k > n): append an orthonormal basis of the null space as extra
-    rows and zero-pad H with matching columns.
-    """
-    g = as_matrix(g, "G")
-    h = as_matrix(h, "H")
-    n, k = g.shape
-    if h.shape[1] != n:
-        raise ValueError("H columns must match G rows")
-    if k == n:
-        qr_decompose(g)  # full-rank check
-        return g, h
-    if k < n:
-        u, gp = qr_decompose(g)
-        return gp, h @ u
-    # k > n: G is wide; require full row rank.
-    q_full, r_full = qr_decompose_full(g.T)
-    diag = np.abs(np.diag(r_full[:n, :n]))
-    fro = math.sqrt(float(np.sum(g * g)))
-    if diag.size < n or float(np.min(diag)) < 1e-12 * fro:
-        raise RankDeficient("wide generator does not have full row rank")
-    extra_rows = q_full[:, n:].T  # orthonormal basis of null(G)
-    g_ext = np.vstack([g, extra_rows])
-    h_ext = np.hstack([h, np.zeros((h.shape[0], k - n))])
-    return g_ext, h_ext
-
-
-def min_lattice_distance_nu(h, design: LatticeDesign, phi: float,
-                            gamma: float | None = None,
-                            budget: int = DEFAULT_ENUM_BUDGET) -> float:
-    """Minimum of ||H d||^2 / 4 over nonzero scaled-lattice points d with
-    ||d|| <= gamma.  Returns +inf when the ball holds no nonzero point.
-
-    gamma defaults to half the in-radius of the shaping region, the largest
-    radius for which any two codeword difference vectors captured by the
-    ball stay inside the region.
-    """
-    h = as_matrix(h, "H")
-    n = design.dimension
-    if h.shape[1] != n:
-        raise ValueError("H columns must match design dimension")
-    if gamma is None:
-        gamma = 0.5 * design.region.inradius()
-    if not (gamma > 0.0):
-        raise ValueError("gamma must be positive")
-    a = phi * design.generator
-    ainv = _inverse_from_qr(a)
-    # |z_i| <= gamma * ||row_i of (phi G)^-1|| over the gamma-ball.
-    row_norms = np.sqrt(np.sum(ainv * ainv, axis=1))
-    bound = np.floor(gamma * row_norms + 1e-9).astype(np.int64)
-    lo, hi = -bound, bound
-    best = math.inf
-    gamma_sq = gamma * gamma * (1.0 + 1e-12)
-    for z in _iter_integer_box(lo, hi, budget):
-        nz = np.any(z != 0, axis=1)
-        if not np.any(nz):
-            continue
-        d = z[nz].astype(np.float64) @ a.T
-        inside = np.sum(d * d, axis=1) <= gamma_sq
-        if not np.any(inside):
-            continue
-        hd = d[inside] @ h.T
-        cand = 0.25 * float(np.min(np.sum(hd * hd, axis=1)))
-        best = min(best, cand)
-    return best
-
-
-def pep_lower_bound(v: float) -> float:
-    """Gaussian tail Q(sqrt(v)) for a squared half-distance v >= 0.
-
-    v is ||H d||^2 / 4 for a codeword difference d; the returned value is
-    the exact pairwise error probability floor for that difference.
-    """
-    if v < 0.0 or math.isnan(v):
-        raise ValueError("v must be nonnegative")
-    if math.isinf(v):
-        return 0.0
-    return 0.5 * math.erfc(math.sqrt(v) / math.sqrt(2.0))
 
 
 def random_dither(generator, phi: float, rng) -> np.ndarray:

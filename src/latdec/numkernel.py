@@ -1,11 +1,12 @@
 """Small dense linear-algebra kernel.
 
-Everything downstream (filters, reduction, decoders) runs through the four
-operations here: upper Cholesky, Householder QR, 2-norm condition number,
-and triangular solves.  The factorizations are written out directly on
-float64 numpy arrays rather than calling into numpy.linalg: problem sizes
-are tiny (n <= ~32) and the test suite checks each routine against an
-independent library oracle.
+Everything downstream (filters, reduction, decoders) runs through the
+operations here: upper Cholesky, thin QR, singular values and the 2-norm
+condition number, and triangular solves.  Each is a thin wrapper around
+numpy.linalg (LAPACK) that adds this package's error contract as checks on
+the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
+(RankDeficient) and a diagonal floor on triangular solves
+(SingularTriangular).
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
 NaN/Inf entries are rejected at every public entry point.
@@ -29,7 +30,6 @@ __all__ = [
     "as_vector",
     "cholesky_upper",
     "qr_decompose",
-    "qr_decompose_full",
     "condition_number_2norm",
     "singular_values",
     "solve_upper_triangular",
@@ -62,7 +62,7 @@ def cholesky_upper(a) -> np.ndarray:
     triangular and positive diagonal.
 
     Raises NotSymmetric if A is asymmetric beyond 1e-10 relative, and
-    NotPositiveDefinite if any pivot falls below 1e-14 * trace(A)/n.
+    NotPositiveDefinite if any pivot U_ii^2 falls below 1e-14 * trace(A)/n.
     """
     a = as_matrix(a, "A")
     n, m = a.shape
@@ -73,42 +73,16 @@ def cholesky_upper(a) -> np.ndarray:
     fro = math.sqrt(float(np.sum(a * a)))
     if float(np.max(np.abs(a - a.T))) > 1e-10 * (1.0 + fro):
         raise NotSymmetric("A is not symmetric within 1e-10 relative")
+    try:
+        u = np.linalg.cholesky(a).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"A is not positive definite: {exc}") from None
     # Pivot floor guards against nearly semidefinite inputs.
     floor = 1e-14 * float(np.trace(a)) / n
-    u = np.zeros((n, n))
-    for i in range(n):
-        pivot = a[i, i] - u[:i, i] @ u[:i, i]
-        if pivot <= 0.0 or pivot < floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at row {i} below floor {floor:.3e}"
-            )
-        d = math.sqrt(pivot)
-        u[i, i] = d
-        if i + 1 < n:
-            u[i, i + 1:] = (a[i, i + 1:] - u[:i, i] @ u[:i, i + 1:]) / d
+    pivot = float(np.min(np.diag(u))) ** 2
+    if pivot < floor:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} below floor {floor:.3e}")
     return u
-
-
-def _householder(m: np.ndarray):
-    """Householder QR returning full Q (rows x rows) and R (rows x cols)."""
-    rows, cols = m.shape
-    r = m.copy()
-    q = np.eye(rows)
-    for k in range(min(rows, cols)):
-        x = r[k:, k]
-        normx = math.sqrt(float(x @ x))
-        if normx == 0.0:
-            continue
-        v = x.copy()
-        # Sign choice avoids cancellation in the leading entry.
-        v[0] += math.copysign(normx, x[0]) if x[0] != 0.0 else normx
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            continue
-        w = (2.0 / vnorm2) * v
-        r[k:, k:] -= np.outer(v, w @ r[k:, k:])
-        q[:, k:] -= np.outer(q[:, k:] @ v, w)
-    return q, r
 
 
 def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -123,66 +97,22 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"M must have rows >= cols, got {m.shape}")
     if cols == 0:
         return np.zeros((rows, 0)), np.zeros((0, 0))
-    q_full, r_full = _householder(m)
-    q = q_full[:, :cols].copy()
-    r = np.triu(r_full[:cols, :])
+    q, r = np.linalg.qr(m)
     # Fix signs so every diagonal entry of R is positive.
-    fro = math.sqrt(float(np.sum(m * m)))
-    for i in range(cols):
-        if r[i, i] < 0.0:
-            r[i, :] = -r[i, :]
-            q[:, i] = -q[:, i]
-    if float(np.min(np.abs(np.diag(r)))) < 1e-12 * fro:
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q *= signs
+    r *= signs[:, None]
+    if float(np.min(np.abs(np.diag(r)))) < 1e-12 * math.sqrt(float(np.sum(m * m))):
         raise RankDeficient("smallest |R_ii| below 1e-12 * ||M||_F")
     return q, r
 
 
-def qr_decompose_full(m) -> tuple[np.ndarray, np.ndarray]:
-    """Full QR of M: Q is square orthogonal, R is rows x cols upper
-    trapezoidal.  No rank check; used for null-space construction."""
-    m = as_matrix(m, "M")
-    q, r = _householder(m)
-    return q, np.triu(r)
-
-
 def singular_values(m) -> np.ndarray:
-    """All singular values of a square M, descending, via one-sided Jacobi.
-
-    Column rotations drive M^T M to diagonal form; the column norms of the
-    rotated matrix are the singular values.  Self-contained on purpose so
-    the reduction gate does not depend on an external solver.
-    """
+    """All singular values of a square M, descending."""
     m = as_matrix(m, "M")
-    n, cols = m.shape
-    if n != cols:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"M must be square, got {m.shape}")
-    if n == 0:
-        return np.zeros(0)
-    a = m.copy()
-    if n == 1:
-        return np.array([abs(a[0, 0])])
-    for _ in range(60):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(a[:, p] @ a[:, p])
-                aqq = float(a[:, q] @ a[:, q])
-                apq = float(a[:, p] @ a[:, q])
-                if abs(apq) <= 1e-15 * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - s * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-        if not rotated:
-            break
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    sv.sort()
-    return sv[::-1]
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def condition_number_2norm(m) -> float:
@@ -199,33 +129,33 @@ def condition_number_2norm(m) -> float:
     return smax / smin
 
 
-def solve_upper_triangular(u, b) -> np.ndarray:
-    """Back substitution for U x = b with U upper triangular.
-
-    Raises SingularTriangular when any |U_ii| < 1e-14."""
-    u = as_matrix(u, "U")
-    b = as_vector(b, "b")
-    n = u.shape[0]
-    if u.shape[1] != n or b.shape[0] != n:
+def _triangular_system(t, b, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a triangular T and a right-hand side b (a vector, or a
+    matrix of column right-hand sides); raise SingularTriangular when any
+    |T_ii| < 1e-14."""
+    t = as_matrix(t, name)
+    b = as_vector(b, "b") if np.ndim(b) == 1 else as_matrix(b, "b")
+    n = t.shape[0]
+    if t.shape[1] != n or b.shape[0] != n:
         raise ValueError("shape mismatch in triangular solve")
-    if n and float(np.min(np.abs(np.diag(u)))) < 1e-14:
-        raise SingularTriangular("|U_ii| below 1e-14")
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - u[i, i + 1:] @ x[i + 1:]) / u[i, i]
-    return x
+    if n and float(np.min(np.abs(np.diag(t)))) < 1e-14:
+        raise SingularTriangular(f"|{name}_ii| below 1e-14")
+    return t, b
+
+
+def solve_upper_triangular(u, b) -> np.ndarray:
+    """Solve U x = b with U upper triangular; b may hold several columns.
+
+    LAPACK's LU of an upper triangle pivots nowhere and eliminates
+    nothing, so the solve is plain back substitution.  Raises
+    SingularTriangular when any |U_ii| < 1e-14."""
+    return np.linalg.solve(*_triangular_system(u, b, "U"))
 
 
 def solve_lower_triangular(l, b) -> np.ndarray:
-    """Forward substitution for L x = b with L lower triangular."""
-    l = as_matrix(l, "L")
-    b = as_vector(b, "b")
-    n = l.shape[0]
-    if l.shape[1] != n or b.shape[0] != n:
-        raise ValueError("shape mismatch in triangular solve")
-    if n and float(np.min(np.abs(np.diag(l)))) < 1e-14:
-        raise SingularTriangular("|L_ii| below 1e-14")
-    x = np.zeros(n)
-    for i in range(n):
-        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
-    return x
+    """Solve L x = b with L lower triangular; b may hold several columns.
+
+    Reversing the order of rows and columns turns L into an upper
+    triangle, so the solve is plain forward substitution."""
+    l, b = _triangular_system(l, b, "L")
+    return np.linalg.solve(l[::-1, ::-1], b[::-1])[::-1]

@@ -1,13 +1,17 @@
 """Lattice basis reduction with an iteration bound and a condition gate.
 
-The reducer is floating-point LLL over basis columns with the unimodular
-transform tracked exactly in arbitrary-precision integers, so
-reduced = input @ Z holds with |det Z| = 1 checkable over the integers.
-A closed-form bound on the number of swap steps (quadratic in dimension,
-logarithmic in the condition number) backs both the pathology guard and
-the run-time gate: bases whose condition number exceeds rho^alpha are
-refused outright, which is what keeps worst-case decode complexity
-polynomially bounded in the signal level.
+The reducer is floating-point LLL run on the triangular factor of the
+basis (the R-domain formulation of MMSE-SQRD LLL): one QR factors the
+input, size reduction subtracts columns of R, and each swap is repaired by
+one 2x2 reflection of two rows of R and two columns of Q.  The unimodular
+transform Z is held in int64 and guarded below 2^53, so
+reduced = input @ Z holds with |det Z| = 1 checkable over the integers,
+and the reduced basis leaves the reducer already factored as Q R for the
+detectors.  A closed-form bound on the number of swap steps (quadratic in
+dimension, logarithmic in the condition number) backs both the pathology
+guard and the run-time gate: bases whose condition number exceeds
+rho^alpha are refused outright, which is what keeps worst-case decode
+complexity polynomially bounded in the signal level.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "gated_reduce",
     "gate_exponent_default",
     "integer_det",
-    "orthogonality_defect",
 ]
 
 #: Base of the swap-count bound: each swap shrinks a Gram-Schmidt potential
@@ -44,13 +47,19 @@ _SWAP_SLACK = 1e-12
 #: Slack accepted by the reducedness checker.
 _CHECK_SLACK = 1e-9
 
+#: Largest magnitude a unimodular entry may reach: int64 arithmetic is safe
+#: and every entry converts to float64 exactly.
+_Z_LIMIT = 2.0**53
+
 
 @dataclass
 class ReducedBasis:
-    """LLL output: reduced = original @ unimodular (exact integer Z)."""
+    """LLL output: reduced = original @ unimodular = q @ r."""
 
     reduced: np.ndarray        # (n, n) float64 columns
-    unimodular: np.ndarray     # (n, n) object array of Python ints
+    unimodular: np.ndarray     # (n, n) int64 Z, |det Z| = 1, |Z_ij| <= 2^53
+    q: np.ndarray              # (n, n) orthogonal factor of the reduced basis
+    r: np.ndarray              # (n, n) upper-triangular factor, positive diagonal
     iterations: int            # swap steps performed
     size_reductions: int       # nonzero size-reduction steps
     delta: float
@@ -68,7 +77,8 @@ class GateOutcome:
 
 def _gso(b: np.ndarray):
     """Modified Gram-Schmidt coefficients mu and squared norms of the
-    orthogonalized columns."""
+    orthogonalized columns (the reducedness checker's own computation,
+    independent of the reducer's QR)."""
     n = b.shape[1]
     mu = np.zeros((n, n))
     bstar = np.zeros_like(b)
@@ -89,7 +99,9 @@ def lll_reduce(m, delta: float = 0.75,
 
     delta must sit in (1/4, 1).  `max_swaps` caps the swap count; when
     omitted the cap is ten times the closed-form bound, and exceeding the
-    cap raises IterationOverflow.
+    cap raises IterationOverflow.  So does a size-reduction step that could
+    push an entry of the unimodular transform past 2^53, beyond which
+    neither int64 arithmetic is safe nor M @ Z exact in float64.
     """
     m = as_matrix(m, "M")
     n = m.shape[1]
@@ -97,65 +109,54 @@ def lll_reduce(m, delta: float = 0.75,
         raise ValueError(f"basis matrix must be square, got {m.shape}")
     if not (0.25 < delta < 1.0):
         raise ValueError("delta must lie in (1/4, 1)")
-    qr_decompose(m)  # full-rank check
+    q, r = qr_decompose(m)  # raises RankDeficient when singular
     if max_swaps is None:
         max_swaps = 10 * iteration_bound(m)
 
-    b = m.copy()
-    z = np.empty((n, n), dtype=object)
-    z[:] = 0
-    for i in range(n):
-        z[i, i] = 1
-    mu, bsq = _gso(b)
+    # Work on the triangle: mu_kj = R_jk / R_jj and ||b*_k||^2 = R_kk^2.
+    z = np.eye(n, dtype=np.int64)
     swaps = 0
     size_reds = 0
 
     def size_reduce(k: int, j: int):
         nonlocal size_reds
-        r = float(round_half_away_from_zero(mu[k, j]))
-        if r == 0.0:
+        c = float(round_half_away_from_zero(r[j, k] / r[j, j]))
+        if c == 0.0:
             return
-        ri = int(r)
-        b[:, k] -= r * b[:, j]
-        z[:, k] = z[:, k] - ri * z[:, j]
-        mu[k, :j] -= r * mu[j, :j]
-        mu[k, j] -= r
+        if abs(c) * np.max(np.abs(z[:, j])) + np.max(np.abs(z[:, k])) > _Z_LIMIT:
+            raise IterationOverflow("unimodular transform would exceed 2^53")
+        r[:j + 1, k] -= c * r[:j + 1, j]
+        z[:, k] -= int(c) * z[:, j]
         size_reds += 1
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        mukk = mu[k, k - 1]
-        if delta * bsq[k - 1] > bsq[k] + mukk * mukk * bsq[k - 1] + _SWAP_SLACK:
+        if delta * r[k - 1, k - 1] ** 2 > r[k, k] ** 2 + r[k - 1, k] ** 2 + _SWAP_SLACK:
             swaps += 1
             if swaps > max_swaps:
                 raise IterationOverflow(
                     f"swap count exceeded budget {max_swaps}"
                 )
-            # Exchange columns k-1, k and patch the Gram-Schmidt data in
-            # place (standard O(n) update).
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            # Exchange columns k-1, k; a reflection of rows k-1, k of R
+            # (and of the matching columns of Q) restores the triangle
+            # with a positive diagonal.
+            r[:, [k - 1, k]] = r[:, [k, k - 1]]
             z[:, [k - 1, k]] = z[:, [k, k - 1]]
-            bnew = bsq[k] + mukk * mukk * bsq[k - 1]
-            mu_new = mukk * bsq[k - 1] / bnew
-            bsq[k] = bsq[k - 1] * bsq[k] / bnew
-            bsq[k - 1] = bnew
-            if k >= 2:
-                row = mu[k - 1, :k - 1].copy()
-                mu[k - 1, :k - 1] = mu[k, :k - 1]
-                mu[k, :k - 1] = row
-            mu[k, k - 1] = mu_new
-            for i in range(k + 1, n):
-                t = mu[i, k]
-                mu[i, k] = mu[i, k - 1] - mukk * t
-                mu[i, k - 1] = t + mu_new * mu[i, k]
+            a, b = r[k - 1, k - 1], r[k, k - 1]
+            h = math.hypot(a, b)
+            rot = np.array([[a, b], [b, -a]]) / h
+            r[[k - 1, k], k - 1:] = rot @ r[[k - 1, k], k - 1:]
+            r[k, k - 1] = 0.0
+            q[:, [k - 1, k]] = q[:, [k - 1, k]] @ rot
             k = max(k - 1, 1)
         else:
             for j in range(k - 2, -1, -1):
                 size_reduce(k, j)
             k += 1
-    return ReducedBasis(reduced=b, unimodular=z, iterations=swaps,
-                        size_reductions=size_reds, delta=delta)
+    return ReducedBasis(reduced=m @ z, unimodular=z, q=q, r=r,
+                        iterations=swaps, size_reductions=size_reds,
+                        delta=delta)
 
 
 def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:
@@ -257,12 +258,3 @@ def integer_det(z) -> int:
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def orthogonality_defect(m) -> float:
-    """Product of column norms over |det|; 1 iff the columns are
-    orthogonal, larger as they grow more skewed."""
-    m = as_matrix(m, "M")
-    _, r = qr_decompose(m)
-    absdet = float(np.prod(np.diag(r)))
-    norms = np.sqrt(np.sum(m * m, axis=0))
-    return float(np.prod(norms)) / absdet

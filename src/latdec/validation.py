@@ -82,7 +82,7 @@ def _suite_reduction(poison: bool, checks: int = 200) -> dict:
             return {"passed": False,
                     "detail": f"swap count above closed-form cap at check {i}",
                     "checks": checks}
-        recon = m @ np.array([[float(v) for v in row] for row in z])
+        recon = m @ z
         if float(np.max(np.abs(recon - red.reduced))) > 1e-8 * (1.0 + float(np.max(np.abs(m)))):
             return {"passed": False,
                     "detail": f"reduced != M Z at check {i}", "checks": checks}

@@ -1,6 +1,7 @@
 """Decoders: GDFE preprocessing identities, exact search against brute
 force, certified approximation ratios, and the one-shot pipeline."""
 
+import dataclasses
 import itertools
 import math
 
@@ -210,6 +211,31 @@ def test_suboptimal_ratios_bounded():
         worst_linear[n] = max(worst_linear[n], rl)
     # The ensemble must actually exercise suboptimality somewhere.
     assert max(worst_babai.values()) > 1.0 or max(worst_linear.values()) > 1.0
+
+
+def test_detectors_on_reducer_factors_match_fresh_qr():
+    # Nearest-plane and linear detection read the Q, R that LLL leaves
+    # behind; a fresh sign-aligned LAPACK QR of the reduced basis must
+    # give the same integer coordinates.
+    rng = np.random.default_rng(1313)
+    for trial in range(240):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(n, n + 3))
+        prob = RegularizedProblem(y=4.0 * rng.standard_normal(m),
+                                  h=rng.standard_normal((m, n)), t_reg=np.eye(n),
+                                  scaled_generator=rng.standard_normal((n, n)),
+                                  dither=rng.standard_normal(n))
+        red = lll_reduce(prob.prepared().basis)
+        assert red.unimodular.dtype == np.int64
+        assert (np.linalg.norm(red.q @ red.r - red.reduced)
+                <= 1e-10 * np.linalg.norm(red.reduced)), f"trial {trial}"
+        q, r = np.linalg.qr(red.reduced)
+        signs = np.sign(np.diag(r))
+        fresh = dataclasses.replace(red, q=q * signs, r=signs[:, None] * r)
+        for detector in (babai_nearest_plane, lr_aided_linear):
+            got = detector(prob, red).coords
+            want = detector(prob, fresh).coords
+            assert np.array_equal(got, want), f"trial {trial}: {detector.__name__}"
 
 
 def test_approximation_ratio_edge_cases():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from latdec import channels, decoders, dmtsim
+from latdec import channels, decoders, dmtsim, reduction
 from latdec.channels import (
     NoiseModel,
     complex_gaussian,
@@ -406,6 +406,7 @@ def test_sweep_cell_matches_per_method_reference(model):
 
 def test_channel_stage_runs_once_per_trial(monkeypatch):
     calls = {"gdfe": 0, "gate": 0}
+    factored, reduced = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -413,15 +414,36 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def qr_spy(fn):
+        def wrapper(m):
+            factored.append(np.array(m))
+            return fn(m)
+        return wrapper
+
+    counted_gate = counted("gate", decoders.gated_reduce)
+
+    def gate_spy(*args, **kwargs):
+        outcome = counted_gate(*args, **kwargs)
+        # A basis LLL leaves unchanged is the one the sphere search factors.
+        basis = outcome.basis
+        if basis is not None and basis.iterations + basis.size_reductions:
+            reduced.append(basis.reduced)
+        return outcome
+
     monkeypatch.setattr(decoders, "mmse_gdfe_filters",
                         counted("gdfe", decoders.mmse_gdfe_filters))
-    monkeypatch.setattr(decoders, "gated_reduce",
-                        counted("gate", decoders.gated_reduce))
+    monkeypatch.setattr(decoders, "gated_reduce", gate_spy)
+    for module in (decoders, reduction):
+        monkeypatch.setattr(module, "qr_decompose", qr_spy(module.qr_decompose))
     cfg = rayleigh_config(n_ant=2, methods=("reg_exact", "lr_sic", "lr_linear"),
                           min_errors=10**6, max_trials=60)
     recs = sweep_cell(cfg, 14.0)
     assert all(rec.trials == 60 for rec in recs)
     assert calls == {"gdfe": 60, "gate": 60}
+    # One QR for the sphere search and one inside LLL; the detectors read
+    # the reducer's factors and never factor a reduced basis.
+    assert reduced and len(factored) <= 2 * 60
+    assert not any(np.array_equal(m, basis) for m in factored for basis in reduced)
 
 
 def test_arq_sweep_applies_integer_nesting(monkeypatch):

@@ -1,25 +1,20 @@
-"""Shaping regions, codebook enumeration, and distance/pairwise-error
-helpers, checked against hand-counted cases and quadrature oracles."""
+"""Shaping regions, scaling and codebook enumeration, checked against
+hand-counted cases."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from latdec.channels import trial_rng
-from latdec.errors import BudgetExceeded, RankDeficient
+from latdec.errors import BudgetExceeded
 from latdec.lattice import (
     LatticeDesign,
     ShapingRegion,
-    codebook_size_estimate,
     enumerate_codebook,
-    min_lattice_distance_nu,
-    pep_lower_bound,
     random_dither,
     round_half_away_from_zero,
     scaling_factor,
-    squarify_generator,
 )
 
 
@@ -97,6 +92,8 @@ def test_enumerate_codebook_four_dim_and_scaled():
     assert book.size == 9
     assert np.array_equal(book.points[0], [-0.5, -0.5])
     assert np.array_equal(book.points[4], [0.0, 0.0])
+    # Dithered 22 x 22 grid of half-integers inside [-10.5, 10.5]^2.
+    assert enumerate_codebook(square_design(2, half_width=10.5), phi=1.0).size == 484
 
 
 def test_enumerate_codebook_ball_region():
@@ -116,90 +113,6 @@ def test_enumerate_codebook_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_codebook(square_design(2, half_width=500.0), phi=1.0,
                            budget=100)
-
-
-def test_codebook_size_estimate():
-    # phi^-n vol(R) / |det G|: 0.5^-2 * 1.44 / 1.
-    est = codebook_size_estimate(square_design(2), phi=0.5)
-    assert est == pytest.approx(5.76, rel=1e-12)
-    # On a large box the estimate tracks the exact count within 10%.
-    big = square_design(2, half_width=10.5)
-    exact = enumerate_codebook(big, phi=1.0).size
-    est = codebook_size_estimate(big, phi=1.0)
-    assert abs(exact / est - 1.0) < 0.10
-    assert exact == 484
-
-
-def test_squarify_square_and_tall():
-    rng = np.random.default_rng(606)
-    h = rng.standard_normal((4, 3))
-    g_sq = rng.standard_normal((3, 3))
-    g2, h2 = squarify_generator(g_sq, h)
-    assert np.array_equal(g2, g_sq)
-    assert np.array_equal(h2, h)
-
-    g_tall = rng.standard_normal((3, 2))       # 3 rows, 2 columns
-    gp, hp = squarify_generator(g_tall, h)
-    assert gp.shape == (2, 2)
-    assert hp.shape == (4, 2)
-    for _ in range(50):
-        z = rng.integers(-5, 6, size=2).astype(np.float64)
-        assert np.allclose(h @ (g_tall @ z), hp @ (gp @ z),
-                           rtol=1e-10, atol=1e-10)
-
-
-def test_squarify_wide():
-    rng = np.random.default_rng(707)
-    h = rng.standard_normal((3, 2))
-    g_wide = rng.standard_normal((2, 3))
-    gx, hx = squarify_generator(g_wide, h)
-    assert gx.shape == (3, 3)
-    assert hx.shape == (3, 3)
-    assert np.array_equal(gx[:2], g_wide)
-    assert np.array_equal(hx[:, :2], h)
-    for _ in range(50):
-        z = rng.integers(-5, 6, size=3).astype(np.float64)
-        assert np.allclose(h @ (g_wide @ z), hx @ (gx @ z),
-                           rtol=1e-10, atol=1e-10)
-    bad = np.vstack([g_wide[0], g_wide[0] * 2.0])   # rank 1, wide
-    with pytest.raises(RankDeficient):
-        squarify_generator(bad, h)
-
-
-def test_min_lattice_distance_known_value():
-    design = square_design(2)
-    h = 2.0 * np.eye(2)
-    # Nonzero integer points within radius 1.5: norm-1 and norm-sqrt(2);
-    # min ||2d||^2 / 4 = min ||d||^2 = 1.
-    nu = min_lattice_distance_nu(h, design, phi=1.0, gamma=1.5)
-    assert nu == pytest.approx(1.0, rel=1e-12)
-    # Shrinking the ball below the shortest vector empties it.
-    assert min_lattice_distance_nu(h, design, phi=1.0, gamma=0.9) == math.inf
-    # Default gamma is half the box in-radius (0.3 here): empty ball.
-    assert min_lattice_distance_nu(h, design, phi=1.0) == math.inf
-
-
-def test_min_lattice_distance_skewed_channel():
-    design = square_design(2)
-    h = np.array([[1.0, 0.0], [0.0, 0.25]])
-    # Candidates within gamma=1.2: the four unit vectors; H shrinks e2.
-    nu = min_lattice_distance_nu(h, design, phi=1.0, gamma=1.2)
-    assert nu == pytest.approx(0.015625, rel=1e-12)   # (0.25^2)/4
-
-
-def test_pep_lower_bound_against_quadrature():
-    # Independent oracle: integrate the standard normal tail directly.
-    for v in [0.0, 0.25, 1.0, 2.0, 5.0, 10.0]:
-        tail, _ = quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-                       math.sqrt(v), np.inf)
-        assert pep_lower_bound(v) == pytest.approx(tail, abs=1e-12)
-    assert pep_lower_bound(0.0) == 0.5
-    assert pep_lower_bound(1.0) == pytest.approx(0.15865525393145707, abs=1e-14)
-    assert pep_lower_bound(math.inf) == 0.0
-    with pytest.raises(ValueError):
-        pep_lower_bound(-1e-9)
-    with pytest.raises(ValueError):
-        pep_lower_bound(math.nan)
 
 
 def test_random_dither_in_fundamental_cell():

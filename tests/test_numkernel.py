@@ -15,7 +15,6 @@ from latdec.numkernel import (
     cholesky_upper,
     condition_number_2norm,
     qr_decompose,
-    qr_decompose_full,
     singular_values,
     solve_lower_triangular,
     solve_upper_triangular,
@@ -106,16 +105,6 @@ def test_qr_rank_deficient():
         qr_decompose(a)
 
 
-def test_qr_full_shapes():
-    rng = np.random.default_rng(303)
-    a = rng.standard_normal((6, 3))
-    q, r = qr_decompose_full(a)
-    assert q.shape == (6, 6)
-    assert r.shape == (6, 3)
-    assert np.allclose(q @ r, a, atol=1e-12)
-    assert np.allclose(q.T @ q, np.eye(6), atol=1e-12)
-
-
 def test_singular_values_frozen():
     # A = [[3, 0], [4, 5]]: A^T A has eigenvalues 45 and 5.
     sv = singular_values(np.array([[3.0, 0.0], [4.0, 5.0]]))
@@ -154,6 +143,17 @@ def test_triangular_solves():
         low = u.T
         y = solve_lower_triangular(low, b)
         assert np.allclose(low @ y, b, rtol=1e-9, atol=1e-9)
+        # A matrix right-hand side solves column by column.
+        bb = rng.standard_normal((n, 3))
+        xx = solve_upper_triangular(u, bb)
+        yy = solve_lower_triangular(low, bb)
+        for j in range(3):
+            assert np.allclose(xx[:, j], solve_upper_triangular(u, bb[:, j]),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(yy[:, j], solve_lower_triangular(low, bb[:, j]),
+                               rtol=1e-12, atol=1e-12)
+        assert np.allclose(u @ xx, bb, rtol=1e-9, atol=1e-9)
+        assert np.allclose(low @ yy, bb, rtol=1e-9, atol=1e-9)
 
 
 def test_triangular_singular_raises():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from latdec.errors import RankDeficient
+from latdec.errors import IterationOverflow, RankDeficient
 from latdec.reduction import (
     gate_exponent_default,
     gated_reduce,
@@ -15,8 +15,12 @@ from latdec.reduction import (
     iteration_bound,
     iteration_bound_for_kappa,
     lll_reduce,
-    orthogonality_defect,
 )
+
+
+def orthogonality_defect(basis):
+    """Product of column norms over |det|: 1 iff the columns are orthogonal."""
+    return float(np.prod(np.linalg.norm(basis, axis=0))) / abs(np.linalg.det(basis))
 
 
 def reference_is_reduced(basis, delta=0.75, tol=1e-9):
@@ -50,8 +54,8 @@ def test_lll_two_dim_known_reduction():
     ok, why = is_lll_reduced(res.reduced)
     assert ok, why
     # Exact basis transfer: reduced equals M Z with integer Z.
-    z = np.array([[int(v) for v in col] for col in res.unimodular.T]).T
-    assert np.allclose(res.reduced, m @ z.astype(np.float64), atol=1e-12)
+    assert res.unimodular.dtype == np.int64
+    assert np.allclose(res.reduced, m @ res.unimodular, atol=1e-12)
     assert abs(integer_det(res.unimodular)) == 1
     # Shortest vector of this lattice is (0.01-ish): first reduced column
     # must be far shorter than the original worst column.
@@ -72,9 +76,13 @@ def test_lll_random_ensemble_invariants():
         assert ok, f"trial {trial}: {why}"
         # Unimodularity, exactly.
         assert abs(integer_det(res.unimodular)) == 1
-        zf = np.array(
-            [[float(res.unimodular[i, j]) for j in range(n)] for i in range(n)])
-        assert np.allclose(res.reduced, m @ zf, rtol=1e-9, atol=1e-9)
+        assert np.allclose(res.reduced, m @ res.unimodular, rtol=1e-9, atol=1e-9)
+        # The reducer's own factors: reduced = Q R, Q orthogonal, R upper
+        # triangular with a positive diagonal.
+        assert np.allclose(res.q @ res.r, res.reduced, rtol=1e-9, atol=1e-9)
+        assert np.allclose(res.q.T @ res.q, np.eye(n), atol=1e-10)
+        assert np.array_equal(np.triu(res.r), res.r)
+        assert np.all(np.diag(res.r) > 0)
         # Reduction never worsens the orthogonality defect.
         assert (orthogonality_defect(res.reduced)
                 <= orthogonality_defect(m) * (1.0 + 1e-9))
@@ -88,14 +96,29 @@ def test_lll_identity_fixed_point():
     res = lll_reduce(np.eye(4))
     assert np.array_equal(res.reduced, np.eye(4))
     assert res.iterations == 0
-    idz = np.array([[float(res.unimodular[i, j]) for j in range(4)]
-                    for i in range(4)])
-    assert np.array_equal(idz, np.eye(4))
+    assert np.array_equal(res.unimodular, np.eye(4, dtype=np.int64))
 
 
 def test_lll_rejects_singular():
     with pytest.raises(RankDeficient):
         lll_reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_lll_refuses_unimodular_entries_past_2_53():
+    # Full rank and well inside the rank floor, but reducing the last column
+    # needs Z[0, 2] = 1e8 * 1e9 = 1e17, past where int64 arithmetic and
+    # M @ Z in float64 stay exact.
+    m = np.array([[1.0, 1e8, 0.0], [0.0, 1.0, 1e9], [0.0, 0.0, 1.0]])
+    with pytest.raises(IterationOverflow):
+        lll_reduce(m)
+    # The 2 x 2 shape of the same hazard is already refused as rank
+    # deficient: 1 is below 1e-12 * ||M||_F.
+    with pytest.raises(RankDeficient):
+        lll_reduce(np.array([[1.0, 1e17], [0.0, 1.0]]))
+    # A chain that stays below 2^53 reduces exactly.
+    res = lll_reduce(np.array([[1.0, 1e6, 0.0], [0.0, 1.0, 1e6], [0.0, 0.0, 1.0]]))
+    assert res.unimodular[0, 2] == 10**12
+    assert np.array_equal(res.reduced, np.eye(3))
 
 
 def test_lll_delta_range():
@@ -162,11 +185,3 @@ def test_integer_det_exact():
                        dtype=object)
         want = round(float(np.linalg.det(a.astype(np.float64))))
         assert integer_det(obj) == want
-
-
-def test_orthogonality_defect():
-    assert orthogonality_defect(np.eye(3)) == pytest.approx(1.0)
-    skew = np.array([[1.0, 0.9], [0.0, 0.1]])
-    # prod ||col|| / |det| = (1 * sqrt(0.82)) / 0.1
-    assert orthogonality_defect(skew) == pytest.approx(
-        math.sqrt(0.81 + 0.01) / 0.1, rel=1e-12)
