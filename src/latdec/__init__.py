@@ -8,7 +8,6 @@ that estimates error-rate diversity slopes against reference curves.
 
 from .channels import (
     ArqEpisode,
-    ChannelSample,
     NoiseModel,
     arq_ack,
     complex_gaussian,
@@ -33,14 +32,12 @@ from .decoders import (
     ChannelStage,
     DecodeGate,
     DecodeOutcome,
-    GdfeFilters,
     LatticeDecodeResult,
     RegularizedProblem,
     approximation_ratio,
     babai_nearest_plane,
     decode,
     detect,
-    gram_inverse_regularizer,
     lr_aided_linear,
     ml_decode,
     mmse_gdfe_filters,
@@ -120,14 +117,14 @@ __all__ = [
     # decoders
     "METHODS", "METHOD_ML", "METHOD_NAIVE", "METHOD_REG_EXACT",
     "METHOD_LR_SIC", "METHOD_LR_LINEAR", "DEFAULT_NODE_BUDGET",
-    "DecodeGate", "GdfeFilters", "RegularizedProblem", "LatticeDecodeResult",
-    "DecodeOutcome", "mmse_gdfe_filters", "gram_inverse_regularizer",
-    "regularized_metric", "ml_decode", "sphere_decode_regularized",
-    "naive_lattice_decode", "babai_nearest_plane", "lr_aided_linear",
-    "approximation_ratio", "ChannelStage", "prepare", "detect", "decode",
+    "DecodeGate", "RegularizedProblem", "LatticeDecodeResult",
+    "DecodeOutcome", "mmse_gdfe_filters", "regularized_metric", "ml_decode",
+    "sphere_decode_regularized", "naive_lattice_decode", "babai_nearest_plane",
+    "lr_aided_linear", "approximation_ratio", "ChannelStage", "prepare",
+    "detect", "decode",
     # channels
-    "ChannelSample", "NoiseModel", "ArqEpisode", "trial_rng",
-    "standard_normal", "complex_gaussian", "embed_complex",
+    "NoiseModel", "ArqEpisode", "trial_rng", "standard_normal",
+    "complex_gaussian", "embed_complex",
     "sample_quasi_static_rayleigh", "sample_mimo_ofdm", "sample_naf_relay",
     "fixed_channel", "arq_ack", "simulate_arq_episode", "sample_noise",
     # dmtsim

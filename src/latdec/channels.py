@@ -18,17 +18,15 @@ stream per (experiment seed, integer key tuple).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decoders import decode
 from .errors import NotPositiveDefinite
 from .lattice import Codebook, LatticeDesign, enumerate_codebook, scaling_factor
-from .numkernel import as_matrix, as_vector
 
 __all__ = [
-    "ChannelSample",
     "NoiseModel",
     "ArqEpisode",
     "trial_rng",
@@ -48,18 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class ChannelSample:
-    """One channel draw: the real-embedded matrix plus bookkeeping."""
-
-    h_real: np.ndarray
-    model_tag: str
-    rho: float
-    parent: np.ndarray | None = None   # complex parent (or tone stack)
-    channel_uses: int = 1
-    extras: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive noise: i.i.d. unit Gaussians, optionally plus a random
@@ -75,8 +61,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian_unit", "self_interference"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_e < 0.0 or self.scale < 0.0:
-            raise ValueError("sigma_e and scale must be nonnegative")
+        if not (0.0 <= self.sigma_e < math.inf and 0.0 <= self.scale < math.inf):
+            raise ValueError("sigma_e and scale must be nonnegative and finite")
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -117,19 +103,10 @@ def complex_gaussian(rng, shape) -> np.ndarray:
     return z.reshape(shape)
 
 
-def _as_complex_matrix(hc, name: str = "Hc") -> np.ndarray:
-    hc = np.asarray(hc, dtype=np.complex128)
-    if hc.ndim != 2:
-        raise ValueError(f"{name} must be 2-D")
-    if hc.size and not np.all(np.isfinite(hc.real) & np.isfinite(hc.imag)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return hc
-
-
 def embed_complex(hc, t: int, rho: float) -> np.ndarray:
     """Real embedding of a complex channel over t uses, with the signal
     level folded in: sqrt(rho) * I_t (x) [[Re, -Im], [Im, Re]]."""
-    hc = _as_complex_matrix(hc)
+    hc = np.asarray(hc, dtype=np.complex128)
     if t < 1:
         raise ValueError("t must be >= 1")
     if not (rho > 0.0):
@@ -139,17 +116,14 @@ def embed_complex(hc, t: int, rho: float) -> np.ndarray:
 
 
 def sample_quasi_static_rayleigh(nt: int, nr: int, t: int, rho: float,
-                                 rng) -> ChannelSample:
+                                 rng) -> np.ndarray:
     """i.i.d. unit-variance complex Gaussian fading, constant over the
     coding block."""
-    hc = complex_gaussian(rng, (nr, nt))
-    return ChannelSample(h_real=embed_complex(hc, t, rho),
-                         model_tag="quasi_static_rayleigh", rho=rho,
-                         parent=hc, channel_uses=t)
+    return embed_complex(complex_gaussian(rng, (nr, nt)), t, rho)
 
 
 def sample_mimo_ofdm(nt: int, nr: int, tones: int, taps: int, t: int,
-                     rho: float, rng) -> ChannelSample:
+                     rho: float, rng) -> np.ndarray:
     """Frequency-selective block fading: `taps` i.i.d. matrix taps, a DFT
     across `tones` parallel tones, block-diagonal real embedding.
 
@@ -170,12 +144,10 @@ def sample_mimo_ofdm(nt: int, nr: int, tones: int, taps: int, t: int,
         h[ro:ro + b.shape[0], co:co + b.shape[1]] = b
         ro += b.shape[0]
         co += b.shape[1]
-    return ChannelSample(h_real=h, model_tag="mimo_ofdm", rho=rho,
-                         parent=tone_mats, channel_uses=tones * t,
-                         extras={"taps": taps, "tones": tones})
+    return h
 
 
-def sample_naf_relay(rho: float, rng) -> ChannelSample:
+def sample_naf_relay(rho: float, rng) -> np.ndarray:
     """Single-relay nonorthogonal amplify-and-forward cooperation,
     whitened into an equivalent 2x2 complex channel.
 
@@ -192,24 +164,20 @@ def sample_naf_relay(rho: float, rng) -> ChannelSample:
         [h1, 0.0],
         [math.sqrt(rho) * b * h2 * h3 / denom, h1 / denom],
     ], dtype=np.complex128)
-    return ChannelSample(h_real=embed_complex(hc, 1, rho),
-                         model_tag="naf_relay", rho=rho, parent=hc,
-                         channel_uses=2,
-                         extras={"b": b, "h1": h1, "h2": h2, "h3": h3})
+    return embed_complex(hc, 1, rho)
 
 
-def fixed_channel(h_real, rho: float, channel_uses: int = 1) -> ChannelSample:
-    """Deterministic channel wrapper for oracle and regression tests."""
-    return ChannelSample(h_real=as_matrix(h_real, "h_real"),
-                         model_tag="fixed", rho=rho,
-                         channel_uses=channel_uses)
+def fixed_channel(h_real) -> np.ndarray:
+    """Deterministic channel (the real matrix itself, the same on every
+    draw) for oracle and regression tests."""
+    return np.asarray(h_real, dtype=np.float64)
 
 
 def arq_ack(hc, rho: float, x_thresh: float, round_index: int) -> bool:
     """Rate-confirmation rule for round l: the per-round mutual
     information log det(I + rho Hc Hc^H) must reach (x/l) log rho.
     Natural logs on both sides (the base cancels)."""
-    hc = _as_complex_matrix(hc)
+    hc = np.asarray(hc, dtype=np.complex128)
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
     if round_index < 1:
@@ -271,7 +239,7 @@ def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
     uniformly below the smallest codebook size and encoded by the
     stopping fragment through its canonical codebook order; each round
     adds its own noise."""
-    hc = _as_complex_matrix(hc)
+    hc = np.asarray(hc, dtype=np.complex128)
     base = fragments[0]
     h_round = embed_complex(hc, base.coding_duration, rho)
     m_round, dim_round = h_round.shape
@@ -333,7 +301,7 @@ def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:
         raise ValueError("m must be >= 1")
     if model.kind == "gaussian_unit":
         return model.scale * standard_normal(rng, m)
-    x = as_vector(x, "x")
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     scale_e = model.sigma_e / math.sqrt(m * n)
     e = scale_e * standard_normal(rng, m * n).reshape(m, n)

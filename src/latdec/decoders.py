@@ -51,13 +51,11 @@ __all__ = [
     "METHOD_LR_SIC",
     "METHOD_LR_LINEAR",
     "METHODS",
-    "GdfeFilters",
     "RegularizedProblem",
     "DecodeGate",
     "DecodeOutcome",
     "LatticeDecodeResult",
     "mmse_gdfe_filters",
-    "gram_inverse_regularizer",
     "regularized_metric",
     "ml_decode",
     "sphere_decode_regularized",
@@ -86,15 +84,6 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 @dataclass
-class GdfeFilters:
-    """Feedback matrix B (upper triangular, B^T B = H^T H + T) and the
-    forward filter F = B^-T H^T."""
-
-    b: np.ndarray
-    f: np.ndarray
-
-
-@dataclass
 class DecodeGate:
     """Reduction-gate settings for the reduction-aided decoders."""
 
@@ -104,7 +93,8 @@ class DecodeGate:
 
 @dataclass(eq=False)
 class _Prepared:
-    filters: GdfeFilters
+    b: np.ndarray           # feedback matrix: upper triangular, B^T B = H^T H + T
+    f: np.ndarray           # forward filter F = B^-T H^T
     y_eff: np.ndarray       # y - H u
     yprime: np.ndarray      # F y_eff
     gamma: float            # ||y_eff||^2 - ||F y_eff||^2 >= 0
@@ -114,7 +104,10 @@ class _Prepared:
 @dataclass(eq=False)
 class RegularizedProblem:
     """One decode instance: received vector, channel, penalty matrix, and
-    the scaled lattice generator (phi G) with optional dither."""
+    the scaled lattice generator (phi G) with optional dither.
+
+    The constructor is where decode inputs enter: it checks every array
+    for NaN/Inf and shape once, and nothing downstream checks again."""
 
     y: np.ndarray
     h: np.ndarray
@@ -131,10 +124,11 @@ class RegularizedProblem:
         m, n = self.h.shape
         if self.y.shape[0] != m:
             raise ValueError("y length does not match H rows")
+        if self.scaled_generator.shape != (n, n):
+            raise ValueError(f"H has {n} columns; the scaled generator must be "
+                             f"{n} x {n}, got {self.scaled_generator.shape}")
         if self.t_reg.shape != (n, n):
             raise ValueError("T must be n x n")
-        if self.scaled_generator.shape != (n, n):
-            raise ValueError("scaled generator must be n x n")
         if self.dither is not None:
             self.dither = as_vector(self.dither, "dither")
             if self.dither.shape[0] != n:
@@ -151,16 +145,15 @@ class RegularizedProblem:
 
     def prepared(self) -> _Prepared:
         if self._prep is None:
-            filt = mmse_gdfe_filters(self.h, self.t_reg)
+            b, f = mmse_gdfe_filters(self.h, self.t_reg)
             y_eff = self.y - self.h @ self.dither_or_zero()
-            yprime = filt.f @ y_eff
+            yprime = f @ y_eff
             gamma = float(y_eff @ y_eff) - float(yprime @ yprime)
             # Gamma is nonnegative in exact arithmetic; clamp roundoff.
             if gamma < 0.0:
                 gamma = 0.0
-            self._prep = _Prepared(filters=filt, y_eff=y_eff, yprime=yprime,
-                                   gamma=gamma,
-                                   basis=filt.b @ self.scaled_generator)
+            self._prep = _Prepared(b=b, f=f, y_eff=y_eff, yprime=yprime,
+                                   gamma=gamma, basis=b @ self.scaled_generator)
         return self._prep
 
 
@@ -200,29 +193,17 @@ class DecodeOutcome:
         return self.kind == "codeword"
 
 
-def mmse_gdfe_filters(h, t_reg) -> GdfeFilters:
-    """Factor H^T H + T = B^T B and form the forward filter F = B^-T H^T.
+def mmse_gdfe_filters(h, t_reg) -> tuple[np.ndarray, np.ndarray]:
+    """Factor H^T H + T = B^T B and form the forward filter F = B^-T H^T;
+    returns (B, F).
 
     T must be symmetric positive definite; B's diagonal is positive."""
-    h = as_matrix(h, "H")
-    t_reg = as_matrix(t_reg, "T")
-    n = h.shape[1]
-    if t_reg.shape != (n, n):
-        raise ValueError("T must match H columns")
+    h = np.asarray(h, dtype=np.float64)
     gram = h.T @ h + t_reg
     # Symmetrize against roundoff before factoring.
     gram = 0.5 * (gram + gram.T)
     b = cholesky_upper(gram)
-    return GdfeFilters(b=b, f=solve_lower_triangular(b.T, h.T))
-
-
-def gram_inverse_regularizer(g) -> np.ndarray:
-    """Penalty matrix (G^T G)^-1, an alternative to the identity that
-    penalizes integer coordinates instead of signal-space norm."""
-    g = as_matrix(g, "G")
-    q, r = qr_decompose(g)
-    ginv = solve_upper_triangular(r, q.T)
-    return ginv @ ginv.T
+    return b, solve_lower_triangular(b.T, h.T)
 
 
 def regularized_metric(problem: RegularizedProblem, xhat) -> float:
@@ -234,7 +215,7 @@ def regularized_metric(problem: RegularizedProblem, xhat) -> float:
     xlat = xhat - u
     direct = float(resid @ resid) + float(xlat @ problem.t_reg @ xlat)
     prep = problem.prepared()
-    alt_resid = prep.yprime - prep.filters.b @ xlat
+    alt_resid = prep.yprime - prep.b @ xlat
     alt = float(alt_resid @ alt_resid) + prep.gamma
     if abs(direct - alt) > 1e-8 * (1.0 + abs(direct)):
         raise MetricMismatch(
@@ -248,9 +229,8 @@ def ml_decode(y, h, codebook: Codebook) -> DecodeOutcome:
 
     Ties within 1e-12 in squared distance go to the lexicographically
     smallest codeword (the codebook is stored in that order)."""
-    y = as_vector(y, "y")
-    h = as_matrix(h, "H")
-    resid = y[None, :] - codebook.points @ h.T
+    y = np.asarray(y, dtype=np.float64)
+    resid = y[None, :] - codebook.points @ np.asarray(h, dtype=np.float64).T
     dists = np.sum(resid * resid, axis=1)
     best = float(np.min(dists))
     idx = int(np.flatnonzero(dists <= best + TIE_TOLERANCE)[0])
@@ -356,16 +336,14 @@ def naive_lattice_decode(y, h, scaled_generator, region: ShapingRegion,
     H (phi G) is numerically singular.  The decoded point is flagged
     out-of-codebook when it falls outside the shaping region: with no
     penalty term, deep fades regularly push the minimizer far outside."""
-    y = as_vector(y, "y")
-    h = as_matrix(h, "H")
-    a = as_matrix(scaled_generator, "scaled_generator")
-    if _min_singular_value(h @ a) < 1e-10:
-        raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
+    h = np.asarray(h, dtype=np.float64)
     eps = 1e-12 * float(np.sum(h * h))
-    problem = RegularizedProblem(y=y, h=h, t_reg=eps * np.eye(h.shape[1]),
-                                 scaled_generator=a, dither=dither)
+    problem = RegularizedProblem(y=y, h=h, t_reg=eps * np.eye(h.shape[-1]),
+                                 scaled_generator=scaled_generator, dither=dither)
+    if _min_singular_value(problem.h @ problem.scaled_generator) < 1e-10:
+        raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
     res = sphere_decode_regularized(problem, node_budget=node_budget)
-    resid = y - h @ res.point
+    resid = problem.y - problem.h @ res.point
     metric = float(resid @ resid)
     if region.contains(res.point):
         return DecodeOutcome.codeword(res.point, res.coords, metric)
@@ -426,27 +404,17 @@ def approximation_ratio(problem: RegularizedProblem, candidate,
 @dataclass(eq=False)
 class ChannelStage:
     """Channel-side preprocessing of one received block, shared by every
-    method that decodes it.  The regularized problem (whose GDFE filters
-    it factors on first use) and the gated reduction of its basis are
-    each built at most once, and only for methods that need them."""
+    method that decodes it: the one regularized problem (which factors
+    its GDFE filters on first use) and the gated reduction of its basis,
+    built at most once and only for methods that need it."""
 
-    y: np.ndarray
-    h: np.ndarray
+    problem: RegularizedProblem
     design: LatticeDesign
     phi: float
     rho: float | None = None
     gate: DecodeGate | None = None
     codebook: Codebook | None = None
-    t_reg: np.ndarray | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
-
-    @cached_property
-    def problem(self) -> RegularizedProblem:
-        """Penalized problem (identity penalty unless t_reg is given)."""
-        t_reg = np.eye(self.design.dimension) if self.t_reg is None else self.t_reg
-        return RegularizedProblem(y=self.y, h=self.h, t_reg=t_reg,
-                                  scaled_generator=self.phi * self.design.generator,
-                                  dither=self.design.dither)
 
     @cached_property
     def reduction(self) -> GateOutcome:
@@ -466,13 +434,16 @@ def prepare(y, h, design: LatticeDesign, phi: float,
             node_budget: int = DEFAULT_NODE_BUDGET) -> ChannelStage:
     """Channel stage of one received block for a design at scale phi.
 
-    The reduction-aided methods need `rho` and `gate`; `codebook` spares
-    ML an enumeration."""
-    h = as_matrix(h, "H")
-    if h.shape[1] != design.dimension:
-        raise ValueError("H columns must match design dimension")
-    return ChannelStage(as_vector(y, "y"), h, design, phi, rho=rho, gate=gate,
-                        codebook=codebook, t_reg=t_reg, node_budget=node_budget)
+    The penalty is the identity unless `t_reg` is given.  The
+    reduction-aided methods need `rho` and `gate`; `codebook` spares ML an
+    enumeration.  The stage's one `RegularizedProblem` is built here, and
+    building it is the one check of y and H."""
+    t_reg = np.eye(design.dimension) if t_reg is None else t_reg
+    problem = RegularizedProblem(y=y, h=h, t_reg=t_reg,
+                                 scaled_generator=phi * design.generator,
+                                 dither=design.dither)
+    return ChannelStage(problem, design, phi, rho=rho, gate=gate,
+                        codebook=codebook, node_budget=node_budget)
 
 
 def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
@@ -480,22 +451,23 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
 
     A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
     are classified against the shaping region."""
+    problem = stage.problem
     if method == METHOD_ML:
         book = stage.codebook or enumerate_codebook(stage.design, stage.phi)
-        return ml_decode(stage.y, stage.h, book)
+        return ml_decode(problem.y, problem.h, book)
     if method == METHOD_NAIVE:
-        return naive_lattice_decode(stage.y, stage.h, stage.phi * stage.design.generator,
-                                    stage.design.region, dither=stage.design.dither,
+        return naive_lattice_decode(problem.y, problem.h, problem.scaled_generator,
+                                    stage.design.region, dither=problem.dither,
                                     node_budget=stage.node_budget)
     if method == METHOD_REG_EXACT:
-        res = sphere_decode_regularized(stage.problem, node_budget=stage.node_budget)
+        res = sphere_decode_regularized(problem, node_budget=stage.node_budget)
         return _classify(stage.design, res)
     if method in (METHOD_LR_SIC, METHOD_LR_LINEAR):
         outcome = stage.reduction
         if outcome.timed_out:
             return DecodeOutcome.timeout()
         detector = babai_nearest_plane if method == METHOD_LR_SIC else lr_aided_linear
-        return _classify(stage.design, detector(stage.problem, outcome.basis))
+        return _classify(stage.design, detector(problem, outcome.basis))
     raise ValueError(f"unknown method {method!r}")
 
 

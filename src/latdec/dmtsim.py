@@ -94,6 +94,8 @@ class ChannelConfig:
                 raise ValueError("arq_rounds must be >= 1")
             if self.arq_x_thresh is None:
                 raise ValueError("ARQ channel requires x_thresh (no default)")
+            if not math.isfinite(self.arq_x_thresh):
+                raise ValueError("x_thresh must be finite")
 
     def input_dims(self, t: int) -> int:
         """Real input dimension of one draw over a t-use codeword (of one
@@ -130,13 +132,15 @@ class SweepConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         grid = tuple(float(v) for v in self.rho_db)
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("rho_db values must be finite")
         if len(grid) < 2:
             raise ValueError("rho_db grid needs at least two points")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho_db grid must be strictly increasing")
         self.rho_db = grid
-        if self.r < 0.0:
-            raise ValueError("r must be nonnegative")
+        if not (0.0 <= self.r < math.inf):
+            raise ValueError("r must be nonnegative and finite")
         if self.min_errors < 20:
             raise ValueError("min_errors must be >= 20")
         if self.max_trials < 1:
@@ -144,6 +148,10 @@ class SweepConfig:
         needs_gate = any(m in ("lr_sic", "lr_linear") for m in self.methods)
         if needs_gate and self.gate_alpha is None:
             raise ValueError("reduction-aided methods need gate_alpha")
+        if self.gate_alpha is not None and not math.isfinite(self.gate_alpha):
+            raise ValueError("gate_alpha must be finite")
+        if not (0.25 < self.gate_delta < 1.0):
+            raise ValueError("gate_delta must lie in (1/4, 1)")
         t = self.design.coding_duration
         if self.channel.model == "mimo_arq" and self.design.region.kind != "box":
             raise ValueError("ARQ sweeps support box shaping regions only")
@@ -242,16 +250,16 @@ def _key_from_float(x: float) -> int:
 def _sample_channel(cfg: ChannelConfig, t: int, rho: float, rng) -> np.ndarray:
     """Real-embedded matrix of one non-ARQ channel draw over t uses."""
     if cfg.model == "quasi_static_rayleigh":
-        return sample_quasi_static_rayleigh(cfg.nt, cfg.nr, t, rho, rng).h_real
+        return sample_quasi_static_rayleigh(cfg.nt, cfg.nr, t, rho, rng)
     if cfg.model == "mimo_ofdm":
         if t % cfg.tones != 0:
             raise ValueError("coding duration must be a multiple of the tone count")
         return sample_mimo_ofdm(cfg.nt, cfg.nr, cfg.tones, cfg.taps,
-                                t // cfg.tones, rho, rng).h_real
+                                t // cfg.tones, rho, rng)
     if cfg.model == "naf_relay":
-        return sample_naf_relay(rho, rng).h_real
+        return sample_naf_relay(rho, rng)
     if cfg.model == "fixed":
-        return fixed_channel(cfg.h_real, rho, channel_uses=t).h_real
+        return fixed_channel(cfg.h_real)
     raise ValueError(f"cannot sample model {cfg.model!r} directly")
 
 

@@ -97,17 +97,18 @@ def _parse_region(node, path: str) -> ShapingRegion:
     node = _require_mapping(node, path)
     _check_keys(node, _REGION_KEYS, path)
     kind = _get(node, "kind", path)
-    if kind == "box":
-        hw = _vector(_get(node, "half_widths", path), f"{path}.half_widths")
-        if "radius" in node:
-            raise SchemaError(f"{path}: box region takes no radius")
-        return ShapingRegion.box(hw)
-    if kind == "ball":
-        rad = _number(_get(node, "radius", path), f"{path}.radius")
-        if "half_widths" in node:
-            raise SchemaError(f"{path}: ball region takes no half_widths")
-        return ShapingRegion.ball(rad)
-    raise SchemaError(f"{path}.kind: expected 'box' or 'ball', got {kind!r}")
+    if kind not in ("box", "ball"):
+        raise SchemaError(f"{path}.kind: expected 'box' or 'ball', got {kind!r}")
+    other = "radius" if kind == "box" else "half_widths"
+    if other in node:
+        raise SchemaError(f"{path}: {kind} region takes no {other}")
+    try:
+        if kind == "box":
+            return ShapingRegion.box(_vector(_get(node, "half_widths", path),
+                                             f"{path}.half_widths"))
+        return ShapingRegion.ball(_number(_get(node, "radius", path), f"{path}.radius"))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _parse_design(node, path: str, seed: int) -> LatticeDesign:

@@ -10,7 +10,7 @@ phi = rho^(-rT/n) shrinks the lattice as the rate grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,20 +96,6 @@ class ShapingRegion:
         if self.kind == "box":
             return self.half_widths
         return np.full(n, self.radius)
-
-    def inradius(self) -> float:
-        """Radius of the largest origin-centered ball inside R."""
-        if self.kind == "box":
-            return float(np.min(self.half_widths))
-        return float(self.radius)
-
-    def volume(self, n: int) -> float:
-        if self.kind == "box":
-            if self.half_widths.shape[0] != n:
-                raise ValueError("box dimension mismatch")
-            return float(np.prod(2.0 * self.half_widths))
-        # Unit-ball volume pi^(n/2) / Gamma(n/2 + 1), scaled by radius^n.
-        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * self.radius**n
 
 
 @dataclass
@@ -252,6 +238,6 @@ def enumerate_codebook(design: LatticeDesign, phi: float,
 def random_dither(generator, phi: float, rng) -> np.ndarray:
     """Dither drawn uniformly over the fundamental cell of the scaled
     lattice (draw once per experiment, never per trial)."""
-    g = as_matrix(generator, "generator")
+    g = np.asarray(generator, dtype=np.float64)
     frac = rng.random(g.shape[0])
     return phi * (g @ frac)

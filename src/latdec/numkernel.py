@@ -9,7 +9,12 @@ the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
 (SingularTriangular).
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
-NaN/Inf entries are rejected at every public entry point.
+The kernels coerce with np.asarray and scan nothing: NaN/Inf entries are
+rejected (by `as_matrix`/`as_vector`) only where arrays enter the program,
+in the config objects (`LatticeDesign`, `ShapingRegion`, `ChannelConfig`,
+`SweepConfig`) and the decoder entry points (`prepare`/`decode` and the
+`RegularizedProblem` constructor).  Every floor is written as
+`not (value >= floor)`, so a NaN produced inside the program fails it.
 """
 
 from __future__ import annotations
@@ -64,10 +69,8 @@ def cholesky_upper(a) -> np.ndarray:
     Raises NotSymmetric if A is asymmetric beyond 1e-10 relative, and
     NotPositiveDefinite if any pivot U_ii^2 falls below 1e-14 * trace(A)/n.
     """
-    a = as_matrix(a, "A")
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"A must be square, got {a.shape}")
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     fro = math.sqrt(float(np.sum(a * a)))
@@ -80,7 +83,7 @@ def cholesky_upper(a) -> np.ndarray:
     # Pivot floor guards against nearly semidefinite inputs.
     floor = 1e-14 * float(np.trace(a)) / n
     pivot = float(np.min(np.diag(u))) ** 2
-    if pivot < floor:
+    if not (pivot >= floor):
         raise NotPositiveDefinite(f"pivot {pivot:.3e} below floor {floor:.3e}")
     return u
 
@@ -91,10 +94,8 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
 
     Raises RankDeficient when the smallest |R_ii| is below 1e-12 * ||M||_F.
     """
-    m = as_matrix(m, "M")
+    m = np.asarray(m, dtype=np.float64)
     rows, cols = m.shape
-    if rows < cols:
-        raise ValueError(f"M must have rows >= cols, got {m.shape}")
     if cols == 0:
         return np.zeros((rows, 0)), np.zeros((0, 0))
     q, r = np.linalg.qr(m)
@@ -102,17 +103,15 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q *= signs
     r *= signs[:, None]
-    if float(np.min(np.abs(np.diag(r)))) < 1e-12 * math.sqrt(float(np.sum(m * m))):
+    floor = 1e-12 * math.sqrt(float(np.sum(m * m)))
+    if not (float(np.min(np.abs(np.diag(r)))) >= floor):
         raise RankDeficient("smallest |R_ii| below 1e-12 * ||M||_F")
     return q, r
 
 
 def singular_values(m) -> np.ndarray:
     """All singular values of a square M, descending."""
-    m = as_matrix(m, "M")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"M must be square, got {m.shape}")
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
 
 
 def condition_number_2norm(m) -> float:
@@ -130,15 +129,12 @@ def condition_number_2norm(m) -> float:
 
 
 def _triangular_system(t, b, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a triangular T and a right-hand side b (a vector, or a
+    """Coerce a triangular T and a right-hand side b (a vector, or a
     matrix of column right-hand sides); raise SingularTriangular when any
     |T_ii| < 1e-14."""
-    t = as_matrix(t, name)
-    b = as_vector(b, "b") if np.ndim(b) == 1 else as_matrix(b, "b")
-    n = t.shape[0]
-    if t.shape[1] != n or b.shape[0] != n:
-        raise ValueError("shape mismatch in triangular solve")
-    if n and float(np.min(np.abs(np.diag(t)))) < 1e-14:
+    t = np.asarray(t, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if t.shape[0] and not (float(np.min(np.abs(np.diag(t)))) >= 1e-14):
         raise SingularTriangular(f"|{name}_ii| below 1e-14")
     return t, b
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IterationOverflow
 from .lattice import round_half_away_from_zero
-from .numkernel import as_matrix, condition_number_2norm, qr_decompose
+from .numkernel import condition_number_2norm, qr_decompose
 
 __all__ = [
     "ReducedBasis",
@@ -103,7 +103,7 @@ def lll_reduce(m, delta: float = 0.75,
     push an entry of the unimodular transform past 2^53, beyond which
     neither int64 arithmetic is safe nor M @ Z exact in float64.
     """
-    m = as_matrix(m, "M")
+    m = np.asarray(m, dtype=np.float64)
     n = m.shape[1]
     if m.shape[0] != n:
         raise ValueError(f"basis matrix must be square, got {m.shape}")
@@ -163,7 +163,7 @@ def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:
     """Check size reduction and the exchange condition on the columns of M.
 
     Returns (True, None) or (False, description of the first violation)."""
-    m = as_matrix(m, "M")
+    m = np.asarray(m, dtype=np.float64)
     n = m.shape[1]
     if not (0.25 < delta < 1.0):
         raise ValueError("delta must lie in (1/4, 1)")
@@ -194,7 +194,7 @@ def iteration_bound_for_kappa(kappa: float, n: int) -> int:
 
 def iteration_bound(m) -> int:
     """Swap-count cap evaluated at the actual condition number of M."""
-    m = as_matrix(m, "M")
+    m = np.asarray(m, dtype=np.float64)
     return iteration_bound_for_kappa(condition_number_2norm(m), m.shape[1])
 
 
@@ -215,7 +215,7 @@ def gated_reduce(m, rho: float, alpha: float, delta: float = 0.75) -> GateOutcom
     threshold itself, so run time stays polynomial in log rho regardless
     of the instance.
     """
-    m = as_matrix(m, "M")
+    m = np.asarray(m, dtype=np.float64)
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
     kappa = condition_number_2norm(m)

@@ -148,7 +148,7 @@ def test_criterion_01_metric_identity_suite():
         resid = y - h @ x
         direct = float(resid @ resid) + float((x - u) @ t_reg @ (x - u))
         prep = prob.prepared()
-        alt_resid = prep.yprime - prep.filters.b @ (x - u)
+        alt_resid = prep.yprime - prep.b @ (x - u)
         filtered = float(alt_resid @ alt_resid) + prep.gamma
         rel = abs(direct - filtered) / max(direct, filtered, 1e-30)
         worst = max(worst, rel)
@@ -366,11 +366,11 @@ def test_criterion_08_gate_timeout_accounting(pilot_run):
         exceed = 0
         for i in range(probes):
             rng = trial_rng(cfg.seed, 91, int(round(rho_db * 1000.0)), i)
-            sample = sample_quasi_static_rayleigh(
+            h = sample_quasi_static_rayleigh(
                 cfg.channel.nt, cfg.channel.nr,
                 cfg.design.coding_duration, rho, rng)
             prob = RegularizedProblem(
-                y=np.zeros(sample.h_real.shape[0]), h=sample.h_real,
+                y=np.zeros(h.shape[0]), h=h,
                 t_reg=np.eye(scaled.shape[1]), scaled_generator=scaled)
             if condition_number_2norm(prob.prepared().basis) > rho ** alpha:
                 exceed += 1

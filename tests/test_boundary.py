@@ -1,0 +1,105 @@
+"""Non-finite inputs are rejected where they enter the program: in the
+config objects built from experiment files and at the decoder entry points
+(`prepare`, `decode` and the `RegularizedProblem` constructor).  The
+kernels below them scan nothing."""
+
+import copy
+
+import numpy as np
+import pytest
+import yaml
+
+from latdec.cli import main
+from latdec.decoders import RegularizedProblem, decode, prepare
+from latdec.dmtsim import ChannelConfig
+from latdec.errors import SchemaError
+from latdec.experiment import parse_experiment
+from latdec.lattice import LatticeDesign, ShapingRegion
+
+DESIGN = LatticeDesign(generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]),
+                       dither=np.array([0.5, 0.5]))
+
+
+def _with(bad, shape, index):
+    a = np.ones(shape) if len(shape) == 1 else np.eye(shape[0])
+    a[index] = bad
+    return a
+
+
+def _problem(y=None, h=None):
+    return RegularizedProblem(y=np.ones(2) if y is None else y,
+                              h=np.eye(2) if h is None else h,
+                              t_reg=np.eye(2), scaled_generator=np.eye(2))
+
+
+# Each entry builds one object or runs one entry point with a single bad
+# entry in one of its inputs.
+ENTRY_POINTS = {
+    "prepare.y": lambda bad: prepare(_with(bad, (2,), 1), np.eye(2), DESIGN, 1.0),
+    "prepare.H": lambda bad: prepare(np.ones(2), _with(bad, (2, 2), (1, 0)), DESIGN, 1.0),
+    "decode.y": lambda bad: decode(_with(bad, (2,), 0), np.eye(2), DESIGN, 1.0, "ml"),
+    "decode.H": lambda bad: decode(np.ones(2), _with(bad, (2, 2), (0, 1)), DESIGN,
+                                   1.0, "lr_linear"),
+    "RegularizedProblem.y": lambda bad: _problem(y=_with(bad, (2,), 0)),
+    "RegularizedProblem.H": lambda bad: _problem(h=_with(bad, (2, 2), (1, 1))),
+    "LatticeDesign.generator": lambda bad: LatticeDesign(
+        generator=_with(bad, (2, 2), (0, 1)), region=DESIGN.region),
+    "LatticeDesign.dither": lambda bad: LatticeDesign(
+        generator=np.eye(2), region=DESIGN.region, dither=_with(bad, (2,), 1)),
+    "ShapingRegion.box": lambda bad: ShapingRegion.box(_with(bad, (2,), 0)),
+    "ChannelConfig.h_real": lambda bad: ChannelConfig(
+        model="fixed", h_real=_with(bad, (2, 2), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_input_rejected_where_it_enters(entry, bad):
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        ENTRY_POINTS[entry](bad)
+
+
+DOC = {
+    "design": {"generator": [[1.0, 0.0], [0.0, 1.0]],
+               "region": {"kind": "box", "half_widths": [0.6, 0.6]},
+               "dither": [0.5, 0.5]},
+    "channel": {"model": "quasi_static_rayleigh", "nt": 1, "nr": 1,
+                "noise": {"scale": 1.0}},
+    "sweep": {"rho_db": [8.0, 12.0], "r": 0.0, "methods": ["ml"],
+              "min_errors": 20, "max_trials": 50, "seed": 3,
+              "gate": {"alpha": 1.5, "delta": 0.75}},
+}
+
+NAN, INF = float("nan"), float("inf")
+
+# (path into the document, value) edits that put one non-finite number
+# into an experiment file.
+FILE_CASES = {
+    "generator": [(("design", "generator", 1, 0), NAN)],
+    "generator, random dither": [(("design", "generator", 0, 0), NAN),
+                                 (("design", "dither"), "random")],
+    "half_widths": [(("design", "region", "half_widths", 1), INF)],
+    "noise scale": [(("channel", "noise", "scale"), NAN)],
+    "x_thresh": [(("channel",), {"model": "mimo_arq", "nt": 1, "nr": 1,
+                                 "arq": {"rounds": 2, "x_thresh": NAN}})],
+    "rho_db": [(("sweep", "rho_db", 0), NAN)],
+    "r": [(("sweep", "r"), NAN)],
+    "gate alpha": [(("sweep", "gate", "alpha"), INF)],
+    "gate delta": [(("sweep", "gate", "delta"), NAN)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_non_finite_experiment_file_is_a_schema_error(case, tmp_path, capsys):
+    doc = copy.deepcopy(DOC)
+    for path, value in FILE_CASES[case]:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with pytest.raises(SchemaError):
+        parse_experiment(doc)
+    config = tmp_path / "exp.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["sweep", str(config), "--dry-run"]) == 1
+    assert "error:" in capsys.readouterr().err

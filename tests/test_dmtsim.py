@@ -2,6 +2,7 @@
 paired randomness across methods, outage estimation, reference curves."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -343,14 +344,14 @@ def _reference_plain_outcome(cfg, rho, key, trial, method):
     book = enumerate_codebook(design, phi)
     rng = trial_rng(cfg.seed, 0, *key, trial)
     if chan.model == "quasi_static_rayleigh":
-        h = sample_quasi_static_rayleigh(chan.nt, chan.nr, t, rho, rng).h_real
+        h = sample_quasi_static_rayleigh(chan.nt, chan.nr, t, rho, rng)
     elif chan.model == "mimo_ofdm":
         h = sample_mimo_ofdm(chan.nt, chan.nr, chan.tones, chan.taps,
-                             t // chan.tones, rho, rng).h_real
+                             t // chan.tones, rho, rng)
     elif chan.model == "naf_relay":
-        h = sample_naf_relay(rho, rng).h_real
+        h = sample_naf_relay(rho, rng)
     else:
-        h = fixed_channel(chan.h_real, rho, channel_uses=t).h_real
+        h = fixed_channel(chan.h_real)
     msg = int(rng.integers(book.size))
     x = book.points[msg]
     y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
@@ -405,7 +406,7 @@ def test_sweep_cell_matches_per_method_reference(model):
 
 
 def test_channel_stage_runs_once_per_trial(monkeypatch):
-    calls = {"gdfe": 0, "gate": 0}
+    calls = {"gdfe": 0, "gate": 0, "scan": 0}
     factored, reduced = [], []
 
     def counted(name, fn):
@@ -435,11 +436,21 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     monkeypatch.setattr(decoders, "gated_reduce", gate_spy)
     for module in (decoders, reduction):
         monkeypatch.setattr(module, "qr_decompose", qr_spy(module.qr_decompose))
-    cfg = rayleigh_config(n_ant=2, methods=("reg_exact", "lr_sic", "lr_linear"),
+    cfg = rayleigh_config(n_ant=2, methods=("ml", "reg_exact", "lr_sic", "lr_linear"),
                           min_errors=10**6, max_trials=60)
+    # Count the sweep's NaN/Inf scans through every latdec namespace that
+    # binds a checker: inputs are checked where they enter, not per layer.
+    for name, module in list(sys.modules.items()):
+        if name == "latdec" or name.startswith("latdec."):
+            for checker in ("as_matrix", "as_vector", "_as_complex_matrix"):
+                if hasattr(module, checker):
+                    monkeypatch.setattr(module, checker,
+                                        counted("scan", getattr(module, checker)))
     recs = sweep_cell(cfg, 14.0)
     assert all(rec.trials == 60 for rec in recs)
-    assert calls == {"gdfe": 60, "gate": 60}
+    assert calls["gdfe"] == 60 and calls["gate"] == 60
+    # The stage's one RegularizedProblem checks its five arrays once.
+    assert calls["scan"] <= 5 * 60
     # One QR for the sphere search and one inside LLL; the detectors read
     # the reducer's factors and never factor a reduced basis.
     assert reduced and len(factored) <= 2 * 60

@@ -162,3 +162,26 @@ def test_triangular_singular_raises():
         solve_upper_triangular(u, np.ones(2))
     with pytest.raises(SingularTriangular):
         solve_lower_triangular(u.T, np.ones(2))
+
+
+def _nan_entry(a, index):
+    a = np.array(a, dtype=np.float64)
+    a[index] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("a", [np.full((3, 3), np.nan),
+                               _nan_entry(np.eye(3), (1, 1)),
+                               _nan_entry(np.eye(3), (2, 2))],
+                         ids=["all", "pivot-1", "pivot-2"])
+def test_nan_fails_the_error_contract_floors(a):
+    # The kernels scan nothing, so a NaN made inside the program reaches
+    # LAPACK, which passes it through; each floor must then fail.
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_upper(a)
+    with pytest.raises(RankDeficient):
+        qr_decompose(a)
+    with pytest.raises(SingularTriangular):
+        solve_upper_triangular(a, np.ones(3))
+    with pytest.raises(SingularTriangular):
+        solve_lower_triangular(a, np.ones(3))
