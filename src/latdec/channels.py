@@ -1,13 +1,19 @@
-"""Fading-channel samplers, the real embedding, and noise models.
+"""Channel models: configuration, samplers, the real embedding, noise.
+
+`ChannelConfig` is the one place that knows the channel models: it checks
+a design against its model and draws a sweep cell's trials, ARQ included.
 
 Complex channels are numpy complex128 arrays.  Every sampler returns the
-real-embedded matrix actually used by the decoders:
+real-embedded matrix used by the decoders: for a stack of k complex
+matrices Hc_l (k = 1 for flat fading, one per tone for OFDM) over T uses
+each, the block diagonal
 
-    H = sqrt(rho) * I_T (x) [[Re Hc, -Im Hc], [Im Hc, Re Hc]]
+    H = sqrt(rho) * diag(I_T (x) B_1, ..., I_T (x) B_k),
+    B_l = [[Re Hc_l, -Im Hc_l], [Im Hc_l, Re Hc_l]],
 
-so a length-2*nT*T real input vector stacks [Re x_t; Im x_t] per channel
-use.  The signal level rho rides inside H; noise is unit variance per
-real dimension.
+so a length-2*nT*k*T real input vector stacks [Re x_u; Im x_u] per
+channel use u.  The signal level rho rides inside H; noise is unit
+variance per real dimension.
 
 Randomness: all Gaussians come from explicit Box-Muller over a
 counter-based generator (Philox keyed through SeedSequence), so replays
@@ -24,9 +30,12 @@ import numpy as np
 
 from .decoders import decode
 from .errors import NotPositiveDefinite
-from .lattice import Codebook, LatticeDesign, enumerate_codebook, scaling_factor
+from .lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
+                      scaling_factor)
+from .numkernel import as_matrix
 
 __all__ = [
+    "ChannelConfig",
     "NoiseModel",
     "ArqEpisode",
     "trial_rng",
@@ -79,8 +88,6 @@ def standard_normal(rng, size: int) -> np.ndarray:
     if size < 0:
         raise ValueError("size must be nonnegative")
     pairs = (size + 1) // 2
-    if pairs == 0:
-        return np.zeros(0)
     u1 = 1.0 - rng.random(pairs)   # (0, 1]: keeps the log finite
     u2 = rng.random(pairs)
     rad = np.sqrt(-2.0 * np.log(u1))
@@ -93,9 +100,7 @@ def standard_normal(rng, size: int) -> np.ndarray:
 def complex_gaussian(rng, shape) -> np.ndarray:
     """Circular complex Gaussians, unit variance per entry (so the real
     and imaginary parts each carry variance 1/2)."""
-    count = int(np.prod(shape)) if np.ndim(shape) else int(shape)
-    if count == 0:
-        return np.zeros(shape, dtype=np.complex128)
+    count = int(np.prod(shape))
     u1 = 1.0 - rng.random(count)
     u2 = rng.random(count)
     rad = np.sqrt(-np.log(u1))     # variance 1/2 per quadrature
@@ -104,15 +109,27 @@ def complex_gaussian(rng, shape) -> np.ndarray:
 
 
 def embed_complex(hc, t: int, rho: float) -> np.ndarray:
-    """Real embedding of a complex channel over t uses, with the signal
-    level folded in: sqrt(rho) * I_t (x) [[Re, -Im], [Im, Re]]."""
+    """Real embedding of one complex channel (nr, nt) or a stack (k, nr, nt)
+    over t uses each, with the signal level folded in: the block diagonal
+    of the k blocks sqrt(rho) [[Re, -Im], [Im, Re]], each repeated t times."""
     hc = np.asarray(hc, dtype=np.complex128)
     if t < 1:
         raise ValueError("t must be >= 1")
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
-    block = np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
-    return math.sqrt(rho) * np.kron(np.eye(t), block)
+    stack = hc.reshape((-1,) + hc.shape[-2:])
+    re, im = math.sqrt(rho) * stack.real, math.sqrt(rho) * stack.imag
+    blocks = np.concatenate([np.concatenate([re, -im], axis=2),
+                             np.concatenate([im, re], axis=2)], axis=1)
+    return _block_diagonal(np.repeat(blocks, t, axis=0))
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    """Block-diagonal matrix of a stack of equal-shape blocks (m, p, q)."""
+    m, p, q = blocks.shape
+    out = np.zeros((m, p, m, q))
+    out[np.arange(m), :, np.arange(m), :] = blocks
+    return out.reshape(m * p, m * q)
 
 
 def sample_quasi_static_rayleigh(nt: int, nr: int, t: int, rho: float,
@@ -135,16 +152,7 @@ def sample_mimo_ofdm(nt: int, nr: int, tones: int, taps: int, t: int,
     for l in range(tones):
         phase = np.exp(-2j * np.pi * np.arange(taps) * l / tones)
         tone_mats[l] = np.tensordot(phase, tap_mats, axes=(0, 0))
-    blocks = [embed_complex(tone_mats[l], t, rho) for l in range(tones)]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    h = np.zeros((rows, cols))
-    ro = co = 0
-    for b in blocks:
-        h[ro:ro + b.shape[0], co:co + b.shape[1]] = b
-        ro += b.shape[0]
-        co += b.shape[1]
-    return h
+    return embed_complex(tone_mats, t, rho)
 
 
 def sample_naf_relay(rho: float, rng) -> np.ndarray:
@@ -207,6 +215,20 @@ class TrialDraw:
             outcome.coords, self.codebook.coords[self.message])
 
 
+def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
+    """Fragment designs for rounds 1..L by block-tiling the base design.
+
+    Box regions only: the generator goes block diagonal and the box
+    half-widths and dither tile across rounds."""
+    return [LatticeDesign(
+        generator=_block_diagonal(np.broadcast_to(design.generator,
+                                                  (l,) + design.generator.shape)),
+        region=ShapingRegion.box(np.tile(design.region.half_widths, l)),
+        coding_duration=l * design.coding_duration,
+        dither=None if design.dither is None else np.tile(design.dither, l))
+        for l in range(1, rounds + 1)]
+
+
 def arq_codebooks(fragments, rho: float, r1: float,
                   integer_nesting: bool = False) -> list:
     """Check the fragment ladder and enumerate each fragment's codebook.
@@ -240,12 +262,11 @@ def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
     stopping fragment through its canonical codebook order; each round
     adds its own noise."""
     hc = np.asarray(hc, dtype=np.complex128)
-    base = fragments[0]
-    h_round = embed_complex(hc, base.coding_duration, rho)
-    m_round, dim_round = h_round.shape
-    if dim_round != base.dimension:
-        raise ValueError(f"fragment 1 dimension {base.dimension} != {dim_round} "
-                         "channel input dims per round")
+    uses = fragments[0].coding_duration
+    m_round, dim_round = 2 * uses * hc.shape[0], 2 * uses * hc.shape[1]
+    if dim_round != fragments[0].dimension:
+        raise ValueError(f"fragment 1 dimension {fragments[0].dimension} != "
+                         f"{dim_round} channel input dims per round")
     rounds = len(fragments)
     acks = []
     for l in range(1, rounds + 1):
@@ -259,7 +280,7 @@ def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
     w = np.concatenate([
         sample_noise(m_round, noise, x[j * dim_round:(j + 1) * dim_round], rng)
         for j in range(stop)])
-    h = np.kron(np.eye(stop), h_round)
+    h = embed_complex(hc, stop * uses, rho)
     return TrialDraw(y=h @ x + w, h=h, design=fragments[stop - 1],
                      codebook=book, message=message), acks
 
@@ -306,3 +327,108 @@ def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:
     scale_e = model.sigma_e / math.sqrt(m * n)
     e = scale_e * standard_normal(rng, m * n).reshape(m, n)
     return model.scale * (e @ x + standard_normal(rng, m))
+
+
+CHANNEL_MODELS = ("quasi_static_rayleigh", "mimo_ofdm", "naf_relay",
+                  "mimo_arq", "fixed")
+
+
+@dataclass
+class ChannelConfig:
+    """Which fading model to sample, and its dimensions/parameters."""
+
+    model: str
+    nt: int = 1
+    nr: int = 1
+    tones: int = 1
+    taps: int = 1
+    h_real: np.ndarray | None = None
+    noise: NoiseModel = NoiseModel()
+    arq_rounds: int = 1
+    arq_x_thresh: float | None = None
+
+    def __post_init__(self):
+        if self.model not in CHANNEL_MODELS:
+            raise ValueError(f"unknown channel model {self.model!r}")
+        if min(self.nt, self.nr, self.tones, self.taps, self.arq_rounds) < 1:
+            raise ValueError("nt, nr, tones, taps and arq_rounds must be >= 1")
+        if self.model == "fixed":
+            if self.h_real is None:
+                raise ValueError("fixed channel requires h_real")
+            self.h_real = as_matrix(self.h_real, "h_real")
+        if self.model == "mimo_arq" and (
+                self.arq_x_thresh is None or not math.isfinite(self.arq_x_thresh)):
+            raise ValueError("ARQ channel requires a finite x_thresh (no default)")
+
+    def input_dims(self, t: int) -> int:
+        """Real input dimension of one draw over a t-use codeword (of one
+        round, for ARQ)."""
+        if self.model == "fixed":
+            return self.h_real.shape[1]
+        if self.model == "naf_relay":
+            return 4  # whitened 2x2 complex channel
+        return 2 * self.nt * t
+
+    def _uses_per_tone(self, t: int) -> int:
+        if t % self.tones != 0:
+            raise ValueError("coding duration must be a multiple of the tone count")
+        return t // self.tones
+
+    def check_design(self, design: LatticeDesign) -> None:
+        """Raise ValueError unless `design` can be sent over this channel."""
+        t = design.coding_duration
+        if self.model == "mimo_arq" and design.region.kind != "box":
+            raise ValueError("ARQ sweeps support box shaping regions only")
+        if self.model == "mimo_ofdm":
+            self._uses_per_tone(t)
+        dims = self.input_dims(t)
+        if dims != design.dimension:
+            raise ValueError(f"channel gives {dims} input dims, "
+                             f"design has {design.dimension}")
+
+    def sample(self, t: int, rho: float, rng) -> np.ndarray:
+        """Real-embedded matrix of one non-ARQ channel draw over t uses."""
+        if self.model == "quasi_static_rayleigh":
+            return sample_quasi_static_rayleigh(self.nt, self.nr, t, rho, rng)
+        if self.model == "mimo_ofdm":
+            return sample_mimo_ofdm(self.nt, self.nr, self.tones, self.taps,
+                                    self._uses_per_tone(t), rho, rng)
+        if self.model == "naf_relay":
+            return sample_naf_relay(rho, rng)
+        if self.model == "fixed":
+            return fixed_channel(self.h_real)
+        raise ValueError(f"cannot sample model {self.model!r} directly")
+
+    def trial_sampler(self, design: LatticeDesign, rho: float, r: float,
+                      stream, integer_nesting: bool = False):
+        """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.
+
+        `stream(trial, *sub)` gives a trial's random stream.  A plain trial
+        draws channel, message and noise from `stream(trial)`; an ARQ
+        episode draws its channel there and its message and noise from
+        `stream(trial, 1)`."""
+        if self.model == "mimo_arq":
+            fragments = _arq_fragments(design, self.arq_rounds)
+            books = arq_codebooks(fragments, rho, r,
+                                  integer_nesting=integer_nesting)
+
+            def draw_arq(trial: int) -> TrialDraw:
+                hc = complex_gaussian(stream(trial), (self.nr, self.nt))
+                return draw_arq_trial(fragments, books, hc, rho, self.arq_x_thresh,
+                                      stream(trial, 1), self.noise)[0]
+
+            return draw_arq
+
+        t = design.coding_duration
+        codebook = enumerate_codebook(design, scaling_factor(
+            rho, r, t, design.dimension, integer_nesting=integer_nesting))
+
+        def draw(trial: int) -> TrialDraw:
+            rng = stream(trial)
+            h = self.sample(t, rho, rng)
+            msg = int(rng.integers(codebook.size))
+            x = codebook.points[msg]
+            y = h @ x + sample_noise(h.shape[0], self.noise, x, rng)
+            return TrialDraw(y=y, h=h, design=design, codebook=codebook, message=msg)
+
+        return draw

@@ -22,26 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    NoiseModel,
-    TrialDraw,
-    arq_codebooks,
-    complex_gaussian,
-    draw_arq_trial,
-    fixed_channel,
-    sample_mimo_ofdm,
-    sample_naf_relay,
-    sample_noise,
-    sample_quasi_static_rayleigh,
-    trial_rng,
-)
+from .channels import ChannelConfig, trial_rng
 from .decoders import METHODS, DecodeGate, detect, prepare
 from .errors import InsufficientData
-from .lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
-from .numkernel import as_matrix, cholesky_upper
+from .lattice import LatticeDesign
+from .numkernel import cholesky_upper
 
 __all__ = [
-    "ChannelConfig",
     "SweepConfig",
     "ErrorRateRecord",
     "SlopeEstimate",
@@ -56,55 +43,11 @@ __all__ = [
     "dmt_reference_value",
 ]
 
-CHANNEL_MODELS = ("quasi_static_rayleigh", "mimo_ofdm", "naf_relay",
-                  "mimo_arq", "fixed")
-
 # Stream-kind tags keeping error-rate and outage trials independent.
 _KIND_ERROR = 0
 _KIND_OUTAGE = 1
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass
-class ChannelConfig:
-    """Which fading model to sample, and its dimensions/parameters."""
-
-    model: str
-    nt: int = 1
-    nr: int = 1
-    tones: int = 1
-    taps: int = 1
-    h_real: np.ndarray | None = None
-    noise: NoiseModel = NoiseModel()
-    arq_rounds: int = 1
-    arq_x_thresh: float | None = None
-
-    def __post_init__(self):
-        if self.model not in CHANNEL_MODELS:
-            raise ValueError(f"unknown channel model {self.model!r}")
-        if self.nt < 1 or self.nr < 1:
-            raise ValueError("nt and nr must be >= 1")
-        if self.model == "fixed":
-            if self.h_real is None:
-                raise ValueError("fixed channel requires h_real")
-            self.h_real = as_matrix(self.h_real, "h_real")
-        if self.model == "mimo_arq":
-            if self.arq_rounds < 1:
-                raise ValueError("arq_rounds must be >= 1")
-            if self.arq_x_thresh is None:
-                raise ValueError("ARQ channel requires x_thresh (no default)")
-            if not math.isfinite(self.arq_x_thresh):
-                raise ValueError("x_thresh must be finite")
-
-    def input_dims(self, t: int) -> int:
-        """Real input dimension of one draw over a t-use codeword (of one
-        round, for ARQ)."""
-        if self.model == "fixed":
-            return self.h_real.shape[1]
-        if self.model == "naf_relay":
-            return 4  # whitened 2x2 complex channel
-        return 2 * self.nt * t
 
 
 @dataclass
@@ -152,15 +95,9 @@ class SweepConfig:
             raise ValueError("gate_alpha must be finite")
         if not (0.25 < self.gate_delta < 1.0):
             raise ValueError("gate_delta must lie in (1/4, 1)")
-        t = self.design.coding_duration
-        if self.channel.model == "mimo_arq" and self.design.region.kind != "box":
-            raise ValueError("ARQ sweeps support box shaping regions only")
-        if self.channel.model == "mimo_ofdm" and t % self.channel.tones != 0:
-            raise ValueError("coding duration must be a multiple of the tone count")
-        dims = self.channel.input_dims(t)
-        if dims != self.design.dimension:
-            raise ValueError(f"channel gives {dims} input dims, "
-                             f"design has {self.design.dimension}")
+        if self.node_budget < 1:
+            raise ValueError("node_budget must be >= 1")
+        self.channel.check_design(self.design)
 
     def gate(self) -> DecodeGate | None:
         if self.gate_alpha is None:
@@ -247,84 +184,18 @@ def _key_from_float(x: float) -> int:
     return int(round(float(x) * 1_000_000)) & 0xFFFFFFFF
 
 
-def _sample_channel(cfg: ChannelConfig, t: int, rho: float, rng) -> np.ndarray:
-    """Real-embedded matrix of one non-ARQ channel draw over t uses."""
-    if cfg.model == "quasi_static_rayleigh":
-        return sample_quasi_static_rayleigh(cfg.nt, cfg.nr, t, rho, rng)
-    if cfg.model == "mimo_ofdm":
-        if t % cfg.tones != 0:
-            raise ValueError("coding duration must be a multiple of the tone count")
-        return sample_mimo_ofdm(cfg.nt, cfg.nr, cfg.tones, cfg.taps,
-                                t // cfg.tones, rho, rng)
-    if cfg.model == "naf_relay":
-        return sample_naf_relay(rho, rng)
-    if cfg.model == "fixed":
-        return fixed_channel(cfg.h_real)
-    raise ValueError(f"cannot sample model {cfg.model!r} directly")
-
-
-def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
-    """Fragment designs for rounds 1..L by block-tiling the base design.
-
-    Box regions only: the generator goes block diagonal and the box
-    half-widths and dither tile across rounds."""
-    frags = []
-    for l in range(1, rounds + 1):
-        gen = np.kron(np.eye(l), design.generator)
-        region = ShapingRegion.box(np.tile(design.region.half_widths, l))
-        dither = None if design.dither is None else np.tile(design.dither, l)
-        frags.append(LatticeDesign(generator=gen, region=region,
-                                   coding_duration=l * design.coding_duration,
-                                   dither=dither))
-    return frags
-
-
-def _trial_sampler(config: SweepConfig, rho: float, rho_key: int, r_key: int):
-    """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.
-
-    Each trial draws from its own stream keyed by (seed, kind, rho, r,
-    trial); an ARQ episode's message and noise come from a second stream
-    under the same key, apart from the channel."""
-    cfg = config.channel
-    design = config.design
-
-    def stream(trial: int, *sub: int):
-        return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
-
-    if cfg.model == "mimo_arq":
-        fragments = _arq_fragments(design, cfg.arq_rounds)
-        books = arq_codebooks(fragments, rho, config.r,
-                              integer_nesting=config.integer_nesting)
-
-        def draw_arq(trial: int) -> TrialDraw:
-            hc = complex_gaussian(stream(trial), (cfg.nr, cfg.nt))
-            return draw_arq_trial(fragments, books, hc, rho, cfg.arq_x_thresh,
-                                  stream(trial, 1), cfg.noise)[0]
-
-        return draw_arq
-
-    phi = scaling_factor(rho, config.r, design.coding_duration,
-                         design.dimension, integer_nesting=config.integer_nesting)
-    codebook = enumerate_codebook(design, phi)
-
-    def draw(trial: int) -> TrialDraw:
-        rng = stream(trial)
-        h = _sample_channel(cfg, design.coding_duration, rho, rng)
-        msg = int(rng.integers(codebook.size))
-        x = codebook.points[msg]
-        y = h @ x + sample_noise(h.shape[0], cfg.noise, x, rng)
-        return TrialDraw(y=y, h=h, design=design, codebook=codebook, message=msg)
-
-    return draw
-
-
 def sweep_cell(config: SweepConfig, rho_db: float) -> list:
     """All methods of one signal level: each trial's draw and channel
     stage are shared by every method still running, and each method
     stops at its own error count."""
     rho = 10.0 ** (float(rho_db) / 10.0)
-    draw_trial = _trial_sampler(config, rho, _key_from_float(rho_db),
-                                _key_from_float(config.r))
+    rho_key, r_key = _key_from_float(rho_db), _key_from_float(config.r)
+
+    def stream(trial: int, *sub: int):
+        return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
+
+    draw_trial = config.channel.trial_sampler(config.design, rho, config.r, stream,
+                                              integer_nesting=config.integer_nesting)
     gate = config.gate()
     state = {m: Counter() for m in config.methods}
 
@@ -370,7 +241,7 @@ def estimate_outage_probability(rho: float, rate_bits: float, t: int,
     threshold = 2.0 * rate_bits * t
     for trial in range(trials):
         rng = trial_rng(seed, _KIND_OUTAGE, rho_key, 0, trial)
-        h = _sample_channel(channel, t, rho, rng)
+        h = channel.sample(t, rho, rng)
         gram = np.eye(h.shape[0]) + h @ h.T
         u = cholesky_upper(0.5 * (gram + gram.T))
         log2det = 2.0 * float(np.sum(np.log2(np.diag(u))))

@@ -15,9 +15,9 @@ import os
 import numpy as np
 import yaml
 
-from .channels import NoiseModel
+from .channels import CHANNEL_MODELS, ChannelConfig, NoiseModel, trial_rng
 from .decoders import METHODS
-from .dmtsim import CHANNEL_MODELS, ChannelConfig, SweepConfig
+from .dmtsim import SweepConfig
 from .errors import SchemaError
 from .lattice import LatticeDesign, ShapingRegion, random_dither
 from .reduction import gate_exponent_default
@@ -123,7 +123,6 @@ def _parse_design(node, path: str, seed: int) -> LatticeDesign:
     if dither_node is not None:
         if dither_node == "random":
             # One dither per experiment, derived from the experiment seed.
-            from .channels import trial_rng
             dither = random_dither(gen, 1.0, trial_rng(seed, 0xD17, 0))
         else:
             dither = _vector(dither_node, f"{path}.dither")
@@ -197,8 +196,11 @@ def _parse_gate(node, path: str):
         raise SchemaError(f"{path}: give exactly one of alpha or d_target")
     if has_alpha:
         return _number(node["alpha"], f"{path}.alpha"), delta
-    return gate_exponent_default(_number(node["d_target"],
-                                         f"{path}.d_target")), delta
+    try:
+        return gate_exponent_default(_number(node["d_target"],
+                                             f"{path}.d_target")), delta
+    except ValueError as exc:
+        raise SchemaError(f"{path}.d_target: {exc}") from exc
 
 
 def parse_experiment(doc, seed_override: int | None = None,

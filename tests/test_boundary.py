@@ -89,10 +89,21 @@ FILE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(FILE_CASES))
-def test_non_finite_experiment_file_is_a_schema_error(case, tmp_path, capsys):
+# Finite values out of range: each used to escape as a traceback or pass
+# the dry run and fail once the sweep started.
+RANGE_CASES = {
+    "tones 0": [(("channel",), {"model": "mimo_ofdm", "nt": 1, "nr": 1,
+                                "tones": 0, "taps": 2})],
+    "taps 0": [(("channel",), {"model": "mimo_ofdm", "nt": 1, "nr": 1,
+                               "tones": 1, "taps": 0})],
+    "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
+    "node_budget 0": [(("sweep", "node_budget"), 0)],
+}
+
+
+def _assert_schema_error(edits, tmp_path, capsys):
     doc = copy.deepcopy(DOC)
-    for path, value in FILE_CASES[case]:
+    for path, value in edits:
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -103,3 +114,13 @@ def test_non_finite_experiment_file_is_a_schema_error(case, tmp_path, capsys):
     config.write_text(yaml.safe_dump(doc))
     assert main(["sweep", str(config), "--dry-run"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_non_finite_experiment_file_is_a_schema_error(case, tmp_path, capsys):
+    _assert_schema_error(FILE_CASES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_out_of_range_experiment_file_is_a_schema_error(case, tmp_path, capsys):
+    _assert_schema_error(RANGE_CASES[case], tmp_path, capsys)

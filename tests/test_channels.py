@@ -9,7 +9,9 @@ import pytest
 from latdec.channels import (
     NoiseModel,
     arq_ack,
+    arq_codebooks,
     complex_gaussian,
+    draw_arq_trial,
     embed_complex,
     fixed_channel,
     sample_mimo_ofdm,
@@ -74,6 +76,28 @@ def test_embed_complex_known_matrix():
     assert np.allclose(h2[2:, 2:], h)
     assert np.allclose(h2[:2, 2:], 0.0)
     assert np.allclose(h2[2:, :2], 0.0)
+
+
+def _embed_oracle(stack, t, rho):
+    """Block diagonal of sqrt(rho) I_t (x) [[Re, -Im], [Im, Re]] over the
+    stack, written with np.kron and np.block."""
+    blocks = [math.sqrt(rho) * np.kron(np.eye(t), np.block(
+        [[h.real, -h.imag], [h.imag, h.real]])) for h in stack]
+    zero = np.zeros_like(blocks[0])
+    return np.block([[b if i == j else zero for j in range(len(blocks))]
+                     for i, b in enumerate(blocks)])
+
+
+def test_embed_complex_stack_matches_kron_block_oracle():
+    rng = trial_rng(912, 0)
+    for k, nr, nt in ((1, 1, 1), (1, 2, 2), (2, 1, 1), (3, 2, 1), (4, 1, 3)):
+        stack = complex_gaussian(rng, (k, nr, nt))
+        for t in (1, 2, 3):
+            h = embed_complex(stack, t, 7.5)
+            assert h.shape == (2 * nr * k * t, 2 * nt * k * t)
+            assert np.array_equal(h, _embed_oracle(stack, t, 7.5))
+            if k == 1:
+                assert np.array_equal(embed_complex(stack[0], t, 7.5), h)
 
 
 def test_embed_complex_is_multiplicative():
@@ -226,6 +250,25 @@ def test_arq_ack_frequency_matches_exponential_tail():
 def arq_fragment_designs():
     # Round fragment: two real dims per round (scalar complex channel).
     return [square_design(2, t=1), square_design(4, t=2)]
+
+
+def test_draw_arq_trial_channel_is_round_blocks():
+    # Three rounds of a two-use fragment: H of an episode stopping at
+    # round l is l copies of the per-round embedding on the diagonal.
+    frags = [square_design(4 * l, t=2 * l) for l in (1, 2, 3)]
+    books = arq_codebooks(frags, 20.0, 0.5)
+    rng = trial_rng(1008, 0)
+    stops = set()
+    for _ in range(60):
+        hc = complex_gaussian(rng, (1, 1))
+        draw, acks = draw_arq_trial(frags, books, hc, 20.0, 1.2, rng,
+                                    NoiseModel())
+        stop = len(acks)
+        stops.add(stop)
+        want = np.kron(np.eye(stop), embed_complex(hc, 2, 20.0))
+        assert np.array_equal(draw.h, want)
+        assert draw.design is frags[stop - 1] and draw.codebook is books[stop - 1]
+    assert stops == {1, 2, 3}
 
 
 def test_arq_episode_noiseless_strong_channel():

@@ -242,6 +242,12 @@ def test_outage_fixed_channel_indicator():
         estimate_outage_probability(10.0, 1.0, 1, chan, trials=10)
 
 
+def test_outage_rejects_ofdm_duration_not_multiple_of_tones():
+    chan = ChannelConfig(model="mimo_ofdm", nt=1, nr=1, tones=2, taps=2)
+    with pytest.raises(ValueError, match="multiple of the tone count"):
+        estimate_outage_probability(10.0, 1.0, 3, chan, trials=1000)
+
+
 def test_outage_decreases_with_signal_level():
     chan = ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=1)
     weak = estimate_outage_probability(2.0, 1.0, 1, chan, trials=3000, seed=5)
@@ -459,12 +465,13 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
 
 def test_arq_sweep_applies_integer_nesting(monkeypatch):
     ladders = []
+    original = channels.arq_codebooks
 
     def spy(*args, **kwargs):
-        ladders.append(channels.arq_codebooks(*args, **kwargs))
+        ladders.append(original(*args, **kwargs))
         return ladders[-1]
 
-    monkeypatch.setattr(dmtsim, "arq_codebooks", spy)
+    monkeypatch.setattr(channels, "arq_codebooks", spy)
     chan = ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=3,
                          arq_x_thresh=1.0)
     cfg = SweepConfig(design=square_design(2), channel=chan, methods=("ml",),
