@@ -24,7 +24,7 @@ stream per (experiment seed, integer key tuple).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -329,13 +329,22 @@ def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:
     return model.scale * (e @ x + standard_normal(rng, m))
 
 
-CHANNEL_MODELS = ("quasi_static_rayleigh", "mimo_ofdm", "naf_relay",
-                  "mimo_arq", "fixed")
+#: Channel model -> the `ChannelConfig` parameters it reads besides `noise`.
+CHANNEL_MODELS = {
+    "quasi_static_rayleigh": ("nt", "nr"),
+    "mimo_ofdm": ("nt", "nr", "tones", "taps"),
+    "naf_relay": (),
+    "mimo_arq": ("nt", "nr", "arq_rounds", "arq_x_thresh"),
+    "fixed": ("h_real",),
+}
 
 
 @dataclass
 class ChannelConfig:
-    """Which fading model to sample, and its dimensions/parameters."""
+    """Which fading model to sample, and its dimensions/parameters.
+
+    A parameter the model does not read must keep its default, so a
+    mistyped model cannot silently run a different channel."""
 
     model: str
     nt: int = 1
@@ -350,6 +359,12 @@ class ChannelConfig:
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
+        reads = CHANNEL_MODELS[self.model] + ("model", "noise")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and (value is not None if f.default is None
+                                        else value != f.default):
+                raise ValueError(f"the {self.model} model does not read {f.name}")
         if min(self.nt, self.nr, self.tones, self.taps, self.arq_rounds) < 1:
             raise ValueError("nt, nr, tones, taps and arq_rounds must be >= 1")
         if self.model == "fixed":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -31,7 +32,8 @@ from .validation import SUITES, run_suites
 
 __all__ = ["main", "write_results_csv", "write_results_json", "write_slopes_json"]
 
-CSV_HEADER = "rho_db,rho_linear,r,method,trials,errors,oob,timeouts,p_hat,ci_lo,ci_hi"
+#: One column per `ErrorRateRecord` field, in declaration order.
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(dmtsim.ErrorRateRecord))
 
 
 def _fmt(value) -> str:
@@ -41,21 +43,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def record_to_row(rec: dmtsim.ErrorRateRecord) -> str:
-    return ",".join([
-        _fmt(rec.rho_db), _fmt(rec.rho_linear), _fmt(rec.r), rec.method,
-        _fmt(rec.trials), _fmt(rec.errors), _fmt(rec.oob), _fmt(rec.timeouts),
-        _fmt(rec.p_hat), _fmt(rec.ci_lo), _fmt(rec.ci_hi),
-    ])
-
-
 def record_to_dict(rec: dmtsim.ErrorRateRecord) -> dict:
-    return {
-        "rho_db": rec.rho_db, "rho_linear": rec.rho_linear, "r": rec.r,
-        "method": rec.method, "trials": rec.trials, "errors": rec.errors,
-        "oob": rec.oob, "timeouts": rec.timeouts, "p_hat": rec.p_hat,
-        "ci_lo": rec.ci_lo, "ci_hi": rec.ci_hi,
-    }
+    return dataclasses.asdict(rec)
+
+
+def record_to_row(rec: dmtsim.ErrorRateRecord) -> str:
+    return ",".join(_fmt(value) for value in record_to_dict(rec).values())
 
 
 def write_results_csv(path: str, records) -> None:

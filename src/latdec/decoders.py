@@ -7,12 +7,13 @@ All decoders minimize (exactly or approximately) the regularized objective
 over the dithered scaled lattice {phi G z + u}.  Completing the square
 turns xi into ||F y_eff - B x_lat||^2 + Gamma with B upper triangular
 (B^T B = H^T H + T), F = B^-T H^T, y_eff = y - H u, x_lat = x - u, and a
-nonnegative constant Gamma; every decoder works on that triangular form.
-The penalty term makes the objective well posed even when H is singular,
-which is what separates the regularized decoders from the naive one.
+nonnegative constant Gamma; every regularized decoder works on that
+triangular form.  The penalty term makes the objective well posed even when
+H is singular, which is what separates the regularized decoders from the
+naive one: it searches the plain distance ||y - H x||^2 and ignores T.
 
 Methods: exhaustive ML over the finite codebook, the exact regularized
-sphere search, naive (epsilon-regularized) lattice decoding, and the two
+sphere search, naive (unregularized) lattice decoding, and the two
 reduction-aided approximations (nearest-plane / successive cancellation,
 and componentwise rounding) whose metric blow-up is bounded by constants
 depending only on the dimension.
@@ -30,7 +31,6 @@ from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel
 from .lattice import (
     Codebook,
     LatticeDesign,
-    ShapingRegion,
     enumerate_codebook,
     round_half_away_from_zero,
 )
@@ -92,29 +92,26 @@ class DecodeGate:
 
 
 @dataclass(eq=False)
-class _Prepared:
-    b: np.ndarray           # feedback matrix: upper triangular, B^T B = H^T H + T
-    f: np.ndarray           # forward filter F = B^-T H^T
-    y_eff: np.ndarray       # y - H u
-    yprime: np.ndarray      # F y_eff
-    gamma: float            # ||y_eff||^2 - ||F y_eff||^2 >= 0
-    basis: np.ndarray       # B @ (phi G): lattice basis seen by the search
-
-
-@dataclass(eq=False)
 class RegularizedProblem:
     """One decode instance: received vector, channel, penalty matrix, and
     the scaled lattice generator (phi G) with optional dither.
 
     The constructor is where decode inputs enter: it checks every array
-    for NaN/Inf and shape once, and nothing downstream checks again."""
+    for NaN/Inf and shape once, and nothing downstream checks again.
+    `prepared()` fills in the triangular form on first use."""
 
     y: np.ndarray
     h: np.ndarray
     t_reg: np.ndarray
     scaled_generator: np.ndarray
     dither: np.ndarray | None = None
-    _prep: _Prepared | None = field(default=None, init=False, repr=False)
+    # The triangular form, set by prepared(): B upper triangular with
+    # B^T B = H^T H + T, yprime = F (y - H u), gamma = ||y - H u||^2 -
+    # ||yprime||^2 >= 0, and basis = B (phi G), the basis the search sees.
+    b: np.ndarray | None = field(default=None, init=False, repr=False)
+    yprime: np.ndarray | None = field(default=None, init=False, repr=False)
+    gamma: float = field(default=0.0, init=False, repr=False)
+    basis: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.y = as_vector(self.y, "y")
@@ -143,18 +140,17 @@ class RegularizedProblem:
             return np.zeros(self.n)
         return self.dither
 
-    def prepared(self) -> _Prepared:
-        if self._prep is None:
+    def prepared(self) -> "RegularizedProblem":
+        """Factor the triangular form once (b, yprime, gamma, basis); returns self."""
+        if self.b is None:
             b, f = mmse_gdfe_filters(self.h, self.t_reg)
             y_eff = self.y - self.h @ self.dither_or_zero()
-            yprime = f @ y_eff
-            gamma = float(y_eff @ y_eff) - float(yprime @ yprime)
+            self.yprime = f @ y_eff
             # Gamma is nonnegative in exact arithmetic; clamp roundoff.
-            if gamma < 0.0:
-                gamma = 0.0
-            self._prep = _Prepared(b=b, f=f, y_eff=y_eff, yprime=yprime,
-                                   gamma=gamma, basis=b @ self.scaled_generator)
-        return self._prep
+            self.gamma = max(float(y_eff @ y_eff) - float(self.yprime @ self.yprime), 0.0)
+            self.basis = b @ self.scaled_generator
+            self.b = b
+        return self
 
 
 @dataclass
@@ -214,9 +210,9 @@ def regularized_metric(problem: RegularizedProblem, xhat) -> float:
     resid = problem.y - problem.h @ xhat
     xlat = xhat - u
     direct = float(resid @ resid) + float(xlat @ problem.t_reg @ xlat)
-    prep = problem.prepared()
-    alt_resid = prep.yprime - prep.b @ xlat
-    alt = float(alt_resid @ alt_resid) + prep.gamma
+    problem.prepared()
+    alt_resid = problem.yprime - problem.b @ xlat
+    alt = float(alt_resid @ alt_resid) + problem.gamma
     if abs(direct - alt) > 1e-8 * (1.0 + abs(direct)):
         raise MetricMismatch(
             f"metric forms disagree: direct={direct!r} triangular={alt!r}"
@@ -316,38 +312,31 @@ def sphere_decode_regularized(problem: RegularizedProblem,
                               node_budget: int = DEFAULT_NODE_BUDGET) -> LatticeDecodeResult:
     """Exact minimizer of the regularized objective over the full (infinite)
     dithered lattice, via sphere search on the triangular form."""
-    prep = problem.prepared()
-    q, r = qr_decompose(prep.basis)
-    ytil = q.T @ prep.yprime
-    z, dist = _sphere_search(r, ytil, node_budget)
+    problem.prepared()
+    q, r = qr_decompose(problem.basis)
+    z, dist = _sphere_search(r, q.T @ problem.yprime, node_budget)
     point = problem.scaled_generator @ z.astype(np.float64) + problem.dither_or_zero()
-    return LatticeDecodeResult(coords=z, point=point,
-                               metric=dist + prep.gamma)
+    return LatticeDecodeResult(coords=z, point=point, metric=dist + problem.gamma)
 
 
-def naive_lattice_decode(y, h, scaled_generator, region: ShapingRegion,
-                         dither=None,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> DecodeOutcome:
-    """Unregularized closest-lattice-point decode.
+def naive_lattice_decode(problem: RegularizedProblem,
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> LatticeDecodeResult:
+    """Unregularized closest-lattice-point decode: the exact minimizer of
+    the plain distance ||y - H x||^2 over the full dithered lattice, which
+    is also the reported metric.  The problem's penalty T is ignored.
 
-    Internally a vanishing penalty epsilon * I (epsilon = 1e-12 ||H||_F^2)
-    keeps the search well posed; the reported metric is the plain distance
-    ||y - H x||^2.  Raises NearSingularChannel when the effective basis
-    H (phi G) is numerically singular.  The decoded point is flagged
-    out-of-codebook when it falls outside the shaping region: with no
-    penalty term, deep fades regularly push the minimizer far outside."""
-    h = np.asarray(h, dtype=np.float64)
-    eps = 1e-12 * float(np.sum(h * h))
-    problem = RegularizedProblem(y=y, h=h, t_reg=eps * np.eye(h.shape[-1]),
-                                 scaled_generator=scaled_generator, dither=dither)
-    if _min_singular_value(problem.h @ problem.scaled_generator) < 1e-10:
+    Raises NearSingularChannel when the effective basis H (phi G) is
+    numerically singular.  With no penalty term, deep fades regularly push
+    the minimizer far outside the shaping region."""
+    hg = problem.h @ problem.scaled_generator
+    if _min_singular_value(hg) < 1e-10:
         raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
-    res = sphere_decode_regularized(problem, node_budget=node_budget)
-    resid = problem.y - problem.h @ res.point
-    metric = float(resid @ resid)
-    if region.contains(res.point):
-        return DecodeOutcome.codeword(res.point, res.coords, metric)
-    return DecodeOutcome.out_of_codebook(res.point, res.coords, metric)
+    u = problem.dither_or_zero()
+    q, r = qr_decompose(hg)
+    z, _ = _sphere_search(r, q.T @ (problem.y - problem.h @ u), node_budget)
+    point = problem.scaled_generator @ z.astype(np.float64) + u
+    resid = problem.y - problem.h @ point
+    return LatticeDecodeResult(coords=z, point=point, metric=float(resid @ resid))
 
 
 def _min_singular_value(a: np.ndarray) -> float:
@@ -363,9 +352,8 @@ def babai_nearest_plane(problem: RegularizedProblem,
     """Successive-cancellation decode on a reduced basis: one rounding per
     layer during back-substitution on the reducer's triangle.  The metric
     is within a factor 2^(n/2) of the exact regularized minimum."""
-    prep = problem.prepared()
-    c = _babai_backsub(reduced.r, reduced.q.T @ prep.yprime)
-    return _map_back(problem, prep, reduced, c)
+    c = _babai_backsub(reduced.r, reduced.q.T @ problem.prepared().yprime)
+    return _map_back(problem, reduced, c)
 
 
 def lr_aided_linear(problem: RegularizedProblem,
@@ -374,15 +362,14 @@ def lr_aided_linear(problem: RegularizedProblem,
     coordinate (ties away from zero), map back through the unimodular
     transform.  The metric is within a factor 1 + 2n (9/2)^(n/2) of the
     exact regularized minimum."""
-    prep = problem.prepared()
-    c_real = solve_upper_triangular(reduced.r, reduced.q.T @ prep.yprime)
-    return _map_back(problem, prep, reduced, round_half_away_from_zero(c_real))
+    c_real = solve_upper_triangular(reduced.r, reduced.q.T @ problem.prepared().yprime)
+    return _map_back(problem, reduced, round_half_away_from_zero(c_real))
 
 
-def _map_back(problem: RegularizedProblem, prep: _Prepared,
-              reduced: ReducedBasis, c: np.ndarray) -> LatticeDecodeResult:
-    resid = prep.yprime - reduced.reduced @ c
-    metric = float(resid @ resid) + prep.gamma
+def _map_back(problem: RegularizedProblem, reduced: ReducedBasis,
+              c: np.ndarray) -> LatticeDecodeResult:
+    resid = problem.yprime - reduced.reduced @ c
+    metric = float(resid @ resid) + problem.gamma
     # Exact integer map through the unimodular transform.
     z = reduced.unimodular @ c.astype(np.int64)
     point = problem.scaled_generator @ z.astype(np.float64) + problem.dither_or_zero()
@@ -430,16 +417,14 @@ class ChannelStage:
 def prepare(y, h, design: LatticeDesign, phi: float,
             rho: float | None = None, gate: DecodeGate | None = None,
             codebook: Codebook | None = None,
-            t_reg: np.ndarray | None = None,
             node_budget: int = DEFAULT_NODE_BUDGET) -> ChannelStage:
     """Channel stage of one received block for a design at scale phi.
 
-    The penalty is the identity unless `t_reg` is given.  The
-    reduction-aided methods need `rho` and `gate`; `codebook` spares ML an
-    enumeration.  The stage's one `RegularizedProblem` is built here, and
-    building it is the one check of y and H."""
-    t_reg = np.eye(design.dimension) if t_reg is None else t_reg
-    problem = RegularizedProblem(y=y, h=h, t_reg=t_reg,
+    The penalty is the identity.  The reduction-aided methods need `rho`
+    and `gate`; `codebook` spares ML an enumeration.  The stage's one
+    `RegularizedProblem` is built here, and building it is the one check
+    of y and H."""
+    problem = RegularizedProblem(y=y, h=h, t_reg=np.eye(design.dimension),
                                  scaled_generator=phi * design.generator,
                                  dither=design.dither)
     return ChannelStage(problem, design, phi, rho=rho, gate=gate,
@@ -450,18 +435,15 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
     """Decode a prepared block with `method`.
 
     A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
-    are classified against the shaping region."""
+    are classified against the shaping region, here and nowhere else."""
     problem = stage.problem
     if method == METHOD_ML:
         book = stage.codebook or enumerate_codebook(stage.design, stage.phi)
         return ml_decode(problem.y, problem.h, book)
-    if method == METHOD_NAIVE:
-        return naive_lattice_decode(problem.y, problem.h, problem.scaled_generator,
-                                    stage.design.region, dither=problem.dither,
-                                    node_budget=stage.node_budget)
-    if method == METHOD_REG_EXACT:
-        res = sphere_decode_regularized(problem, node_budget=stage.node_budget)
-        return _classify(stage.design, res)
+    if method in (METHOD_NAIVE, METHOD_REG_EXACT):
+        search = (naive_lattice_decode if method == METHOD_NAIVE
+                  else sphere_decode_regularized)
+        return _classify(stage.design, search(problem, node_budget=stage.node_budget))
     if method in (METHOD_LR_SIC, METHOD_LR_LINEAR):
         outcome = stage.reduction
         if outcome.timed_out:
@@ -474,11 +456,10 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
 def decode(y, h, design: LatticeDesign, phi: float, method: str,
            rho: float | None = None, gate: DecodeGate | None = None,
            codebook: Codebook | None = None,
-           t_reg: np.ndarray | None = None,
            node_budget: int = DEFAULT_NODE_BUDGET) -> DecodeOutcome:
     """One-shot decode: `detect(prepare(...), method)`."""
     return detect(prepare(y, h, design, phi, rho=rho, gate=gate, codebook=codebook,
-                          t_reg=t_reg, node_budget=node_budget), method)
+                          node_budget=node_budget), method)
 
 
 def _classify(design: LatticeDesign, res: LatticeDecodeResult) -> DecodeOutcome:

@@ -161,20 +161,14 @@ def _parse_channel(node, path: str) -> ChannelConfig:
         if key in node:
             kwargs[key] = _integer(node[key], f"{path}.{key}")
     if "h_real" in node:
-        if model != "fixed":
-            raise SchemaError(f"{path}.h_real: only valid for the fixed model")
         kwargs["h_real"] = _matrix(node["h_real"], f"{path}.h_real")
-    arq_node = _get(node, "arq", path, required=False)
-    if model == "mimo_arq":
-        arq_node = _require_mapping(
-            _get(node, "arq", path), f"{path}.arq")
+    if "arq" in node:
+        arq_node = _require_mapping(node["arq"], f"{path}.arq")
         _check_keys(arq_node, _ARQ_KEYS, f"{path}.arq")
         kwargs["arq_rounds"] = _integer(_get(arq_node, "rounds", f"{path}.arq"),
                                         f"{path}.arq.rounds")
         kwargs["arq_x_thresh"] = _number(
             _get(arq_node, "x_thresh", f"{path}.arq"), f"{path}.arq.x_thresh")
-    elif arq_node is not None:
-        raise SchemaError(f"{path}.arq: only valid for the mimo_arq model")
     kwargs["noise"] = _parse_noise(_get(node, "noise", path, required=False),
                                    f"{path}.noise")
     try:

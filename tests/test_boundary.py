@@ -98,6 +98,18 @@ RANGE_CASES = {
                                "tones": 1, "taps": 0})],
     "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
     "node_budget 0": [(("sweep", "node_budget"), 0)],
+    # A parameter the model does not read: each used to pass the dry run
+    # and then silently run a different channel.
+    "rayleigh with tones and taps": [
+        (("channel",), {"model": "quasi_static_rayleigh", "nt": 1, "nr": 1,
+                        "tones": 4, "taps": 3})],
+    "relay with nt and nr": [
+        (("design",), {"generator": np.eye(4).tolist(),
+                       "region": {"kind": "box", "half_widths": [0.6] * 4},
+                       "dither": [0.5] * 4}),
+        (("channel",), {"model": "naf_relay", "nt": 3, "nr": 5})],
+    "fixed with taps": [(("channel",), {"model": "fixed", "taps": 5,
+                                        "h_real": [[1.0, 0.0], [0.0, 1.0]]})],
 }
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from latdec.cli import CSV_HEADER, main
+from latdec.cli import main
 
 TINY = """
 design:
@@ -70,7 +70,6 @@ def test_sweep_outputs_and_reproducibility(tmp_path, capsys):
     assert (out1 / "slopes.json").read_bytes() == (out2 / "slopes.json").read_bytes()
 
     lines = csv1.decode().strip().split("\n")
-    assert lines[0] == CSV_HEADER
     assert lines[0] == ("rho_db,rho_linear,r,method,trials,errors,oob,"
                         "timeouts,p_hat,ci_lo,ci_hi")
     assert len(lines) == 3                    # 2 cells

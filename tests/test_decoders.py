@@ -238,23 +238,69 @@ def test_approximation_ratio_edge_cases():
     assert approximation_ratio(prob, np.array([1.0, 0.0]), np.zeros(2)) == math.inf
 
 
+def _naive_problem(y, h, t_reg=None, dither=None):
+    n = h.shape[1]
+    return RegularizedProblem(y=y, h=h, t_reg=np.eye(n) if t_reg is None else t_reg,
+                              scaled_generator=np.eye(n), dither=dither)
+
+
 def test_naive_decoder_flags_singular_channel():
-    design = square_design(2)
     h = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NearSingularChannel):
-        naive_lattice_decode(np.ones(2), h, np.eye(2), design.region)
+        naive_lattice_decode(_naive_problem(np.ones(2), h))
+    # Fewer observations than unknowns: a genuine null space.
+    rng = np.random.default_rng(1413)
+    with pytest.raises(NearSingularChannel):
+        naive_lattice_decode(_naive_problem(rng.standard_normal(2),
+                                            rng.standard_normal((2, 3))))
 
 
 def test_naive_decoder_reports_plain_distance():
     design = square_design(2)
     h = 2.0 * np.eye(2)
     y = np.array([1.1, -0.9])
-    out = naive_lattice_decode(y, h, np.eye(2), design.region,
-                               dither=np.array([0.5, 0.5]))
+    out = decode(y, h, design, 1.0, "naive")
     assert out.is_codeword
     assert np.array_equal(out.point, [0.5, -0.5])
     want = float(np.sum((y - h @ np.array([0.5, -0.5])) ** 2))
     assert out.metric == pytest.approx(want, rel=1e-12)
+
+
+def test_naive_decoder_matches_exhaustive_oracle():
+    # The naive decoder is the exact minimizer of the plain distance
+    # ||y - H x||^2 over the dithered lattice and ignores the problem's
+    # penalty T, so every problem here carries a non-identity one.  The
+    # scanned cube is centred on the rounded least-squares coordinates: with
+    # cond(H) <= 4 the minimizer lies within 2-norm cond(H) sqrt(n) / 2 <= 4
+    # of the least-squares point, so a radius-5 cube always holds it.
+    rng = np.random.default_rng(1414)
+    radius = 5
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(n, 7))
+        h = rng.standard_normal((m, n))
+        a = rng.standard_normal((n, n))
+        y = rng.standard_normal(m)
+        u = rng.uniform(0.0, 1.0, n)
+        if np.linalg.cond(h) > 4.0:
+            continue
+        res = naive_lattice_decode(_naive_problem(y, h, a.T @ a + np.eye(n), u))
+        center = np.round(np.linalg.lstsq(h, y, rcond=None)[0] - u)
+        grid = np.array(list(itertools.product(range(-radius, radius + 1), repeat=n)),
+                        dtype=np.float64) + center
+        resid = y[None, :] - (grid + u[None, :]) @ h.T
+        metrics = np.einsum("ij,ij->i", resid, resid)
+        order = np.argsort(metrics)
+        best, runner_up = float(metrics[order[0]]), float(metrics[order[1]])
+        assert res.metric == pytest.approx(best, rel=1e-9, abs=1e-12)
+        assert (runner_up - best <= 1e-9
+                or np.array_equal(res.coords, grid[order[0]].astype(np.int64)))
+        assert np.array_equal(res.point, res.coords + u)
+        plain = y - h @ res.point
+        assert res.metric == float(plain @ plain)
+        checked += 1
+    assert checked >= 100
 
 
 def test_naive_decoder_escapes_region_under_fades():
@@ -263,8 +309,7 @@ def test_naive_decoder_escapes_region_under_fades():
     design = square_design(2)
     h = np.array([[1.0, 0.0], [0.0, 1e-3]])
     y = np.array([0.4, 0.8])     # second coordinate mostly noise
-    out = naive_lattice_decode(y, h, np.eye(2), design.region,
-                               dither=np.array([0.5, 0.5]))
+    out = decode(y, h, design, 1.0, "naive")
     assert out.kind == "out_of_codebook"
     assert abs(out.point[1]) > 0.6
 

@@ -442,7 +442,7 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     monkeypatch.setattr(decoders, "gated_reduce", gate_spy)
     for module in (decoders, reduction):
         monkeypatch.setattr(module, "qr_decompose", qr_spy(module.qr_decompose))
-    cfg = rayleigh_config(n_ant=2, methods=("ml", "reg_exact", "lr_sic", "lr_linear"),
+    cfg = rayleigh_config(n_ant=2, methods=decoders.METHODS,
                           min_errors=10**6, max_trials=60)
     # Count the sweep's NaN/Inf scans through every latdec namespace that
     # binds a checker: inputs are checked where they enter, not per layer.
@@ -457,9 +457,10 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     assert calls["gdfe"] == 60 and calls["gate"] == 60
     # The stage's one RegularizedProblem checks its five arrays once.
     assert calls["scan"] <= 5 * 60
-    # One QR for the sphere search and one inside LLL; the detectors read
-    # the reducer's factors and never factor a reduced basis.
-    assert reduced and len(factored) <= 2 * 60
+    # One QR each for the regularized and the naive sphere search and one
+    # inside LLL; the detectors read the reducer's factors and never factor
+    # a reduced basis.
+    assert reduced and len(factored) <= 3 * 60
     assert not any(np.array_equal(m, basis) for m in factored for basis in reduced)
 
 

@@ -2,13 +2,14 @@
 
 One sweep per channel model (Rayleigh over one and two channel uses, OFDM
 with two and three tones, the amplify-and-forward relay, the fixed channel,
-three-round ARQ with self-interference noise), each with all five methods,
-plus three benchmark workloads at benchmark seed 7, built from the files
-under perfbench/ the way the benchmark builds them.  A refactor of the
-channel layer, the stage or the detectors that moves one trial's outcome,
-one random draw or one printed digit changes a hash here.  No benchmark
-workload runs OFDM, the relay or the fixed channel, so this file is their
-only record-level guard.
+three-round ARQ with self-interference noise) and one Rayleigh sweep on
+Z^4 + 1/2 cut to a ball, each with all five methods, plus three benchmark
+workloads at benchmark seed 7, built from the files under perfbench/ the
+way the benchmark builds them.  A refactor of the channel layer, the stage
+or the detectors that moves one trial's outcome, one random draw or one
+printed digit changes a hash here.  No benchmark workload runs OFDM, the
+relay or the fixed channel, or classifies against a ball, so this file is
+their only record-level guard.
 
 The hashes are the first 16 hex digits of the sha256 of the CLI's CSV."""
 
@@ -47,6 +48,11 @@ MODEL_SWEEPS = {
     "rayleigh_t1": (
         ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
         _design(4), (8.0, 12.0, 16.0), 0.0, 0.6, "77b6cae6effb7651"),
+    "rayleigh_ball": (
+        ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+        LatticeDesign(generator=np.eye(4), region=ShapingRegion.ball(1.8),
+                      dither=np.full(4, 0.5)),  # 80 points
+        (8.0, 12.0, 16.0), 0.0, 0.6, "e30411c743116205"),
     "rayleigh_t2": (
         ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=2),
         _design(4, t=2), (12.0, 18.0, 24.0), 0.5, 1.0, "30b753364579fbb4"),
