@@ -358,7 +358,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
-            raise ValueError(f"unknown channel model {self.model!r}")
+            raise ValueError(f"unknown channel model {self.model!r}, "
+                             f"expected one of {sorted(CHANNEL_MODELS)}")
         reads = CHANNEL_MODELS[self.model] + ("model", "noise")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -375,14 +376,14 @@ class ChannelConfig:
                 self.arq_x_thresh is None or not math.isfinite(self.arq_x_thresh)):
             raise ValueError("ARQ channel requires a finite x_thresh (no default)")
 
-    def input_dims(self, t: int) -> int:
-        """Real input dimension of one draw over a t-use codeword (of one
-        round, for ARQ)."""
+    def real_dims(self, t: int) -> tuple[int, int]:
+        """Real (output, input) dimensions of one draw over a t-use
+        codeword (of one round, for ARQ)."""
         if self.model == "fixed":
-            return self.h_real.shape[1]
+            return self.h_real.shape
         if self.model == "naf_relay":
-            return 4  # whitened 2x2 complex channel
-        return 2 * self.nt * t
+            return 4, 4  # whitened 2x2 complex channel
+        return 2 * self.nr * t, 2 * self.nt * t
 
     def _uses_per_tone(self, t: int) -> int:
         if t % self.tones != 0:
@@ -396,7 +397,7 @@ class ChannelConfig:
             raise ValueError("ARQ sweeps support box shaping regions only")
         if self.model == "mimo_ofdm":
             self._uses_per_tone(t)
-        dims = self.input_dims(t)
+        dims = self.real_dims(t)[1]
         if dims != design.dimension:
             raise ValueError(f"channel gives {dims} input dims, "
                              f"design has {design.dimension}")

@@ -51,6 +51,7 @@ __all__ = [
     "METHOD_LR_SIC",
     "METHOD_LR_LINEAR",
     "METHODS",
+    "DEFAULT_NODE_BUDGET",
     "RegularizedProblem",
     "DecodeGate",
     "DecodeOutcome",

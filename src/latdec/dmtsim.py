@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelConfig, trial_rng
-from .decoders import METHODS, DecodeGate, detect, prepare
+from .decoders import METHOD_NAIVE, METHODS, DecodeGate, detect, prepare
 from .errors import InsufficientData
 from .lattice import LatticeDesign
 from .numkernel import cholesky_upper
@@ -98,6 +98,10 @@ class SweepConfig:
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         self.channel.check_design(self.design)
+        outputs, inputs = self.channel.real_dims(self.design.coding_duration)
+        if METHOD_NAIVE in self.methods and outputs < inputs:
+            raise ValueError(f"naive decoding needs at least as many channel outputs "
+                             f"as inputs, the channel gives {outputs} for {inputs}")
 
     def gate(self) -> DecodeGate | None:
         if self.gate_alpha is None:

@@ -5,6 +5,21 @@ callers (and the CLI exit-code mapping) can tell deliberate failures apart
 from plain bugs.
 """
 
+__all__ = [
+    "LatdecError",
+    "NotSymmetric",
+    "NotPositiveDefinite",
+    "RankDeficient",
+    "SingularTriangular",
+    "MetricMismatch",
+    "BudgetExceeded",
+    "EnumerationOverflow",
+    "IterationOverflow",
+    "NearSingularChannel",
+    "InsufficientData",
+    "SchemaError",
+]
+
 
 class LatdecError(Exception):
     """Base class for all deliberate toolkit errors."""

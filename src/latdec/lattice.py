@@ -59,15 +59,20 @@ class ShapingRegion:
 
     def __post_init__(self):
         if self.kind == "box":
+            if self.half_widths is None or self.radius is not None:
+                raise ValueError("box region takes half_widths and no radius")
             hw = as_vector(self.half_widths, "half_widths")
             if hw.size == 0 or np.any(hw <= 0.0):
                 raise ValueError("box half-widths must be positive")
             object.__setattr__(self, "half_widths", hw)
         elif self.kind == "ball":
+            if self.half_widths is not None:
+                raise ValueError("ball region takes no half_widths")
             if self.radius is None or not (self.radius > 0.0) or not math.isfinite(self.radius):
                 raise ValueError("ball radius must be positive and finite")
         else:
-            raise ValueError(f"unknown region kind {self.kind!r}")
+            raise ValueError(f"unknown region kind {self.kind!r}, "
+                             "expected 'box' or 'ball'")
 
     @classmethod
     def box(cls, half_widths) -> "ShapingRegion":

@@ -98,6 +98,7 @@ RANGE_CASES = {
                                "tones": 1, "taps": 0})],
     "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
     "node_budget 0": [(("sweep", "node_budget"), 0)],
+    "singular generator": [(("design", "generator"), [[1.0, 1.0], [1.0, 1.0]])],
     # A parameter the model does not read: each used to pass the dry run
     # and then silently run a different channel.
     "rayleigh with tones and taps": [
@@ -110,6 +111,26 @@ RANGE_CASES = {
         (("channel",), {"model": "naf_relay", "nt": 3, "nr": 5})],
     "fixed with taps": [(("channel",), {"model": "fixed", "taps": 5,
                                         "h_real": [[1.0, 0.0], [0.0, 1.0]]})],
+    # Fewer channel outputs than inputs: the unregularized decoder's
+    # effective channel is singular on every draw, so the sweep used to
+    # pass the dry run and then fail numerically on the first trial.
+    "naive with fewer outputs than inputs": [
+        (("design",), {"generator": np.eye(4).tolist(),
+                       "region": {"kind": "box", "half_widths": [0.6] * 4},
+                       "dither": [0.5] * 4}),
+        (("channel",), {"model": "quasi_static_rayleigh", "nt": 2, "nr": 1}),
+        (("sweep", "methods"), ["ml", "naive"])],
+}
+
+
+# Values of the wrong type: each must be named as a schema error, never
+# escape as a traceback from a membership test or a conversion.
+TYPE_CASES = {
+    "model list": [(("channel", "model"), ["a"])],
+    "methods nested list": [(("sweep", "methods"), [["ml"]])],
+    "nt float": [(("channel", "nt"), 1.0)],
+    "integer_nesting int": [(("sweep", "integer_nesting"), 1)],
+    "region kind list": [(("design", "region", "kind"), ["box"])],
 }
 
 
@@ -136,3 +157,8 @@ def test_non_finite_experiment_file_is_a_schema_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(RANGE_CASES))
 def test_out_of_range_experiment_file_is_a_schema_error(case, tmp_path, capsys):
     _assert_schema_error(RANGE_CASES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_CASES))
+def test_mistyped_experiment_file_is_a_schema_error(case, tmp_path, capsys):
+    _assert_schema_error(TYPE_CASES[case], tmp_path, capsys)

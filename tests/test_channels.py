@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latdec.channels import (
+    ChannelConfig,
     NoiseModel,
     arq_ack,
     arq_codebooks,
@@ -189,6 +190,16 @@ def test_fixed_channel_passthrough():
     h = fixed_channel([[2.0, 0.0], [0.0, 3.0]])
     assert h.dtype == np.float64
     assert np.array_equal(h, [[2.0, 0.0], [0.0, 3.0]])
+
+
+@pytest.mark.parametrize("channel, t", [
+    (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=1), 3),
+    (ChannelConfig(model="mimo_ofdm", nt=1, nr=2, tones=2, taps=2), 4),
+    (ChannelConfig(model="naf_relay"), 2),
+    (ChannelConfig(model="fixed", h_real=np.ones((3, 2))), 1),
+])
+def test_real_dims_match_a_draw(channel, t):
+    assert channel.real_dims(t) == channel.sample(t, 10.0, trial_rng(3, 0)).shape
 
 
 def test_noise_model_validation():

@@ -1,12 +1,17 @@
 """Experiment-file parsing: schema errors with dotted paths, seed
 precedence, and faithful construction of the sweep configuration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+from latdec.cli import main
 from latdec.errors import SchemaError
 from latdec.experiment import ENV_SEED, load_experiment, parse_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 design:
@@ -117,6 +122,11 @@ def test_seed_precedence(monkeypatch):
         parse(no_seed)
 
 
+def test_mistyped_seed_is_an_error_under_override():
+    with pytest.raises(SchemaError, match="sweep.seed"):
+        parse(GOOD.replace("seed: 77", "seed: abc"), seed_override=5)
+
+
 def test_random_dither_derived_from_seed():
     rand = GOOD.replace("dither: [0.5, 0.5]", 'dither: "random"')
     a = parse(rand).design.dither
@@ -170,6 +180,48 @@ def test_load_experiment_bad_yaml(tmp_path):
     path.write_text("design: [unclosed\n")
     with pytest.raises(SchemaError):
         load_experiment(str(path))
+
+
+def test_load_experiment_unreadable_file(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read"):
+        load_experiment(str(tmp_path))                  # a directory
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"design: \xd0\x00\xff\n")
+    with pytest.raises(SchemaError, match="invalid YAML"):
+        load_experiment(str(path))
+
+
+# Shipped experiment file -> (seed, grid, methods, gate_alpha, design
+# dimension, dither, nt, nr, max_trials) as parsed before the schema moved
+# into the config objects.
+SHIPPED = {
+    "pilot_1x1.yaml": (20260822, (14.0, 18.0, 22.0, 26.0, 30.0), ("ml", "lr_linear"),
+                       1.5, 2, [0.5] * 2, 1, 1, 200000),
+    "vblast_2x2.yaml": (20260822, (10.0, 14.0, 18.0, 22.0, 26.0, 30.0),
+                        ("ml", "lr_linear"), 2.0, 4, [0.5] * 4, 2, 2, 500000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_configs_parse(name, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    seed, grid, methods, alpha, dim, dither, nt, nr, max_trials = SHIPPED[name]
+    cfg = load_experiment(str(CONFIGS / name))
+    assert (cfg.seed, cfg.rho_db, cfg.methods, cfg.gate_alpha) == (
+        seed, grid, methods, alpha)
+    assert (cfg.r, cfg.min_errors, cfg.max_trials, cfg.gate_delta) == (
+        0.0, 50, max_trials, 0.75)
+    assert (cfg.integer_nesting, cfg.node_budget) == (False, 10**8)
+    assert (cfg.design.dimension, cfg.design.coding_duration) == (dim, 1)
+    assert np.array_equal(cfg.design.generator, np.eye(dim))
+    assert np.array_equal(cfg.design.dither, dither)
+    assert np.array_equal(cfg.design.region.half_widths, [0.6] * dim)
+    assert (cfg.channel.model, cfg.channel.nt, cfg.channel.nr) == (
+        "quasi_static_rayleigh", nt, nr)
+    assert cfg.channel.noise.kind == "gaussian_unit"
+    assert (cfg.channel.noise.sigma_e, cfg.channel.noise.scale) == (0.0, 1.0)
+    assert main(["sweep", str(CONFIGS / name), "--dry-run"]) == 0
+    assert f"{len(grid) * len(methods)} cells" in capsys.readouterr().out
 
 
 def test_load_experiment_file(tmp_path):

@@ -64,6 +64,15 @@ def test_region_membership():
         ShapingRegion(kind="simplex")
 
 
+def test_region_rejects_the_other_kinds_field():
+    with pytest.raises(ValueError, match="no radius"):
+        ShapingRegion(kind="box", half_widths=np.ones(2), radius=1.0)
+    with pytest.raises(ValueError, match="no half_widths"):
+        ShapingRegion(kind="ball", half_widths=np.ones(2), radius=1.0)
+    with pytest.raises(ValueError, match="half_widths"):
+        ShapingRegion(kind="box", radius=1.0)
+
+
 def test_enumerate_codebook_square_two_dim():
     book = enumerate_codebook(square_design(2), phi=1.0)
     want = np.array([
