@@ -6,14 +6,13 @@ Subcommands:
   validate          run the built-in self-check suites (JSON verdicts)
   dmt-reference     print reference diversity-curve breakpoints
 
-Exit codes: 0 success, 1 experiment-file error, 2 enumeration budget
-exceeded, 3 numerical failure, 4 self-check failure.
+Exit codes: 0 success, 1 usage or experiment-file error, 2 enumeration
+budget exceeded, 3 numerical failure, 4 self-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -28,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .experiment import load_experiment
-from .validation import SUITES, run_suites
+from .validation import POISON_TARGETS, SUITES, run_suites
 
 __all__ = ["main", "write_results_csv", "write_results_json", "write_slopes_json"]
 
@@ -80,19 +79,6 @@ def write_slopes_json(path: str, slopes: dict) -> None:
         fh.write("\n")
 
 
-def _parallel_cells(workers: int):
-    """Cell runner mapping signal levels over a process pool; output
-    order follows the grid, so scheduling cannot leak into results."""
-
-    def runner(config: dmtsim.SweepConfig):
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(dmtsim.sweep_cell, config, rho_db)
-                       for rho_db in config.rho_db]
-            return [f.result() for f in futures]
-
-    return runner
-
-
 def _cmd_sweep(args) -> int:
     config = load_experiment(args.config, seed_override=args.seed)
     n_cells = len(config.rho_db) * len(config.methods)
@@ -100,9 +86,12 @@ def _cmd_sweep(args) -> int:
         print(f"config ok: {n_cells} cells "
               f"({len(config.rho_db)} signal levels x {len(config.methods)} methods)")
         return 0
-    runner = _parallel_cells(args.workers) if args.workers > 1 else None
-    result = dmtsim.run_sweep(config, cell_runner=runner)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
+    result = dmtsim.run_sweep(config, workers=args.workers)
     write_results_csv(os.path.join(args.out, "results.csv"), result.records)
     write_results_json(os.path.join(args.out, "results.json"), result.records)
     write_slopes_json(os.path.join(args.out, "slopes.json"), result.slopes)
@@ -143,6 +132,13 @@ def _cmd_dmt_reference(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latdec",
@@ -154,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the experiment seed")
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", type=positive_int, default=1,
                          help="parallel worker processes over signal levels")
     p_sweep.add_argument("--dry-run", action="store_true",
                          help="validate the file and print the cell count")
@@ -163,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run built-in self-check suites")
     p_val.add_argument("--suite", action="append", choices=sorted(SUITES),
                        help="run only this suite (repeatable)")
-    p_val.add_argument("--poison", default=None,
-                       help="corrupt one instance inside the named suite "
-                            "(accepts a suite name, or 'lll' for "
-                            "reduction-bound) to prove detection")
+    p_val.add_argument("--poison", default=None, choices=sorted(POISON_TARGETS),
+                       help="corrupt one instance inside the named suite, "
+                            "which must run ('lll' names reduction-bound), "
+                            "to prove detection")
     p_val.set_defaults(func=_cmd_validate)
 
     p_ref = sub.add_parser("dmt-reference",
@@ -180,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 means budget exhaustion here.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (SchemaError, InsufficientData) as exc:

@@ -141,6 +141,10 @@ class RegularizedProblem:
             return np.zeros(self.n)
         return self.dither
 
+    def point(self, z: np.ndarray) -> np.ndarray:
+        """The lattice point phi G z + u of integer coordinates z."""
+        return self.scaled_generator @ z.astype(np.float64) + self.dither_or_zero()
+
     def prepared(self) -> "RegularizedProblem":
         """Factor the triangular form once (b, yprime, gamma, basis); returns self."""
         if self.b is None:
@@ -309,15 +313,22 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: int):
     return best_z.astype(np.int64), best_metric
 
 
+def _closest_point(basis: np.ndarray, target: np.ndarray, node_budget: int):
+    """(z, squared distance) of the lattice point `basis` @ z nearest to
+    `target`, distance taken within the basis's column space: QR of the
+    basis, the target rotated by Q^T, then sphere search."""
+    q, r = qr_decompose(basis)
+    return _sphere_search(r, q.T @ target, node_budget)
+
+
 def sphere_decode_regularized(problem: RegularizedProblem,
                               node_budget: int = DEFAULT_NODE_BUDGET) -> LatticeDecodeResult:
     """Exact minimizer of the regularized objective over the full (infinite)
     dithered lattice, via sphere search on the triangular form."""
     problem.prepared()
-    q, r = qr_decompose(problem.basis)
-    z, dist = _sphere_search(r, q.T @ problem.yprime, node_budget)
-    point = problem.scaled_generator @ z.astype(np.float64) + problem.dither_or_zero()
-    return LatticeDecodeResult(coords=z, point=point, metric=dist + problem.gamma)
+    z, dist = _closest_point(problem.basis, problem.yprime, node_budget)
+    return LatticeDecodeResult(coords=z, point=problem.point(z),
+                               metric=dist + problem.gamma)
 
 
 def naive_lattice_decode(problem: RegularizedProblem,
@@ -332,10 +343,9 @@ def naive_lattice_decode(problem: RegularizedProblem,
     hg = problem.h @ problem.scaled_generator
     if _min_singular_value(hg) < 1e-10:
         raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
-    u = problem.dither_or_zero()
-    q, r = qr_decompose(hg)
-    z, _ = _sphere_search(r, q.T @ (problem.y - problem.h @ u), node_budget)
-    point = problem.scaled_generator @ z.astype(np.float64) + u
+    z, _ = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero(),
+                          node_budget)
+    point = problem.point(z)
     resid = problem.y - problem.h @ point
     return LatticeDecodeResult(coords=z, point=point, metric=float(resid @ resid))
 
@@ -373,8 +383,7 @@ def _map_back(problem: RegularizedProblem, reduced: ReducedBasis,
     metric = float(resid @ resid) + problem.gamma
     # Exact integer map through the unimodular transform.
     z = reduced.unimodular @ c.astype(np.int64)
-    point = problem.scaled_generator @ z.astype(np.float64) + problem.dither_or_zero()
-    return LatticeDecodeResult(coords=z, point=point, metric=metric)
+    return LatticeDecodeResult(coords=z, point=problem.point(z), metric=metric)
 
 
 def approximation_ratio(problem: RegularizedProblem, candidate,

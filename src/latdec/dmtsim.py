@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -144,7 +145,6 @@ class SlopeEstimate:
     stderr: float
     n_points: int
     rho_db_used: tuple
-    method: str | None = None
 
 
 @dataclass
@@ -281,22 +281,26 @@ def estimate_diversity_slope(records, min_errors: int = 50,
     resid = y - (ybar + slope * (x - xbar))
     dof = len(use) - 2
     stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
-    methods = {rec.method for rec in use}
     return SlopeEstimate(d_hat=slope, stderr=stderr, n_points=len(use),
-                         rho_db_used=tuple(rec.rho_db for rec in use),
-                         method=methods.pop() if len(methods) == 1 else None)
+                         rho_db_used=tuple(rec.rho_db for rec in use))
 
 
-def run_sweep(config: SweepConfig, cell_runner=None) -> SweepResult:
+def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
-    `cell_runner` lets the CLI substitute a parallel map over signal
-    levels; results are identical either way because each cell's trials
-    are keyed by (seed, rho, r, trial) alone."""
-    if cell_runner is None:
+    `workers` > 1 spreads the signal levels over a process pool, at most
+    one process per level.  Records are identical either way: a cell's
+    trials are keyed by (seed, rho, r, trial) alone, and cells are
+    collected in grid order.  Raises ValueError when `workers` < 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         per_rho = [sweep_cell(config, rho_db) for rho_db in config.rho_db]
     else:
-        per_rho = cell_runner(config)
+        # Imported here so that `import latdec` does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(workers, len(config.rho_db))) as pool:
+            per_rho = list(pool.map(sweep_cell, repeat(config), config.rho_db))
     records = [rec for cell in per_rho for rec in cell]
     slopes = {}
     for method in config.methods:

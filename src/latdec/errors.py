@@ -7,7 +7,6 @@ from plain bugs.
 
 __all__ = [
     "LatdecError",
-    "NotSymmetric",
     "NotPositiveDefinite",
     "RankDeficient",
     "SingularTriangular",
@@ -23,10 +22,6 @@ __all__ = [
 
 class LatdecError(Exception):
     """Base class for all deliberate toolkit errors."""
-
-
-class NotSymmetric(LatdecError):
-    """Matrix expected to be symmetric is not (beyond tolerance)."""
 
 
 class NotPositiveDefinite(LatdecError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .numkernel import as_matrix, as_vector, qr_decompose, solve_upper_triangular
+from .numkernel import as_matrix, as_vector, qr_decompose
 
 __all__ = [
     "ShapingRegion",
@@ -82,19 +82,16 @@ class ShapingRegion:
     def ball(cls, radius: float) -> "ShapingRegion":
         return cls(kind="ball", radius=float(radius))
 
-    def contains(self, x, slack: float = MEMBERSHIP_SLACK) -> bool:
+    def contains(self, x):
+        """Membership of one point (a bool) or of each row of an (N, n) stack."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "box":
             if x.shape[-1] != self.half_widths.shape[0]:
                 raise ValueError("point dimension does not match box")
-            return bool(np.all(np.abs(x) <= self.half_widths + slack))
-        return bool(math.sqrt(float(x @ x)) <= self.radius + slack)
-
-    def contains_many(self, pts: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> np.ndarray:
-        """Vectorized membership for an (N, n) array of points."""
-        if self.kind == "box":
-            return np.all(np.abs(pts) <= self.half_widths + slack, axis=1)
-        return np.sqrt(np.sum(pts * pts, axis=1)) <= self.radius + slack
+            inside = np.all(np.abs(x) <= self.half_widths + MEMBERSHIP_SLACK, axis=-1)
+        else:
+            inside = np.sqrt(np.sum(x * x, axis=-1)) <= self.radius + MEMBERSHIP_SLACK
+        return bool(inside) if inside.ndim == 0 else inside
 
     def bounding_half_widths(self, n: int) -> np.ndarray:
         """Half-widths of the smallest axis-aligned box containing R."""
@@ -177,12 +174,6 @@ def scaling_factor(rho: float, r: float, t: int, n: int, integer_nesting: bool =
     return float(rho ** (-r * t / n))
 
 
-def _inverse_from_qr(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square full-rank matrix via its QR factors."""
-    q, r = qr_decompose(m)
-    return solve_upper_triangular(r, q.T)
-
-
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray, budget: int):
     """Yield (chunk of integer vectors) covering the box [lo, hi], in
     odometer order, without materializing more than ~2^18 rows at once."""
@@ -217,7 +208,7 @@ def enumerate_codebook(design: LatticeDesign, phi: float,
     n = design.dimension
     u = design.dither_or_zero()
     a = phi * g
-    ainv = _inverse_from_qr(a)
+    ainv = np.linalg.inv(a)
     hw = design.region.bounding_half_widths(n)
     center = -ainv @ u
     spread = np.abs(ainv) @ hw
@@ -227,7 +218,7 @@ def enumerate_codebook(design: LatticeDesign, phi: float,
     kept_z = []
     for z in _iter_integer_box(lo, hi, budget):
         pts = z.astype(np.float64) @ a.T + u
-        mask = design.region.contains_many(pts)
+        mask = design.region.contains(pts)
         if np.any(mask):
             kept_pts.append(pts[mask])
             kept_z.append(z[mask])

@@ -6,7 +6,8 @@ condition number, and triangular solves.  Each is a thin wrapper around
 numpy.linalg (LAPACK) that adds this package's error contract as checks on
 the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
 (RankDeficient) and a diagonal floor on triangular solves
-(SingularTriangular).
+(SingularTriangular).  `cholesky_upper` does not test symmetry: every
+caller symmetrizes the Gram matrix it forms just before the call.
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
 The kernels coerce with np.asarray and scan nothing: NaN/Inf entries are
@@ -23,12 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    NotPositiveDefinite,
-    NotSymmetric,
-    RankDeficient,
-    SingularTriangular,
-)
+from .errors import NotPositiveDefinite, RankDeficient, SingularTriangular
 
 __all__ = [
     "as_matrix",
@@ -64,18 +60,15 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 def cholesky_upper(a) -> np.ndarray:
     """Factor a symmetric positive definite A as U^T U with U upper
-    triangular and positive diagonal.
+    triangular and positive diagonal.  Only the lower triangle of A is read.
 
-    Raises NotSymmetric if A is asymmetric beyond 1e-10 relative, and
-    NotPositiveDefinite if any pivot U_ii^2 falls below 1e-14 * trace(A)/n.
+    Raises NotPositiveDefinite if any pivot U_ii^2 falls below
+    1e-14 * trace(A)/n.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    fro = math.sqrt(float(np.sum(a * a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * (1.0 + fro):
-        raise NotSymmetric("A is not symmetric within 1e-10 relative")
     try:
         u = np.linalg.cholesky(a).T
     except np.linalg.LinAlgError as exc:

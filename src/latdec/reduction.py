@@ -62,7 +62,6 @@ class ReducedBasis:
     r: np.ndarray              # (n, n) upper-triangular factor, positive diagonal
     iterations: int            # swap steps performed
     size_reductions: int       # nonzero size-reduction steps
-    delta: float
 
 
 @dataclass
@@ -155,8 +154,7 @@ def lll_reduce(m, delta: float = 0.75,
                 size_reduce(k, j)
             k += 1
     return ReducedBasis(reduced=m @ z, unimodular=z, q=q, r=r,
-                        iterations=swaps, size_reductions=size_reds,
-                        delta=delta)
+                        iterations=swaps, size_reductions=size_reds)
 
 
 def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from latdec import dmtsim
 from latdec.cli import main
 
 TINY = """
@@ -220,3 +221,39 @@ def test_dry_run_rejects_ofdm_duration_not_multiple_of_tones(tmp_path, capsys):
     code, out = dry_run_exit(tmp_path, capsys, text)
     assert code == 1
     assert "multiple of the tone count" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "abc"], ["--workers", "-3"], ["--workers", "0"], ["--bogus"]],
+    ids=["bad-seed", "negative-workers", "zero-workers", "unknown-flag"])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    code = main(["sweep", write_config(tmp_path), "--dry-run", *argv])
+    assert code == 1
+    out = capsys.readouterr()
+    assert "usage:" in out.err and "config ok" not in out.out
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    cells = []
+    monkeypatch.setattr(dmtsim, "sweep_cell",
+                        lambda *args: cells.append(args) or [])
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code = main(["sweep", write_config(tmp_path), "--out", str(taken)])
+    assert code == 1
+    assert cells == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("poison", ["typo", "reduction-bound", "lll"])
+def test_poison_must_target_a_suite_that_runs(capsys, poison):
+    code = main(["validate", "--suite", "metric-identity", "--poison", poison])
+    assert code == 1
+    out = capsys.readouterr()
+    assert "error" in out.err and '"passed"' not in out.out

@@ -1,6 +1,7 @@
 """Monte Carlo engine: interval math, slope fits on exact power laws,
 paired randomness across methods, outage estimation, reference curves."""
 
+import concurrent.futures
 import math
 import sys
 
@@ -101,7 +102,6 @@ def test_slope_exact_power_law():
     assert est.stderr == pytest.approx(0.0, abs=1e-7)
     assert est.n_points == 3
     assert est.rho_db_used == (10.0, 20.0, 30.0)
-    assert est.method == "ml"
 
 
 def test_slope_uses_top_cells_only():
@@ -210,12 +210,28 @@ def test_run_sweep_records_and_slopes():
         assert 0.2 < est.d_hat < 3.0
 
 
-def test_run_sweep_custom_cell_runner_matches_serial():
-    cfg = rayleigh_config(methods=("ml",))
+def test_run_sweep_workers_match_serial():
+    cfg = rayleigh_config(methods=("ml", "lr_linear"), rho_db=(10.0, 14.0, 18.0))
     serial = run_sweep(cfg)
-    swapped = run_sweep(cfg, cell_runner=lambda c: [sweep_cell(c, db)
-                                                   for db in c.rho_db])
-    assert serial.records == swapped.records
+    pooled = run_sweep(cfg, workers=2)
+    assert pooled.records == serial.records
+    assert pooled.slopes == serial.slopes
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(cfg, workers=0)
+
+
+def test_run_sweep_pool_has_at_most_one_worker_per_level(monkeypatch):
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = rayleigh_config(rho_db=(10.0, 14.0))
+    assert run_sweep(cfg, workers=64).records == run_sweep(cfg).records
+    assert sizes == [2]
 
 
 def test_run_sweep_insufficient_data_slope_is_none():

@@ -56,6 +56,18 @@ def test_region_membership():
     assert ball.contains([2.0, 0.0])
     assert not ball.contains([1.5, 1.5])
 
+    # A stack gets the per-point answers, boundary points included.
+    stack = np.array([[1.0, -2.0], [1.1, 0.0], [2.0, 0.0], [0.0, -2.0],
+                      [1.5, 1.5], [-1.0, 2.0 + 1e-13], [0.3, 0.4]])
+    for region in (box, ball):
+        got = region.contains(stack)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert got.tolist() == [region.contains(p) for p in stack]
+    assert box.contains(stack).tolist() == [True, False, False, True,
+                                            False, True, True]
+    assert ball.contains(stack).tolist() == [False, True, True, True,
+                                             False, False, True]
+
     with pytest.raises(ValueError):
         ShapingRegion.box([1.0, -1.0])
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from latdec.errors import (
     NotPositiveDefinite,
-    NotSymmetric,
     RankDeficient,
     SingularTriangular,
 )
@@ -67,11 +66,6 @@ def test_cholesky_matches_numpy():
         assert np.allclose(u.T, ref, rtol=1e-10, atol=1e-10)
         assert np.allclose(u.T @ u, a, rtol=1e-12, atol=1e-12)
         assert np.all(np.diag(u) > 0)
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        cholesky_upper(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_cholesky_rejects_indefinite():
