@@ -79,6 +79,16 @@ def write_slopes_json(path: str, slopes: dict) -> None:
         fh.write("\n")
 
 
+def _unwritable(path: str) -> str | None:
+    """Why the file at `path` cannot be written, or None."""
+    if os.path.isdir(path):
+        return "is a directory"
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.access(target, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _cmd_sweep(args) -> int:
     config = load_experiment(args.config, seed_override=args.seed)
     n_cells = len(config.rho_db) * len(config.methods)
@@ -91,10 +101,23 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
+    csv_path, json_path, slopes_path = (
+        os.path.join(args.out, name)
+        for name in ("results.csv", "results.json", "slopes.json"))
+    # Every output path is checked before the first trial runs.
+    for path in (csv_path, json_path, slopes_path):
+        reason = _unwritable(path)
+        if reason:
+            print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+            return 1
     result = dmtsim.run_sweep(config, workers=args.workers)
-    write_results_csv(os.path.join(args.out, "results.csv"), result.records)
-    write_results_json(os.path.join(args.out, "results.json"), result.records)
-    write_slopes_json(os.path.join(args.out, "slopes.json"), result.slopes)
+    try:
+        write_results_csv(csv_path, result.records)
+        write_results_json(json_path, result.records)
+        write_slopes_json(slopes_path, result.slopes)
+    except OSError as exc:
+        print(f"error: cannot write results: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {n_cells} cells to {args.out}")
     print("method          slope    stderr   points")
     for method in config.methods:
@@ -151,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the experiment seed")
     p_sweep.add_argument("--workers", type=positive_int, default=1,
-                         help="parallel worker processes over signal levels")
+                         help="worker processes running blocks of trials "
+                              "(at most one per signal level)")
     p_sweep.add_argument("--dry-run", action="store_true",
                          help="validate the file and print the cell count")
     p_sweep.set_defaults(func=_cmd_sweep)

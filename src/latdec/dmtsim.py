@@ -7,8 +7,14 @@ codeword, and noise from a counter-based stream keyed by
 deliberately left out of the key, so every method at a given signal
 level faces the identical sequence of trials.  That makes paired
 comparisons (exact vs approximate decoders, outage vs error rate) exact
-and keeps every record bit-reproducible no matter how cells are
+and keeps every record bit-reproducible no matter how trials are
 scheduled.
+
+`sweep_cell` runs one block of trials at one signal level and returns
+its `BlockTally`; a whole cell is the one-block case.  A pooled
+`run_sweep` cuts every level into blocks, runs them in worker processes
+and scans each level's blocks in trial order, so that every method stops
+at exactly the trial where a serial run stops it.
 
 The diversity slope is the least-squares slope of -log10(error rate)
 against log10(rho) over the top qualifying signal levels.
@@ -17,15 +23,13 @@ against log10(rho) over the top qualifying signal levels.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .channels import ChannelConfig, trial_rng
 from .decoders import METHOD_NAIVE, METHODS, DecodeGate, detect, prepare
-from .errors import InsufficientData
+from .errors import InsufficientData, LatdecError
 from .lattice import LatticeDesign
 from .numkernel import cholesky_upper
 
@@ -39,6 +43,7 @@ __all__ = [
     "estimate_outage_probability",
     "estimate_diversity_slope",
     "run_sweep",
+    "BlockTally",
     "sweep_cell",
     "dmt_reference_breakpoints",
     "dmt_reference_value",
@@ -49,6 +54,11 @@ _KIND_ERROR = 0
 _KIND_OUTAGE = 1
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+#: Trials per block, and blocks in flight per process, of a pooled sweep.
+#: Records do not depend on either.
+BLOCK_TRIALS = 256
+BLOCKS_PER_WORKER = 2
 
 
 @dataclass
@@ -188,47 +198,108 @@ def _key_from_float(x: float) -> int:
     return int(round(float(x) * 1_000_000)) & 0xFFFFFFFF
 
 
-def sweep_cell(config: SweepConfig, rho_db: float) -> list:
-    """All methods of one signal level: each trial's draw and channel
-    stage are shared by every method still running, and each method
-    stops at its own error count."""
+@dataclass
+class BlockTally:
+    """What one block of trials [start, stop) at one signal level saw.
+
+    `trials[method]` counts the trials the method ran from `start` (always
+    a prefix of the block) and `errors[method]` lists the (trial, outcome
+    kind) of each of its errors.  `failures` lists each `LatdecError` the
+    block caught as (trial, method, error), in serial order; method None
+    marks a failure of the cell set-up or of the trial draw, which ends
+    the block."""
+
+    rho_db: float
+    r: float
+    start: int
+    stop: int
+    trials: dict
+    errors: dict
+    failures: list
+
+    @classmethod
+    def empty(cls, config: SweepConfig, rho_db: float, start: int,
+              stop: int) -> "BlockTally":
+        return cls(rho_db=float(rho_db), r=float(config.r), start=start, stop=stop,
+                   trials=dict.fromkeys(config.methods, 0),
+                   errors={m: [] for m in config.methods}, failures=[])
+
+    def records(self) -> list:
+        """One `ErrorRateRecord` per method that ran a trial."""
+        rho = 10.0 ** (self.rho_db / 10.0)
+        records = []
+        for method, trials in self.trials.items():
+            if not trials:
+                continue
+            kinds = [kind for _, kind in self.errors[method]]
+            errors = len(kinds)
+            lo, hi = wilson_interval(errors, trials)
+            records.append(ErrorRateRecord(
+                rho_db=self.rho_db, rho_linear=rho, r=self.r, method=method,
+                trials=trials, errors=errors, oob=kinds.count("out_of_codebook"),
+                timeouts=kinds.count("timeout"), p_hat=errors / trials,
+                ci_lo=lo, ci_hi=hi))
+        return records
+
+
+def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
+               stop: int | None = None, budgets: dict | None = None) -> BlockTally:
+    """Trials [start, stop) of one signal level (stop defaults to
+    max_trials): each trial's draw and channel stage are shared by every
+    method still running, and a method stops once its errors in this
+    block reach its budget.
+
+    With `budgets` None every method's budget is min_errors and the block
+    is a whole cell from trial 0: it is the serial run, and a
+    `LatdecError` is raised where it occurs.  With explicit budgets (a
+    method with budget 0 does not run), a `LatdecError` is caught and
+    listed in the tally instead, for the caller to raise or not: a method
+    that fails stops, and a failed draw ends the block."""
+    stop = config.max_trials if stop is None else stop
+    exact = budgets is None
+    if exact:
+        budgets = dict.fromkeys(config.methods, config.min_errors)
+    tally = BlockTally.empty(config, rho_db, start, stop)
+    active = [m for m in config.methods if budgets[m] > 0]
     rho = 10.0 ** (float(rho_db) / 10.0)
     rho_key, r_key = _key_from_float(rho_db), _key_from_float(config.r)
 
     def stream(trial: int, *sub: int):
         return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
 
-    draw_trial = config.channel.trial_sampler(config.design, rho, config.r, stream,
-                                              integer_nesting=config.integer_nesting)
-    gate = config.gate()
-    state = {m: Counter() for m in config.methods}
-
-    for trial in range(config.max_trials):
-        active = [m for m, st in state.items() if st["errors"] < config.min_errors]
-        if not active:
-            break
-        draw = draw_trial(trial)
-        stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
-                        gate=gate, codebook=draw.codebook,
-                        node_budget=config.node_budget)
-        for method in active:
-            outcome = detect(stage, method)
-            st = state[method]
-            st["trials"] += 1
-            st["errors"] += not draw.decoded_by(outcome)
-            st["oob"] += outcome.kind == "out_of_codebook"
-            st["timeouts"] += outcome.kind == "timeout"
-
-    records = []
-    for method, st in state.items():
-        trials = st["trials"]
-        lo, hi = wilson_interval(st["errors"], trials)
-        records.append(ErrorRateRecord(
-            rho_db=float(rho_db), rho_linear=rho, r=float(config.r),
-            method=method, trials=trials, errors=st["errors"], oob=st["oob"],
-            timeouts=st["timeouts"], p_hat=st["errors"] / trials,
-            ci_lo=lo, ci_hi=hi))
-    return records
+    trial = start
+    try:
+        draw_trial = config.channel.trial_sampler(
+            config.design, rho, config.r, stream,
+            integer_nesting=config.integer_nesting)
+        gate = config.gate()
+        for trial in range(start, stop):
+            if not active:
+                break
+            draw = draw_trial(trial)
+            stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
+                            rho=rho, gate=gate, codebook=draw.codebook,
+                            node_budget=config.node_budget)
+            for method in tuple(active):
+                try:
+                    outcome = detect(stage, method)
+                except LatdecError as exc:
+                    if exact:
+                        raise
+                    tally.failures.append((trial, method, exc))
+                    active.remove(method)
+                    continue
+                tally.trials[method] += 1
+                if not draw.decoded_by(outcome):
+                    errors = tally.errors[method]
+                    errors.append((trial, outcome.kind))
+                    if len(errors) >= budgets[method]:
+                        active.remove(method)
+    except LatdecError as exc:
+        if exact:
+            raise
+        tally.failures.append((trial, None, exc))
+    return tally
 
 
 def estimate_outage_probability(rho: float, rate_bits: float, t: int,
@@ -285,22 +356,131 @@ def estimate_diversity_slope(records, min_errors: int = 50,
                          rho_db_used=tuple(rec.rho_db for rec in use))
 
 
+class _CellScan:
+    """The pool's view of one signal level: the blocks submitted so far,
+    and the blocks scanned in trial order into one whole-cell tally in
+    which each method is cut at its min_errors-th error."""
+
+    def __init__(self, config: SweepConfig, rho_db: float):
+        self.config = config
+        self.tally = BlockTally.empty(config, rho_db, 0, 0)
+        self.submitted = 0      # trials [0, submitted) are in blocks;
+                                # the tally holds [0, tally.stop)
+        self.waiting = {}       # block start -> BlockTally not yet scanned
+        self.failure = None     # the LatdecError the serial run raises here
+        self.closed = False
+
+    def running(self, method: str) -> bool:
+        return len(self.tally.errors[method]) < self.config.min_errors
+
+    def wants_block(self) -> bool:
+        return not self.closed and self.submitted < self.config.max_trials
+
+    def next_block(self) -> tuple:
+        """(start, stop, budgets) of the next block: each budget is the
+        errors a method still needs after the scanned trials, an upper
+        bound on what it needs after `start`."""
+        start = self.submitted
+        self.submitted = min(start + BLOCK_TRIALS, self.config.max_trials)
+        budgets = {m: self.config.min_errors - len(self.tally.errors[m])
+                   for m in self.config.methods}
+        return start, self.submitted, budgets
+
+    def receive(self, block: BlockTally) -> None:
+        """Scan every block that now joins the scanned prefix; close the
+        cell once no method runs past it, or at the first failure the
+        serial run raises."""
+        self.waiting[block.start] = block
+        while not self.closed and self.tally.stop in self.waiting:
+            block = self.waiting.pop(self.tally.stop)
+            for method in self.config.methods:
+                if not self.running(method):
+                    continue
+                errors = self.tally.errors[method]
+                errors += block.errors[method][:self.config.min_errors - len(errors)]
+                self.tally.trials[method] = (
+                    errors[-1][0] + 1 if not self.running(method)
+                    else block.start + block.trials[method])
+            for trial, method, exc in block.failures:
+                # Each failure ends its method's run in the block (a draw
+                # failure every method's): the serial run reaches it iff
+                # that method, or for a draw any method, still runs.
+                if any(self.running(m) for m in
+                       (self.config.methods if method is None else (method,))):
+                    self.failure = exc
+                    self.closed = True
+                    break
+            else:
+                self.tally.stop = block.stop
+                self.closed = (block.stop == self.config.max_trials
+                               or not any(map(self.running, self.config.methods)))
+
+
+def _pooled_cells(config: SweepConfig, workers: int) -> list:
+    """Records of every signal level, from blocks of BLOCK_TRIALS trials
+    run in a pool of at most one process per level, with up to
+    BLOCKS_PER_WORKER blocks in flight per process.  Raises the first
+    failure in serial order (level, then trial, then method)."""
+    # Imported here so that `import latdec` does not load multiprocessing.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
+    processes = min(workers, len(cells))
+    in_flight = {}  # future -> _CellScan
+    pool = ProcessPoolExecutor(processes)
+    try:
+        while True:
+            open_cells = [cell for cell in cells if cell.wants_block()]
+            while open_cells and len(in_flight) < BLOCKS_PER_WORKER * processes:
+                cell = min(open_cells,
+                           key=lambda c: sum(v is c for v in in_flight.values()))
+                # Blocks go out through the module-level name, so a
+                # rebinding of `sweep_cell` runs in the workers.
+                future = pool.submit(sweep_cell, config, cell.tally.rho_db,
+                                     *cell.next_block())
+                in_flight[future] = cell
+                if not cell.wants_block():
+                    open_cells.remove(cell)
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                cell = in_flight.pop(future)
+                # A closed level's late blocks lie past its stopping trial
+                # or above a failed level: the serial run never runs them.
+                if not cell.closed:
+                    cell.receive(future.result())
+                    if cell.failure is not None:
+                        # The serial run stops here: no higher level matters.
+                        for higher in cells[cells.index(cell) + 1:]:
+                            higher.closed = True
+            for future, cell in list(in_flight.items()):
+                if cell.closed and future.cancel():
+                    del in_flight[future]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for cell in cells:
+        if cell.failure is not None:
+            raise cell.failure
+    return [cell.tally.records() for cell in cells]
+
+
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
-    `workers` > 1 spreads the signal levels over a process pool, at most
-    one process per level.  Records are identical either way: a cell's
-    trials are keyed by (seed, rho, r, trial) alone, and cells are
-    collected in grid order.  Raises ValueError when `workers` < 1."""
+    With `workers` = 1 each signal level is one `sweep_cell` call, in
+    grid order.  With `workers` > 1 every level is cut into blocks of
+    trials that a process pool (at most one process per level) runs in
+    any order; the blocks of a level are scanned in trial order, and each
+    method is cut at its min_errors-th error or at max_trials.  Records,
+    and the failure raised if any, are identical either way: a trial is
+    keyed by (seed, rho, r, trial) alone.  Raises ValueError when
+    `workers` < 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
-        per_rho = [sweep_cell(config, rho_db) for rho_db in config.rho_db]
+        per_rho = [sweep_cell(config, rho_db).records() for rho_db in config.rho_db]
     else:
-        # Imported here so that `import latdec` does not load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(workers, len(config.rho_db))) as pool:
-            per_rho = list(pool.map(sweep_cell, repeat(config), config.rho_db))
+        per_rho = _pooled_cells(config, workers)
     records = [rec for cell in per_rho for rec in cell]
     slopes = {}
     for method in config.methods:

@@ -105,7 +105,7 @@ def vblast_config():
 def pilot_run():
     t0 = time.time()
     cfg = pilot_config()
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, workers=2)
     return cfg, result, time.time() - t0
 
 
@@ -113,7 +113,7 @@ def pilot_run():
 def vblast_run():
     t0 = time.time()
     cfg = vblast_config()
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, workers=2)
     return cfg, result, time.time() - t0
 
 
@@ -335,7 +335,7 @@ def test_criterion_07_regularization_benefit():
         seed=SEED,
         gate_alpha=base.gate_alpha,
     )
-    records = sweep_cell(cfg, 25.0)
+    records = sweep_cell(cfg, 25.0).records()
     naive = [r for r in records if r.method == "naive"][0]
     lr = [r for r in records if r.method == "lr_linear"][0]
     pooled = math.sqrt(binomial_stderr(naive) ** 2 + binomial_stderr(lr) ** 2)

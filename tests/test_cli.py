@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from latdec import dmtsim
+from latdec import cli, dmtsim
 from latdec.cli import main
 
 TINY = """
@@ -249,6 +249,32 @@ def test_unusable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch):
     assert cells == []
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "not a directory"
+
+
+def test_unwritable_output_file_fails_before_any_block(tmp_path, capsys, monkeypatch):
+    blocks = []
+    monkeypatch.setattr(dmtsim, "sweep_cell",
+                        lambda *args: blocks.append(args) or [])
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)
+    for workers in ("1", "2"):
+        code = main(["sweep", write_config(tmp_path), "--out", str(out),
+                     "--workers", workers])
+        assert code == 1
+        assert blocks == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "results.csv" in err
+    assert sorted(os.listdir(out)) == ["results.csv"]
+
+
+def test_write_failure_after_the_sweep_exits_1(tmp_path, capsys, monkeypatch):
+    def full_disk(path, records):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "write_results_csv", full_disk)
+    code = main(["sweep", write_config(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("poison", ["typo", "reduction-bound", "lll"])

@@ -34,7 +34,7 @@ from latdec.dmtsim import (
     sweep_cell,
     wilson_interval,
 )
-from latdec.errors import InsufficientData
+from latdec.errors import InsufficientData, NearSingularChannel
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
 
 
@@ -167,8 +167,8 @@ def test_sweep_config_validation():
 
 def test_cell_determinism():
     cfg = rayleigh_config(methods=("ml", "lr_linear"))
-    a = sweep_cell(cfg, 10.0)
-    b = sweep_cell(cfg, 10.0)
+    a = sweep_cell(cfg, 10.0).records()
+    b = sweep_cell(cfg, 10.0).records()
     assert a == b
 
 
@@ -176,8 +176,8 @@ def test_methods_share_trials_regardless_of_grouping():
     # A method's record must be bit-identical whether it runs alone or
     # alongside others: trial randomness is keyed by (seed, level, rate,
     # trial index) and never by the method set.
-    joint = sweep_cell(rayleigh_config(methods=("ml", "reg_exact")), 10.0)
-    [alone] = sweep_cell(rayleigh_config(methods=("ml",)), 10.0)
+    joint = sweep_cell(rayleigh_config(methods=("ml", "reg_exact")), 10.0).records()
+    [alone] = sweep_cell(rayleigh_config(methods=("ml",)), 10.0).records()
     ml_joint = [rec for rec in joint if rec.method == "ml"][0]
     assert ml_joint == alone
 
@@ -189,7 +189,7 @@ def test_noiseless_fixed_channel_never_errs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml", "reg_exact"),
                       rho_db=(10.0, 20.0), r=0.0, min_errors=20,
                       max_trials=300, seed=3)
-    recs = sweep_cell(cfg, 10.0)
+    recs = sweep_cell(cfg, 10.0).records()
     for rec in recs:
         assert rec.errors == 0
         assert rec.trials == 300          # stopping never triggers
@@ -280,12 +280,12 @@ def test_arq_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml",),
                       rho_db=(6.0, 10.0), r=0.5, min_errors=20,
                       max_trials=400, seed=9)
-    recs = sweep_cell(cfg, 6.0)
+    recs = sweep_cell(cfg, 6.0).records()
     assert len(recs) == 1
     rec = recs[0]
     assert rec.trials >= rec.errors
     assert rec.method == "ml"
-    assert recs == sweep_cell(cfg, 6.0)     # deterministic
+    assert recs == sweep_cell(cfg, 6.0).records()     # deterministic
 
 
 def test_ofdm_sweep_cell_runs():
@@ -294,7 +294,7 @@ def test_ofdm_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml",),
                       rho_db=(6.0, 10.0), r=0.0, min_errors=20,
                       max_trials=400, seed=10)
-    rec = sweep_cell(cfg, 6.0)[0]
+    rec = sweep_cell(cfg, 6.0).records()[0]
     assert rec.trials >= 20 or rec.errors < 20
 
 
@@ -304,7 +304,7 @@ def test_naf_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml", "lr_linear"),
                       rho_db=(6.0, 10.0), r=0.0, min_errors=20,
                       max_trials=400, seed=12, gate_alpha=1.5)
-    recs = sweep_cell(cfg, 10.0)
+    recs = sweep_cell(cfg, 10.0).records()
     assert len(recs) == 2
     for rec in recs:
         assert rec.trials > 0
@@ -413,7 +413,7 @@ def test_sweep_cell_matches_per_method_reference(model):
     key = (dmtsim._key_from_float(rho_db), dmtsim._key_from_float(r))
     outcome = (_reference_arq_outcome if model == "mimo_arq"
                else _reference_plain_outcome)
-    records = sweep_cell(cfg, rho_db)
+    records = sweep_cell(cfg, rho_db).records()
     for rec in records:
         counts = {"trials": 0, "errors": 0, "oob": 0, "timeouts": 0}
         while counts["trials"] < cfg.max_trials and counts["errors"] < cfg.min_errors:
@@ -468,7 +468,7 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
                 if hasattr(module, checker):
                     monkeypatch.setattr(module, checker,
                                         counted("scan", getattr(module, checker)))
-    recs = sweep_cell(cfg, 14.0)
+    recs = sweep_cell(cfg, 14.0).records()
     assert all(rec.trials == 60 for rec in recs)
     assert calls["gdfe"] == 60 and calls["gate"] == 60
     # The stage's one RegularizedProblem checks its five arrays once.
@@ -499,3 +499,151 @@ def test_arq_sweep_applies_integer_nesting(monkeypatch):
     inverse = [1.0 / book.scale for book in books]
     assert inverse == [float(round(v)) for v in inverse]
     assert min(inverse) >= 1.0 and max(inverse) > 1.0
+
+
+def differential_config(model, **kw):
+    """All five methods on a DIFFERENTIAL_CASES model at two levels."""
+    chan, design, rho_db, r, alpha = DIFFERENTIAL_CASES[model]
+    settings = dict(methods=ALL_METHODS, rho_db=(rho_db, rho_db + 4.0), r=r,
+                    min_errors=20, max_trials=400, seed=5, gate_alpha=alpha)
+    settings.update(kw)
+    return SweepConfig(design=design, channel=chan, **settings)
+
+
+# Every model; plus a fixed trial count (min_errors out of reach) whose
+# max_trials is a multiple of none of the block sizes.
+POOLED_CASES = {model: (model, {}) for model in DIFFERENTIAL_CASES}
+POOLED_CASES["fixed_count"] = ("quasi_static_rayleigh",
+                               dict(min_errors=10**6, max_trials=50))
+
+
+def pooled_config(case):
+    model, settings = POOLED_CASES[case]
+    return differential_config(model, **settings)
+
+
+@pytest.fixture(scope="module")
+def serial_records():
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            cache[case] = run_sweep(pooled_config(case))
+        return cache[case]
+    return get
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, dmtsim.BLOCK_TRIALS])
+@pytest.mark.parametrize("case", sorted(POOLED_CASES))
+def test_pooled_blocks_match_serial(monkeypatch, serial_records, case, block):
+    # The pool cuts each level into blocks and runs them in any order;
+    # scanning them in trial order must give the serial records whatever
+    # the block size, including methods stopped by max_trials.
+    cfg = pooled_config(case)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
+    pooled = run_sweep(cfg, workers=2)
+    serial = serial_records(case)
+    assert pooled.records == serial.records
+    assert pooled.slopes == serial.slopes
+
+
+def test_pooled_method_stopping_on_block_boundary(monkeypatch, serial_records):
+    serial = serial_records("quasi_static_rayleigh").records
+    cfg = differential_config("quasi_static_rayleigh")
+    stop = min(rec.trials for rec in serial if rec.errors == cfg.min_errors)
+    # The stopping error is the last trial of a block, then the first.
+    for block in (stop, stop - 1):
+        monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
+        assert run_sweep(cfg, workers=2).records == serial
+
+
+def scan_every_block(cfg, rho_db, block):
+    """Every block of a level with the full budget min_errors, the most a
+    block can speculate, scanned last block first."""
+    scan = dmtsim._CellScan(cfg, rho_db)
+    budgets = dict.fromkeys(cfg.methods, cfg.min_errors)
+    for start in reversed(range(0, cfg.max_trials, block)):
+        scan.receive(sweep_cell(cfg, rho_db, start,
+                                min(start + block, cfg.max_trials), budgets))
+    assert scan.closed
+    return scan
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_CASES))
+def test_scan_of_speculative_blocks_matches_serial(model, serial_records):
+    cfg = differential_config(model)
+    for rho_db in cfg.rho_db:
+        scan = scan_every_block(cfg, rho_db, 32)
+        assert scan.failure is None
+        assert scan.tally.records() == [rec for rec in serial_records(model).records
+                                         if rec.rho_db == rho_db]
+
+
+def plant_failures(monkeypatch, plants):
+    """Raise NearSingularChannel at each (rho_db, trial, method) of
+    `plants`: in that method's detector, or for method None in the
+    trial's channel stage.  Forked pool workers inherit the patch."""
+    keys = {(dmtsim._key_from_float(rho_db), trial): (rho_db, method)
+            for rho_db, trial, method in plants}
+    current = {}
+
+    def keyed_rng(*key):
+        current["plant"] = keys.get((key[2], key[4]))
+        return trial_rng(*key)
+
+    def planted(method):
+        if current["plant"] is not None and current["plant"][1] == method:
+            raise NearSingularChannel(f"planted at {current['plant'][0]} dB, "
+                                      f"method {method}")
+
+    def planted_prepare(*args, **kwargs):
+        planted(None)
+        return decoders.prepare(*args, **kwargs)
+
+    def planted_detect(stage, method):
+        planted(method)
+        return decoders.detect(stage, method)
+
+    monkeypatch.setattr(dmtsim, "trial_rng", keyed_rng)
+    monkeypatch.setattr(dmtsim, "prepare", planted_prepare)
+    monkeypatch.setattr(dmtsim, "detect", planted_detect)
+
+
+# In the Rayleigh case at 12 dB `naive` stops after trial 59, `lr_linear`
+# after trial 52 and the level after trial 231 (`ml`); at 16 dB
+# `lr_linear` stops after trial 315 and `ml` runs all 400 trials.
+@pytest.mark.parametrize("plants", [
+    [(12.0, 70, "naive")], [(12.0, 300, None)],
+    [(12.0, 70, "naive"), (12.0, 300, None), (16.0, 330, "lr_linear")]],
+    ids=["method", "draw", "both-levels"])
+def test_failures_past_the_stopping_trial_are_never_raised(
+        monkeypatch, serial_records, plants):
+    serial = serial_records("quasi_static_rayleigh").records
+    cfg = differential_config("quasi_static_rayleigh")
+    plant_failures(monkeypatch, plants)
+    assert run_sweep(cfg).records == serial
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    assert run_sweep(cfg, workers=2).records == serial
+    scan = scan_every_block(cfg, 12.0, 7)
+    assert scan.failure is None
+    assert scan.tally.records() == serial[:len(cfg.methods)]
+
+
+@pytest.mark.parametrize("plants, raised", [
+    ([(12.0, 40, "naive")], "12.0 dB, method naive"),
+    ([(12.0, 100, None)], "12.0 dB, method None"),
+    # Serial order is level first: the lower level's later trial wins.
+    ([(16.0, 0, "ml"), (12.0, 40, "lr_linear"), (12.0, 70, "naive")],
+     "12.0 dB, method lr_linear")],
+    ids=["method", "draw", "lower-level-first"])
+def test_failures_before_the_stopping_trial_raise_as_serial(
+        monkeypatch, plants, raised):
+    cfg = differential_config("quasi_static_rayleigh")
+    plant_failures(monkeypatch, plants)
+    with pytest.raises(NearSingularChannel, match=raised):
+        run_sweep(cfg)
+    for block in (7, dmtsim.BLOCK_TRIALS):
+        monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
+        with pytest.raises(NearSingularChannel) as pooled:
+            run_sweep(cfg, workers=2)
+        assert str(pooled.value) == f"planted at {raised}"
