@@ -12,11 +12,18 @@ triangular form.  The penalty term makes the objective well posed even when
 H is singular, which is what separates the regularized decoders from the
 naive one: it searches the plain distance ||y - H x||^2 and ignores T.
 
-Methods: exhaustive ML over the finite codebook, the exact regularized
+Methods: exact ML over the finite codebook, the exact regularized
 sphere search, naive (unregularized) lattice decoding, and the two
 reduction-aided approximations (nearest-plane / successive cancellation,
 and componentwise rounding) whose metric blow-up is bounded by constants
 depending only on the dimension.
+
+ML scans the codebook (`ml_decode`) up to `ML_SCAN_MAX_POINTS` codewords.
+Above that it runs the sphere search on H (phi G), bounded to the
+codebook's integer coordinate box (a box-constrained Schnorr-Euchner
+search; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
+lattices", IEEE T-IT 2002), and hands the few codewords near the best to
+`ml_decode`, whose tie rule then returns the scan's codeword.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel
+from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel, RankDeficient
 from .lattice import (
     Codebook,
     LatticeDesign,
@@ -82,6 +89,15 @@ METHODS = (METHOD_ML, METHOD_NAIVE, METHOD_REG_EXACT, METHOD_LR_SIC,
 TIE_TOLERANCE = 1e-12
 
 DEFAULT_NODE_BUDGET = 10**8
+
+#: `detect` scans codebooks up to this size and searches larger ones; the
+#: two agree on every codeword they return, so records do not depend on it.
+ML_SCAN_MAX_POINTS = 4096
+
+#: The ML search keeps every codeword within this slack, relative to
+#: 1 + ||y - H u||^2, of the nearest; far above roundoff, so the scan's
+#: tie rule sees every codeword that can win.
+ML_TIE_SLACK = 1e-9
 
 
 @dataclass
@@ -240,6 +256,43 @@ def ml_decode(y, h, codebook: Codebook) -> DecodeOutcome:
                                   float(dists[idx]))
 
 
+def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
+    """`ml_decode` over a codebook too large to scan, by the box-bounded
+    sphere search.
+
+    The search runs on H (phi G) with target y - H u inside the codebook's
+    coordinate box, testing region membership at the leaf unless the box
+    is all codewords.  Every codeword within `ML_TIE_SLACK` of the nearest
+    goes, in the codebook's lexicographic order, to `ml_decode`, whose tie
+    rule then picks the scan's codeword.  A channel with fewer outputs than
+    inputs, or a rank-deficient one, is scanned.  `book` is the design's
+    codebook at the stage's scale."""
+    problem = stage.problem
+    m, n = problem.h.shape
+    lo, hi, full = book.coord_box()
+    region = stage.design.region
+    target = problem.y - problem.h @ problem.dither_or_zero()
+    leaves = []
+    if m >= n:
+        try:
+            leaves = _closest_point(
+                problem.h @ problem.scaled_generator, target, math.inf, box=(lo, hi),
+                slack=ML_TIE_SLACK * (1.0 + float(target @ target)),
+                accept=None if full else lambda z: region.contains(problem.point(z)))
+        except RankDeficient:
+            pass
+    if not leaves:
+        # A wide or rank-deficient channel, or (by roundoff alone) no
+        # codeword passing the leaf test.
+        return ml_decode(problem.y, problem.h, book)
+    zs = np.array([z for z, _ in leaves])
+    # The enumeration's own arithmetic and order (see enumerate_codebook).
+    pts = zs.astype(np.float64) @ problem.scaled_generator.T + problem.dither_or_zero()
+    order = np.lexsort(pts.T[::-1])
+    return ml_decode(problem.y, problem.h,
+                     Codebook(points=pts[order], coords=zs[order], scale=book.scale))
+
+
 def _babai_backsub(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
     """Nearest-plane integer coordinates by rounded back-substitution."""
     n = r.shape[0]
@@ -258,18 +311,33 @@ def _sign(x: float) -> float:
     return 0.0
 
 
-def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: int):
-    """Exact closest-vector search on an upper-triangular system.
+def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: float,
+                   box=None, slack: float = 0.0, accept=None) -> list:
+    """Exact closest-vector search on an upper-triangular system; returns
+    every accepted leaf (z, squared distance) within `slack` of the best.
 
     Depth-first with zig-zag child ordering around the rounded center;
     children are visited in nondecreasing cost, so the first over-radius
-    child prunes the whole level.  The search radius starts at the
-    nearest-plane metric, which keeps the tree nonempty."""
+    child prunes the whole level.  Unbounded, the search radius starts at
+    the nearest-plane metric, which keeps the tree nonempty, and with no
+    slack the one nearest leaf comes back.  With `box` = (lo, hi), the
+    integer bounds of each level, the zig-zag skips children outside
+    [lo_i, hi_i] and goes on along the other side, and the radius starts
+    infinite, since the nearest-plane point may lie outside the box.
+    `accept(z)` may reject a leaf, which then neither counts nor shrinks
+    the radius."""
     n = r.shape[0]
-    zb = _babai_backsub(r, ytil)
-    resid = ytil - r @ zb
-    best_metric = float(resid @ resid)
-    best_z = zb.copy()
+    bounded = box is not None
+    if bounded:
+        lo, hi = box
+        best = math.inf
+        leaves = []
+    else:
+        zb = _babai_backsub(r, ytil)
+        resid = ytil - r @ zb
+        best = float(resid @ resid)
+        leaves = [(zb, best)]
+    radius = best + slack
 
     z = np.zeros(n)
     step = np.zeros(n)
@@ -282,6 +350,8 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: int):
     dist_above[i] = 0.0
     center = partial[i] / r[i, i]
     z[i] = round_half_away_from_zero(center)
+    if bounded:
+        z[i] = min(max(z[i], lo[i]), hi[i])
     step[i] = _sign(center - z[i]) or 1.0
 
     while True:
@@ -290,35 +360,47 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: int):
             raise EnumerationOverflow(f"sphere search exceeded {node_budget} nodes")
         diff = partial[i] - r[i, i] * z[i]
         cost = dist_above[i] + diff * diff
-        if cost < best_metric:
-            if i == 0:
-                best_metric = cost
-                best_z = z.copy()
-                z[i] += step[i]
-                step[i] = -step[i] - _sign(step[i])
-            else:
-                i -= 1
-                dist_above[i] = cost
-                partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
-                center = partial[i] / r[i, i]
-                z[i] = round_half_away_from_zero(center)
-                step[i] = _sign(center - z[i]) or 1.0
+        if bounded and not lo[i] <= z[i] <= hi[i]:
+            cost = math.inf    # both sides of this level have left the box
+        if cost < radius and i > 0:
+            i -= 1
+            dist_above[i] = cost
+            partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
+            center = partial[i] / r[i, i]
+            z[i] = round_half_away_from_zero(center)
+            if bounded:
+                z[i] = min(max(z[i], lo[i]), hi[i])
+            step[i] = _sign(center - z[i]) or 1.0
+            continue
+        if cost < radius:
+            if accept is None or accept(z):
+                leaves.append((z.copy(), cost))
+                if cost < best:
+                    best = cost
+                    radius = best + slack
         else:
             # Every further sibling at this level costs at least as much.
             i += 1
             if i == n:
                 break
+        z[i] += step[i]
+        step[i] = -step[i] - _sign(step[i])
+        if bounded and not lo[i] <= z[i] <= hi[i]:
+            # This side has left the box: take the other side's next child.
             z[i] += step[i]
             step[i] = -step[i] - _sign(step[i])
-    return best_z.astype(np.int64), best_metric
+    return [(zl.astype(np.int64), c) for zl, c in leaves if c <= best + slack]
 
 
-def _closest_point(basis: np.ndarray, target: np.ndarray, node_budget: int):
-    """(z, squared distance) of the lattice point `basis` @ z nearest to
-    `target`, distance taken within the basis's column space: QR of the
-    basis, the target rotated by Q^T, then sphere search."""
+def _closest_point(basis: np.ndarray, target: np.ndarray, node_budget: float,
+                   box=None, slack: float = 0.0, accept=None) -> list:
+    """Leaves (z, squared distance) of the lattice points `basis` @ z
+    nearest to `target`, distance taken within the basis's column space:
+    QR of the basis, the target rotated by Q^T, then sphere search (see
+    `_sphere_search` for the box, slack and leaf test)."""
     q, r = qr_decompose(basis)
-    return _sphere_search(r, q.T @ target, node_budget)
+    return _sphere_search(r, q.T @ target, node_budget, box=box, slack=slack,
+                          accept=accept)
 
 
 def sphere_decode_regularized(problem: RegularizedProblem,
@@ -326,7 +408,7 @@ def sphere_decode_regularized(problem: RegularizedProblem,
     """Exact minimizer of the regularized objective over the full (infinite)
     dithered lattice, via sphere search on the triangular form."""
     problem.prepared()
-    z, dist = _closest_point(problem.basis, problem.yprime, node_budget)
+    [(z, dist)] = _closest_point(problem.basis, problem.yprime, node_budget)
     return LatticeDecodeResult(coords=z, point=problem.point(z),
                                metric=dist + problem.gamma)
 
@@ -343,8 +425,8 @@ def naive_lattice_decode(problem: RegularizedProblem,
     hg = problem.h @ problem.scaled_generator
     if _min_singular_value(hg) < 1e-10:
         raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
-    z, _ = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero(),
-                          node_budget)
+    [(z, _)] = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero(),
+                              node_budget)
     point = problem.point(z)
     resid = problem.y - problem.h @ point
     return LatticeDecodeResult(coords=z, point=point, metric=float(resid @ resid))
@@ -449,7 +531,9 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
     problem = stage.problem
     if method == METHOD_ML:
         book = stage.codebook or enumerate_codebook(stage.design, stage.phi)
-        return ml_decode(problem.y, problem.h, book)
+        if book.size <= ML_SCAN_MAX_POINTS:
+            return ml_decode(problem.y, problem.h, book)
+        return _ml_search(stage, book)
     if method in (METHOD_NAIVE, METHOD_REG_EXACT):
         search = (naive_lattice_decode if method == METHOD_NAIVE
                   else sphere_decode_regularized)

@@ -1,13 +1,18 @@
 """Decoders: GDFE preprocessing identities, exact search against brute
-force, certified approximation ratios, and the one-shot pipeline."""
+force, certified approximation ratios, the one-shot pipeline, and ML by
+the box-bounded search against the exhaustive scan."""
 
 import dataclasses
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from latdec import SweepConfig, decoders, load_experiment, run_sweep
+from latdec.channels import ChannelConfig, NoiseModel, trial_rng
 from latdec.decoders import (
     DecodeGate,
     DecodeOutcome,
@@ -15,16 +20,25 @@ from latdec.decoders import (
     approximation_ratio,
     babai_nearest_plane,
     decode,
+    detect,
     lr_aided_linear,
     ml_decode,
     mmse_gdfe_filters,
     naive_lattice_decode,
+    prepare,
     regularized_metric,
     sphere_decode_regularized,
 )
 from latdec.errors import EnumerationOverflow, NearSingularChannel
-from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook
+from latdec.lattice import (
+    MEMBERSHIP_SLACK,
+    LatticeDesign,
+    ShapingRegion,
+    enumerate_codebook,
+)
 from latdec.reduction import lll_reduce
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def square_design(n, half_width=0.6, dither=0.5):
@@ -382,3 +396,175 @@ def test_timeout_outcome_shape():
     assert out.point is None and out.coords is None
     assert out.metric == math.inf
     assert not out.is_codeword
+
+
+# ML by the box-bounded search.  With ML_SCAN_MAX_POINTS at 0, `detect`
+# searches every codebook, so each case below compares the search with
+# the scan (`ml_decode`) on the same draw.
+
+def box_design(n, t=1, generator=None):
+    return LatticeDesign(generator=np.eye(n) if generator is None else generator,
+                         region=ShapingRegion.box(np.full(n, 0.6)),
+                         coding_duration=t, dither=np.full(n, 0.5))
+
+
+HEXAGONAL = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
+
+# name -> (channel, design, signal level dB, rate)
+ML_SEARCH_CASES = {
+    "rayleigh_t1": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+                    box_design(4), 12.0, 1.0),
+    "rayleigh_t2": (ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=2),
+                    box_design(4, t=2), 18.0, 0.5),
+    "rayleigh_wide": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=1),
+                      box_design(4), 14.0, 0.5),
+    "ofdm": (ChannelConfig(model="mimo_ofdm", nt=1, nr=1, tones=2, taps=2),
+             box_design(4, t=2), 14.0, 0.5),
+    "naf_relay": (ChannelConfig(model="naf_relay"), box_design(4, t=2), 20.0, 0.5),
+    "fixed": (ChannelConfig(model="fixed", h_real=np.array([[3.0, 1.8], [0.6, 2.4]])),
+              box_design(2), 8.0, 1.0),
+    "arq": (ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=2, arq_x_thresh=1.5,
+                          noise=NoiseModel(kind="self_interference", sigma_e=0.5)),
+            box_design(2), 20.0, 1.0),
+    "ball": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+             LatticeDesign(generator=np.eye(4), region=ShapingRegion.ball(1.8),
+                           dither=np.full(4, 0.5)), 16.0, 0.5),
+    "rotated_box": (ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=1),
+                    box_design(2, generator=HEXAGONAL), 14.0, 1.0),
+    "rotated_ball": (ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=1),
+                     LatticeDesign(generator=HEXAGONAL, region=ShapingRegion.ball(0.9)),
+                     14.0, 1.0),
+}
+
+
+@pytest.fixture
+def ml_search_everywhere(monkeypatch):
+    """Search every codebook; count the searches that reach the QR."""
+    monkeypatch.setattr(decoders, "ML_SCAN_MAX_POINTS", 0)
+    searches = []
+    closest = decoders._closest_point
+
+    def counted(*args, **kwargs):
+        searches.append(kwargs.get("box"))
+        return closest(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "_closest_point", counted)
+    return searches
+
+
+def assert_search_matches_scan(channel, design, rho_db, r, draws, seed):
+    """Search and scan agree on `draws` seeded draws of one cell."""
+    rho = 10.0 ** (rho_db / 10.0)
+    draw_trial = channel.trial_sampler(design, rho, r,
+                                       lambda t, *sub: trial_rng(seed, t, *sub))
+    for trial in range(draws):
+        draw = draw_trial(trial)
+        stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
+                        codebook=draw.codebook)
+        got = detect(stage, "ml")
+        want = ml_decode(draw.y, draw.h, draw.codebook)
+        assert np.array_equal(got.coords, want.coords), f"trial {trial}"
+        assert np.array_equal(got.point, want.point), f"trial {trial}"
+        assert abs(got.metric - want.metric) <= 1e-12 * abs(want.metric), f"trial {trial}"
+
+
+@pytest.mark.parametrize("name", sorted(ML_SEARCH_CASES))
+def test_ml_search_matches_scan_on_every_channel_model(name, ml_search_everywhere):
+    channel, design, rho_db, r = ML_SEARCH_CASES[name]
+    assert_search_matches_scan(channel, design, rho_db, r, draws=60, seed=41)
+    wide = name == "rayleigh_wide"  # fewer outputs than inputs: scanned
+    assert len(ml_search_everywhere) == (0 if wide else 60)
+
+
+def test_ml_search_matches_scan_on_every_rate_growth_cell(ml_search_everywhere, tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    config = load_experiment(str(workloads.write_config(
+        ROOT, workloads.WORKLOADS["rate_growth_2x2"], 7, tmp_path)))
+    for cell, rho_db in enumerate(config.rho_db):
+        assert_search_matches_scan(config.channel, config.design, rho_db, config.r,
+                                   draws=40, seed=config.seed + cell)
+    assert len(ml_search_everywhere) == 40 * len(config.rho_db)
+
+
+@pytest.mark.parametrize("dither, smallest", [(0.5, [-1, -1]), (-0.5, [0, 0])])
+def test_ml_search_breaks_exact_ties_like_the_scan(dither, smallest,
+                                                   ml_search_everywhere):
+    # y = 0 is equidistant from all four codewords (+-0.5, +-0.5); the
+    # scan's rule takes the lexicographically smallest point.  With
+    # dither -0.5 the search's first leaf is the largest, (0.5, 0.5).
+    design = square_design(2, dither=dither)
+    book = enumerate_codebook(design, phi=1.0)
+    out = decode(np.zeros(2), np.eye(2), design, 1.0, "ml", codebook=book)
+    assert np.array_equal(out.coords, smallest)
+    assert np.array_equal(out.point, [-0.5, -0.5])
+    assert out.metric == ml_decode(np.zeros(2), np.eye(2), book).metric
+    assert ml_search_everywhere
+
+
+@pytest.mark.parametrize("region, phi, corner", [
+    # 3 * 0.1 rounds above 0.3, and |0.19 * (3, 4)| above 0.95.
+    (ShapingRegion.box([0.3, 0.3]), 0.1, [3, 3]),
+    (ShapingRegion.ball(0.95), 0.19, [3, 4]),
+])
+def test_ml_search_keeps_codewords_on_the_boundary(region, phi, corner,
+                                                   ml_search_everywhere):
+    design = LatticeDesign(generator=np.eye(2), region=region)
+    point = phi * np.array(corner, dtype=np.float64)
+    if region.kind == "box":
+        size, bound = np.max(np.abs(point)), region.half_widths[0]
+    else:
+        size, bound = math.sqrt(point @ point), region.radius
+    assert bound < size <= bound + MEMBERSHIP_SLACK
+    book = enumerate_codebook(design, phi)
+    assert any(np.array_equal(z, corner) for z in book.coords)
+    y = 1.2 * point
+    out = decode(y, np.eye(2), design, phi, "ml", codebook=book)
+    assert np.array_equal(out.coords, corner)
+    assert np.array_equal(out.coords, ml_decode(y, np.eye(2), book).coords)
+    assert ml_search_everywhere
+
+
+@pytest.mark.parametrize("region, y, rejected", [
+    # Both fall 5e-10 short of admitting coordinate 2 (and (2, 1)), which
+    # the enumeration's 1e-9 bound slack still lists as a candidate.
+    (ShapingRegion.box([2.0 - 5e-10, 2.0 - 5e-10]), [2.4, 0.1], [2, 0]),
+    (ShapingRegion.ball(math.sqrt(5.0) - 5e-10), [2.2, 1.1], [2, 1]),
+])
+def test_ml_search_skips_candidates_the_region_rejects(region, y, rejected,
+                                                      ml_search_everywhere):
+    design = LatticeDesign(generator=np.eye(2), region=region)
+    book = enumerate_codebook(design, 1.0)
+    assert not any(np.array_equal(z, rejected) for z in book.coords)
+    out = decode(np.array(y), np.eye(2), design, 1.0, "ml", codebook=book)
+    want = ml_decode(np.array(y), np.eye(2), book)
+    assert np.array_equal(out.coords, want.coords)
+    assert not np.array_equal(out.coords, rejected)
+    assert ml_search_everywhere
+
+
+def test_ml_search_scans_a_rank_deficient_channel(ml_search_everywhere):
+    # QR refuses H (phi G) with a zero column; ML falls back to the scan.
+    design = square_design(2)
+    book = enumerate_codebook(design, phi=1.0)
+    h = np.array([[1.0, 0.0], [0.5, 0.0]])
+    y = np.array([0.4, 0.3])
+    out = decode(y, h, design, 1.0, "ml", codebook=book)
+    want = ml_decode(y, h, book)
+    assert np.array_equal(out.coords, want.coords)
+    assert out.metric == want.metric
+    assert ml_search_everywhere
+
+
+def test_ml_search_ignores_the_node_budget(ml_search_everywhere):
+    # The codebook's box bounds the search, so a one-node budget that
+    # would stop the regularized search leaves ML records unchanged.
+    kwargs = dict(design=box_design(4), methods=("ml",), rho_db=(10.0, 16.0), r=1.0,
+                  channel=ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+                  min_errors=20, max_trials=80, seed=3)
+    assert (run_sweep(SweepConfig(node_budget=1, **kwargs)).records
+            == run_sweep(SweepConfig(**kwargs)).records)
+    assert ml_search_everywhere

@@ -5,7 +5,11 @@ with two and three tones, the amplify-and-forward relay, the fixed channel,
 three-round ARQ with self-interference noise) and one Rayleigh sweep on
 Z^4 + 1/2 cut to a ball, each with all five methods, plus three benchmark
 workloads at benchmark seed 7, built from the files under perfbench/ the
-way the benchmark builds them.  A refactor of the channel layer, the stage
+way the benchmark builds them.  Two more sweeps (the ball at r = 1, and
+two-round ARQ at r = 1.5) have ML codebooks of 5168 to 38416 points, above
+`decoders.ML_SCAN_MAX_POINTS`: their hashes were recorded when the
+exhaustive scan still decided ML there, so they pin the box-bounded
+search to the scan's records.  A refactor of the channel layer, the stage
 or the detectors that moves one trial's outcome, one random draw or one
 printed digit changes a hash here.  No benchmark workload runs OFDM, the
 relay or the fixed channel, or classifies against a ball, so this file is
@@ -74,6 +78,18 @@ MODEL_SWEEPS = {
         _design(2), (18.0, 24.0, 30.0), 0.5, 1.0, "994e5097a1650183"),
 }
 
+# Sweeps whose ML codebooks all exceed ML_SCAN_MAX_POINTS, laid out as above.
+ML_SEARCH_SWEEPS = {
+    "rayleigh_ball_r1": (
+        ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+        LatticeDesign(generator=np.eye(4), region=ShapingRegion.ball(1.8),
+                      dither=np.full(4, 0.5)),  # 5168 to 33392 points
+        (20.0, 24.0, 28.0), 1.0, 0.6, "3091fd0d0f95ad79"),
+    "arq_2round_r15": (
+        ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=2, arq_x_thresh=1.5),
+        _design(2), (24.0, 26.0, 28.0), 1.5, 1.0, "8906e132547b4422"),
+}
+
 # benchmark workload -> hash at benchmark seed 7
 WORKLOAD_SWEEPS = {
     "fixed_count_2x2": "fc977c168a3e3925",
@@ -88,8 +104,8 @@ def _digest(records, tmp_path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def model_sweep_digest(name, tmp_path) -> str:
-    chan, design, rho_db, r, alpha, _ = MODEL_SWEEPS[name]
+def model_sweep_digest(sweep, tmp_path) -> str:
+    chan, design, rho_db, r, alpha, _ = sweep
     config = SweepConfig(design=design, channel=chan, methods=ALL_METHODS,
                          rho_db=rho_db, r=r, min_errors=20, max_trials=300,
                          seed=5, gate_alpha=alpha)
@@ -103,7 +119,13 @@ def workload_digest(name, tmp_path) -> str:
 
 @pytest.mark.parametrize("name", sorted(MODEL_SWEEPS))
 def test_channel_model_records_are_pinned(name, tmp_path):
-    assert model_sweep_digest(name, tmp_path) == MODEL_SWEEPS[name][-1]
+    assert model_sweep_digest(MODEL_SWEEPS[name], tmp_path) == MODEL_SWEEPS[name][-1]
+
+
+@pytest.mark.parametrize("name", sorted(ML_SEARCH_SWEEPS))
+def test_ml_search_records_are_pinned(name, tmp_path):
+    sweep = ML_SEARCH_SWEEPS[name]
+    assert model_sweep_digest(sweep, tmp_path) == sweep[-1]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SWEEPS))
