@@ -261,24 +261,33 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
     sphere search.
 
     The search runs on H (phi G) with target y - H u inside the codebook's
-    coordinate box, testing region membership at the leaf unless the box
-    is all codewords.  Every codeword within `ML_TIE_SLACK` of the nearest
-    goes, in the codebook's lexicographic order, to `ml_decode`, whose tie
-    rule then picks the scan's codeword.  A channel with fewer outputs than
-    inputs, or a rank-deficient one, is scanned.  `book` is the design's
-    codebook at the stage's scale."""
+    coordinate box and tests each leaf with the region, on the point the
+    enumeration's own expression gives.  Every codeword within
+    `ML_TIE_SLACK` of the nearest goes, in the codebook's lexicographic
+    order, to `ml_decode`, whose tie rule then picks the scan's codeword.
+    On a diagonal generator the leaf's point is exact, so the leaf test is
+    the enumeration's.  On a rotated one, BLAS may round one row apart from
+    the enumeration's stack of rows, so a codeword within that roundoff of
+    the region's boundary slack may be judged apart from the codebook.  A
+    channel with fewer outputs than inputs, or a rank-deficient one, is
+    scanned.  `book` is the design's codebook at the stage's scale."""
     problem = stage.problem
     m, n = problem.h.shape
-    lo, hi, full = book.coord_box()
+    a, u = problem.scaled_generator, problem.dither_or_zero()
     region = stage.design.region
-    target = problem.y - problem.h @ problem.dither_or_zero()
+
+    def points(zs):
+        # The enumeration's own arithmetic (see enumerate_codebook).
+        return zs.astype(np.float64) @ a.T + u
+
+    target = problem.y - problem.h @ u
     leaves = []
     if m >= n:
         try:
             leaves = _closest_point(
-                problem.h @ problem.scaled_generator, target, math.inf, box=(lo, hi),
+                problem.h @ a, target, math.inf, box=book.coord_box(),
                 slack=ML_TIE_SLACK * (1.0 + float(target @ target)),
-                accept=None if full else lambda z: region.contains(problem.point(z)))
+                accept=lambda z: region.contains(points(z[None, :]))[0])
         except RankDeficient:
             pass
     if not leaves:
@@ -286,8 +295,7 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
         # codeword passing the leaf test.
         return ml_decode(problem.y, problem.h, book)
     zs = np.array([z for z, _ in leaves])
-    # The enumeration's own arithmetic and order (see enumerate_codebook).
-    pts = zs.astype(np.float64) @ problem.scaled_generator.T + problem.dither_or_zero()
+    pts = points(zs)
     order = np.lexsort(pts.T[::-1])
     return ml_decode(problem.y, problem.h,
                      Codebook(points=pts[order], coords=zs[order], scale=book.scale))

@@ -38,12 +38,8 @@ def round_half_away_from_zero(x):
     """Round to nearest integer, ties away from zero (1.5 -> 2, -1.5 -> -2).
 
     This is the single rounding rule used everywhere a real coordinate is
-    quantized to the integer grid, so replays are bit-deterministic.  A
-    float comes back as a float, by the same operations without numpy's
-    per-call overhead.
+    quantized to the integer grid, so replays are bit-deterministic.
     """
-    if isinstance(x, float):
-        return math.copysign(math.floor(abs(x) + 0.5), x)
     x = np.asarray(x, dtype=np.float64)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
@@ -148,7 +144,7 @@ class Codebook:
     points: np.ndarray  # (N, n) float64, lexicographically sorted
     coords: np.ndarray  # (N, n) int64 lattice coordinates
     scale: float
-    # (lo, hi, full), set by coord_box() on first use.
+    # (lo, hi), set by coord_box() on first use.
     _box: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,15 +157,11 @@ class Codebook:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def coord_box(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(lo, hi, full): the smallest integer box lo <= z <= hi holding
-        every codeword's coordinates, and whether every integer vector in
-        it is a codeword (as for a box region on a diagonal generator).
-        Computed once per codebook."""
+    def coord_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the smallest integer box lo <= z <= hi holding every
+        codeword's coordinates.  Computed once per codebook."""
         if self._box is None:
-            lo = self.coords.min(axis=0)
-            hi = self.coords.max(axis=0)
-            self._box = (lo, hi, math.prod(int(k) for k in hi - lo + 1) == self.size)
+            self._box = (self.coords.min(axis=0), self.coords.max(axis=0))
         return self._box
 
 

@@ -505,15 +505,23 @@ def test_ml_search_breaks_exact_ties_like_the_scan(dither, smallest,
     assert ml_search_everywhere
 
 
-@pytest.mark.parametrize("region, phi, corner", [
+@pytest.mark.parametrize("generator, region, phi, corner", [
     # 3 * 0.1 rounds above 0.3, and |0.19 * (3, 4)| above 0.95.
-    (ShapingRegion.box([0.3, 0.3]), 0.1, [3, 3]),
-    (ShapingRegion.ball(0.95), 0.19, [3, 4]),
-])
-def test_ml_search_keeps_codewords_on_the_boundary(region, phi, corner,
+    (np.eye(2), ShapingRegion.box([0.3, 0.3]), 0.1, [3, 3]),
+    (np.eye(2), ShapingRegion.ball(0.95), 0.19, [3, 4]),
+    # A rotated generator, the boundary half the slack inside the corner.
+    (HEXAGONAL, "box", 0.3, [2, -3]),
+    (HEXAGONAL, "ball", 0.3, [2, -3]),
+], ids=["box", "ball", "hexagonal_box", "hexagonal_ball"])
+def test_ml_search_keeps_codewords_on_the_boundary(generator, region, phi, corner,
                                                    ml_search_everywhere):
-    design = LatticeDesign(generator=np.eye(2), region=region)
-    point = phi * np.array(corner, dtype=np.float64)
+    # The corner's point by the enumeration's arithmetic.
+    point = (np.array([corner], dtype=np.float64) @ (phi * generator).T)[0]
+    if region == "box":
+        region = ShapingRegion.box(np.full(2, np.max(np.abs(point)) - MEMBERSHIP_SLACK / 2))
+    elif region == "ball":
+        region = ShapingRegion.ball(math.sqrt(point @ point) - MEMBERSHIP_SLACK / 2)
+    design = LatticeDesign(generator=generator, region=region)
     if region.kind == "box":
         size, bound = np.max(np.abs(point)), region.half_widths[0]
     else:
