@@ -370,17 +370,17 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: float,
         cost = dist_above[i] + diff * diff
         if bounded and not lo[i] <= z[i] <= hi[i]:
             cost = math.inf    # both sides of this level have left the box
-        if cost < radius and i > 0:
-            i -= 1
-            dist_above[i] = cost
-            partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
-            center = partial[i] / r[i, i]
-            z[i] = round_half_away_from_zero(center)
-            if bounded:
-                z[i] = min(max(z[i], lo[i]), hi[i])
-            step[i] = _sign(center - z[i]) or 1.0
-            continue
         if cost < radius:
+            if i > 0:
+                i -= 1
+                dist_above[i] = cost
+                partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
+                center = partial[i] / r[i, i]
+                z[i] = round_half_away_from_zero(center)
+                if bounded:
+                    z[i] = min(max(z[i], lo[i]), hi[i])
+                step[i] = _sign(center - z[i]) or 1.0
+                continue
             if accept is None or accept(z):
                 leaves.append((z.copy(), cost))
                 if cost < best:
