@@ -298,8 +298,7 @@ class ArqEpisode:
 
 def simulate_arq_episode(fragments, hc, rho: float, r1: float,
                          x_thresh: float, method: str, rng,
-                         gate=None, noise: NoiseModel | None = None,
-                         node_budget: int = 10**8) -> ArqEpisode:
+                         gate=None, noise: NoiseModel | None = None) -> ArqEpisode:
     """Run and decode one ARQ episode (see `draw_arq_trial`).
 
     `fragments[l-1]` is the design decoded after round l (its coding
@@ -309,8 +308,7 @@ def simulate_arq_episode(fragments, hc, rho: float, r1: float,
     draw, acks = draw_arq_trial(fragments, books, hc, rho, x_thresh, rng,
                                 noise or NoiseModel())
     outcome = decode(draw.y, draw.h, draw.design, draw.codebook.scale, method,
-                     rho=rho, gate=gate, codebook=draw.codebook,
-                     node_budget=node_budget)
+                     rho=rho, gate=gate, codebook=draw.codebook)
     return ArqEpisode(rounds_used=len(acks), error=not draw.decoded_by(outcome),
                       ack_history=acks, outcome_kind=outcome.kind,
                       message=draw.message)

@@ -39,6 +39,7 @@ from .lattice import (
     Codebook,
     LatticeDesign,
     enumerate_codebook,
+    lattice_points,
     round_half_away_from_zero,
 )
 from .numkernel import (
@@ -46,6 +47,7 @@ from .numkernel import (
     as_vector,
     cholesky_upper,
     qr_decompose,
+    singular_values,
     solve_lower_triangular,
     solve_upper_triangular,
 )
@@ -58,7 +60,6 @@ __all__ = [
     "METHOD_LR_SIC",
     "METHOD_LR_LINEAR",
     "METHODS",
-    "DEFAULT_NODE_BUDGET",
     "RegularizedProblem",
     "DecodeGate",
     "DecodeOutcome",
@@ -88,7 +89,10 @@ METHODS = (METHOD_ML, METHOD_NAIVE, METHOD_REG_EXACT, METHOD_LR_SIC,
 #: Metric ties below this absolute gap are broken lexicographically.
 TIE_TOLERANCE = 1e-12
 
-DEFAULT_NODE_BUDGET = 10**8
+#: Node cap of the unbounded searches (`reg_exact`, `naive`), read at call
+#: time; past it they raise EnumerationOverflow.  ML's search is bounded by
+#: the codebook's box and takes no cap.
+NODE_BUDGET = 10**8
 
 #: `detect` scans codebooks up to this size and searches larger ones; the
 #: two agree on every codeword they return, so records do not depend on it.
@@ -159,7 +163,7 @@ class RegularizedProblem:
 
     def point(self, z: np.ndarray) -> np.ndarray:
         """The lattice point phi G z + u of integer coordinates z."""
-        return self.scaled_generator @ z.astype(np.float64) + self.dither_or_zero()
+        return lattice_points(self.scaled_generator, self.dither_or_zero(), z)
 
     def prepared(self) -> "RegularizedProblem":
         """Factor the triangular form once (b, yprime, gamma, basis); returns self."""
@@ -261,33 +265,28 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
     sphere search.
 
     The search runs on H (phi G) with target y - H u inside the codebook's
-    coordinate box and tests each leaf with the region, on the point the
-    enumeration's own expression gives.  Every codeword within
-    `ML_TIE_SLACK` of the nearest goes, in the codebook's lexicographic
-    order, to `ml_decode`, whose tie rule then picks the scan's codeword.
-    On a diagonal generator the leaf's point is exact, so the leaf test is
-    the enumeration's.  On a rotated one, BLAS may round one row apart from
-    the enumeration's stack of rows, so a codeword within that roundoff of
-    the region's boundary slack may be judged apart from the codebook.  A
-    channel with fewer outputs than inputs, or a rank-deficient one, is
-    scanned.  `book` is the design's codebook at the stage's scale."""
+    coordinate box, uncapped, and tests each leaf's `lattice_points` with
+    the region, as the enumeration tests its candidates.  Every codeword
+    within `ML_TIE_SLACK` of the nearest goes, in the codebook's
+    lexicographic order, to `ml_decode`, whose tie rule then picks the
+    scan's codeword.  On a rotated generator BLAS may round a lone leaf
+    apart from the same row in the enumeration's stack, so a codeword
+    within that roundoff of the region's boundary slack may be judged apart
+    from the codebook.  A channel with fewer outputs than inputs, or a
+    rank-deficient one, is scanned.  `book` is the design's codebook at the
+    stage's scale."""
     problem = stage.problem
     m, n = problem.h.shape
     a, u = problem.scaled_generator, problem.dither_or_zero()
     region = stage.design.region
-
-    def points(zs):
-        # The enumeration's own arithmetic (see enumerate_codebook).
-        return zs.astype(np.float64) @ a.T + u
-
     target = problem.y - problem.h @ u
     leaves = []
     if m >= n:
         try:
             leaves = _closest_point(
-                problem.h @ a, target, math.inf, box=book.coord_box(),
+                problem.h @ a, target, box=book.coord_box(),
                 slack=ML_TIE_SLACK * (1.0 + float(target @ target)),
-                accept=lambda z: region.contains(points(z[None, :]))[0])
+                accept=lambda z: region.contains(lattice_points(a, u, z)))
         except RankDeficient:
             pass
     if not leaves:
@@ -295,7 +294,7 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
         # codeword passing the leaf test.
         return ml_decode(problem.y, problem.h, book)
     zs = np.array([z for z, _ in leaves])
-    pts = points(zs)
+    pts = lattice_points(a, u, zs)
     order = np.lexsort(pts.T[::-1])
     return ml_decode(problem.y, problem.h,
                      Codebook(points=pts[order], coords=zs[order], scale=book.scale))
@@ -319,33 +318,32 @@ def _sign(x: float) -> float:
     return 0.0
 
 
-def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: float,
-                   box=None, slack: float = 0.0, accept=None) -> list:
+def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
+                   slack: float = 0.0, accept=None) -> list:
     """Exact closest-vector search on an upper-triangular system; returns
     every accepted leaf (z, squared distance) within `slack` of the best.
 
     Depth-first with zig-zag child ordering around the rounded center;
     children are visited in nondecreasing cost, so the first over-radius
-    child prunes the whole level.  Unbounded, the search radius starts at
-    the nearest-plane metric, which keeps the tree nonempty, and with no
-    slack the one nearest leaf comes back.  With `box` = (lo, hi), the
-    integer bounds of each level, the zig-zag skips children outside
-    [lo_i, hi_i] and goes on along the other side, and the radius starts
-    infinite, since the nearest-plane point may lie outside the box.
-    `accept(z)` may reject a leaf, which then neither counts nor shrinks
-    the radius."""
+    child prunes the whole level.  The radius starts infinite: unbounded,
+    the first descent is the nearest-plane back-substitution, and the
+    first accepted leaf sets the radius.  With no slack the one nearest
+    leaf comes back.
+    `box` = (lo, hi) gives integer bounds per level (default unbounded):
+    the center is clamped into [lo_i, hi_i], and the zig-zag skips
+    children outside it and goes on along the other side.  `accept(z)`
+    may reject a leaf, which then neither counts nor shrinks the radius.
+    An unbounded search raises EnumerationOverflow past `NODE_BUDGET`
+    nodes; a box bounds the work itself."""
     n = r.shape[0]
-    bounded = box is not None
-    if bounded:
-        lo, hi = box
-        best = math.inf
-        leaves = []
+    if box is None:
+        lo, hi = np.full(n, -math.inf), np.full(n, math.inf)
+        node_cap = NODE_BUDGET
     else:
-        zb = _babai_backsub(r, ytil)
-        resid = ytil - r @ zb
-        best = float(resid @ resid)
-        leaves = [(zb, best)]
-    radius = best + slack
+        lo, hi = box
+        node_cap = math.inf
+    best = radius = math.inf
+    leaves = []
 
     z = np.zeros(n)
     step = np.zeros(n)
@@ -353,99 +351,79 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, node_budget: float,
     dist_above = np.zeros(n)   # cost contributed by levels above i
     nodes = 0
 
-    i = n - 1
-    partial[i] = ytil[i]
-    dist_above[i] = 0.0
-    center = partial[i] / r[i, i]
-    z[i] = round_half_away_from_zero(center)
-    if bounded:
-        z[i] = min(max(z[i], lo[i]), hi[i])
-    step[i] = _sign(center - z[i]) or 1.0
-
+    i, cost = n, 0.0           # the root: the first pass descends to level n - 1
     while True:
-        nodes += 1
-        if nodes > node_budget:
-            raise EnumerationOverflow(f"sphere search exceeded {node_budget} nodes")
-        diff = partial[i] - r[i, i] * z[i]
-        cost = dist_above[i] + diff * diff
-        if bounded and not lo[i] <= z[i] <= hi[i]:
-            cost = math.inf    # both sides of this level have left the box
-        if cost < radius:
-            if i > 0:
-                i -= 1
-                dist_above[i] = cost
-                partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
-                center = partial[i] / r[i, i]
-                z[i] = round_half_away_from_zero(center)
-                if bounded:
-                    z[i] = min(max(z[i], lo[i]), hi[i])
-                step[i] = _sign(center - z[i]) or 1.0
-                continue
-            if accept is None or accept(z):
+        if cost < radius and i > 0:
+            # Descend to the child nearest the next level's center.
+            i -= 1
+            dist_above[i] = cost
+            partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
+            center = partial[i] / r[i, i]
+            z[i] = min(max(round_half_away_from_zero(center), lo[i]), hi[i])
+            step[i] = _sign(center - z[i]) or 1.0
+        else:
+            if not cost < radius:
+                # Every further sibling at this level costs at least as much.
+                i += 1
+                if i == n:
+                    break
+            elif accept is None or accept(z):
                 leaves.append((z.copy(), cost))
                 if cost < best:
                     best = cost
                     radius = best + slack
-        else:
-            # Every further sibling at this level costs at least as much.
-            i += 1
-            if i == n:
-                break
-        z[i] += step[i]
-        step[i] = -step[i] - _sign(step[i])
-        if bounded and not lo[i] <= z[i] <= hi[i]:
-            # This side has left the box: take the other side's next child.
             z[i] += step[i]
             step[i] = -step[i] - _sign(step[i])
+            if not lo[i] <= z[i] <= hi[i]:
+                # This side has left the box: take the other side's next child.
+                z[i] += step[i]
+                step[i] = -step[i] - _sign(step[i])
+        nodes += 1
+        if nodes > node_cap:
+            raise EnumerationOverflow(f"sphere search exceeded {node_cap} nodes")
+        diff = partial[i] - r[i, i] * z[i]
+        cost = dist_above[i] + diff * diff
+        if not lo[i] <= z[i] <= hi[i]:
+            cost = math.inf    # both sides of this level have left the box
     return [(zl.astype(np.int64), c) for zl, c in leaves if c <= best + slack]
 
 
-def _closest_point(basis: np.ndarray, target: np.ndarray, node_budget: float,
-                   box=None, slack: float = 0.0, accept=None) -> list:
+def _closest_point(basis: np.ndarray, target: np.ndarray, box=None,
+                   slack: float = 0.0, accept=None) -> list:
     """Leaves (z, squared distance) of the lattice points `basis` @ z
     nearest to `target`, distance taken within the basis's column space:
     QR of the basis, the target rotated by Q^T, then sphere search (see
     `_sphere_search` for the box, slack and leaf test)."""
     q, r = qr_decompose(basis)
-    return _sphere_search(r, q.T @ target, node_budget, box=box, slack=slack,
-                          accept=accept)
+    return _sphere_search(r, q.T @ target, box=box, slack=slack, accept=accept)
 
 
-def sphere_decode_regularized(problem: RegularizedProblem,
-                              node_budget: int = DEFAULT_NODE_BUDGET) -> LatticeDecodeResult:
+def sphere_decode_regularized(problem: RegularizedProblem) -> LatticeDecodeResult:
     """Exact minimizer of the regularized objective over the full (infinite)
     dithered lattice, via sphere search on the triangular form."""
     problem.prepared()
-    [(z, dist)] = _closest_point(problem.basis, problem.yprime, node_budget)
+    [(z, dist)] = _closest_point(problem.basis, problem.yprime)
     return LatticeDecodeResult(coords=z, point=problem.point(z),
                                metric=dist + problem.gamma)
 
 
-def naive_lattice_decode(problem: RegularizedProblem,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> LatticeDecodeResult:
+def naive_lattice_decode(problem: RegularizedProblem) -> LatticeDecodeResult:
     """Unregularized closest-lattice-point decode: the exact minimizer of
     the plain distance ||y - H x||^2 over the full dithered lattice, which
     is also the reported metric.  The problem's penalty T is ignored.
 
     Raises NearSingularChannel when the effective basis H (phi G) is
-    numerically singular.  With no penalty term, deep fades regularly push
-    the minimizer far outside the shaping region."""
+    numerically singular, which it always is with fewer rows than columns.
+    With no penalty term, deep fades regularly push the minimizer far
+    outside the shaping region."""
     hg = problem.h @ problem.scaled_generator
-    if _min_singular_value(hg) < 1e-10:
+    m, n = hg.shape
+    if m < n or singular_values(hg)[-1] < 1e-10:
         raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
-    [(z, _)] = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero(),
-                              node_budget)
+    [(z, _)] = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero())
     point = problem.point(z)
     resid = problem.y - problem.h @ point
     return LatticeDecodeResult(coords=z, point=point, metric=float(resid @ resid))
-
-
-def _min_singular_value(a: np.ndarray) -> float:
-    """Smallest singular value of a possibly rectangular map on R^n."""
-    m, n = a.shape
-    if m < n:
-        return 0.0  # genuine null space: fewer observations than unknowns
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def babai_nearest_plane(problem: RegularizedProblem,
@@ -501,7 +479,6 @@ class ChannelStage:
     rho: float | None = None
     gate: DecodeGate | None = None
     codebook: Codebook | None = None
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     @cached_property
     def reduction(self) -> GateOutcome:
@@ -516,8 +493,7 @@ class ChannelStage:
 
 def prepare(y, h, design: LatticeDesign, phi: float,
             rho: float | None = None, gate: DecodeGate | None = None,
-            codebook: Codebook | None = None,
-            node_budget: int = DEFAULT_NODE_BUDGET) -> ChannelStage:
+            codebook: Codebook | None = None) -> ChannelStage:
     """Channel stage of one received block for a design at scale phi.
 
     The penalty is the identity.  The reduction-aided methods need `rho`
@@ -527,8 +503,7 @@ def prepare(y, h, design: LatticeDesign, phi: float,
     problem = RegularizedProblem(y=y, h=h, t_reg=np.eye(design.dimension),
                                  scaled_generator=phi * design.generator,
                                  dither=design.dither)
-    return ChannelStage(problem, design, phi, rho=rho, gate=gate,
-                        codebook=codebook, node_budget=node_budget)
+    return ChannelStage(problem, design, phi, rho=rho, gate=gate, codebook=codebook)
 
 
 def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
@@ -545,7 +520,7 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
     if method in (METHOD_NAIVE, METHOD_REG_EXACT):
         search = (naive_lattice_decode if method == METHOD_NAIVE
                   else sphere_decode_regularized)
-        return _classify(stage.design, search(problem, node_budget=stage.node_budget))
+        return _classify(stage.design, search(problem))
     if method in (METHOD_LR_SIC, METHOD_LR_LINEAR):
         outcome = stage.reduction
         if outcome.timed_out:
@@ -557,11 +532,10 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
 
 def decode(y, h, design: LatticeDesign, phi: float, method: str,
            rho: float | None = None, gate: DecodeGate | None = None,
-           codebook: Codebook | None = None,
-           node_budget: int = DEFAULT_NODE_BUDGET) -> DecodeOutcome:
+           codebook: Codebook | None = None) -> DecodeOutcome:
     """One-shot decode: `detect(prepare(...), method)`."""
-    return detect(prepare(y, h, design, phi, rho=rho, gate=gate, codebook=codebook,
-                          node_budget=node_budget), method)
+    return detect(prepare(y, h, design, phi, rho=rho, gate=gate, codebook=codebook),
+                  method)
 
 
 def _classify(design: LatticeDesign, res: LatticeDecodeResult) -> DecodeOutcome:

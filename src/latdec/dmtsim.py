@@ -76,7 +76,6 @@ class SweepConfig:
     gate_alpha: float | None = None
     gate_delta: float = 0.75
     integer_nesting: bool = False
-    node_budget: int = 10**8
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -106,8 +105,6 @@ class SweepConfig:
             raise ValueError("gate_alpha must be finite")
         if not (0.25 < self.gate_delta < 1.0):
             raise ValueError("gate_delta must lie in (1/4, 1)")
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be >= 1")
         self.channel.check_design(self.design)
         outputs, inputs = self.channel.real_dims(self.design.coding_duration)
         if METHOD_NAIVE in self.methods and outputs < inputs:
@@ -278,8 +275,7 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
                 break
             draw = draw_trial(trial)
             stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
-                            rho=rho, gate=gate, codebook=draw.codebook,
-                            node_budget=config.node_budget)
+                            rho=rho, gate=gate, codebook=draw.codebook)
             for method in tuple(active):
                 try:
                     outcome = detect(stage, method)

@@ -152,7 +152,7 @@ _CHANNEL = {"model": _string, "nt": _integer, "nr": _integer, "tones": _integer,
             "taps": _integer, "h_real": _matrix, "noise": _noise, "arq": _arq}
 _SWEEP = {"rho_db": _list(_number), "r": _number, "methods": _list(_string),
           "min_errors": _integer, "max_trials": _integer, "seed": _integer,
-          "gate": _gate, "integer_nesting": _boolean, "node_budget": _integer}
+          "gate": _gate, "integer_nesting": _boolean}
 _TOP = ("design", "channel", "sweep")
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "Codebook",
     "round_half_away_from_zero",
     "scaling_factor",
+    "lattice_points",
     "enumerate_codebook",
     "random_dither",
 ]
@@ -30,7 +31,7 @@ __all__ = [
 #: Closed-set membership slack for region tests.
 MEMBERSHIP_SLACK = 1e-12
 
-#: Default cap on candidate lattice points per enumeration.
+#: Cap on candidate lattice points per enumeration, read at call time.
 DEFAULT_ENUM_BUDGET = 10**7
 
 
@@ -183,15 +184,24 @@ def scaling_factor(rho: float, r: float, t: int, n: int, integer_nesting: bool =
     return float(rho ** (-r * t / n))
 
 
-def _iter_integer_box(lo: np.ndarray, hi: np.ndarray, budget: int):
+def lattice_points(a: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The points a z + u of integer coordinates z, a vector or a stack of
+    rows.  The enumeration, ML's leaf test and every decoder's point come
+    from here; the values agree bit for bit on a diagonal `a`, while on a
+    rotated one BLAS may round a lone vector apart from a row of a stack."""
+    return z.astype(np.float64) @ a.T + u
+
+
+def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
     """Yield (chunk of integer vectors) covering the box [lo, hi], in
     odometer order, without materializing more than ~2^18 rows at once."""
     sizes = (hi - lo + 1).astype(np.int64)
     if np.any(sizes <= 0):
         return
     total = int(np.prod(sizes.astype(object)))
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{total} candidate points exceed budget "
+                             f"{DEFAULT_ENUM_BUDGET}")
     n = lo.shape[0]
     strides = np.ones(n, dtype=np.int64)
     for i in range(n - 2, -1, -1):
@@ -203,13 +213,12 @@ def _iter_integer_box(lo: np.ndarray, hi: np.ndarray, budget: int):
         yield z
 
 
-def enumerate_codebook(design: LatticeDesign, phi: float,
-                       budget: int = DEFAULT_ENUM_BUDGET) -> Codebook:
+def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     """Exact finite codebook {phi G z + u} intersect R.
 
     Candidates come from the integer preimage of R's bounding box under
     phi G; membership is the closed-set region test.  Raises BudgetExceeded
-    when the candidate count passes `budget`.
+    when the candidate count passes `DEFAULT_ENUM_BUDGET`.
     """
     if not (phi > 0.0) or not math.isfinite(phi):
         raise ValueError("phi must be positive and finite")
@@ -225,8 +234,8 @@ def enumerate_codebook(design: LatticeDesign, phi: float,
     hi = np.floor(center + spread + 1e-9).astype(np.int64)
     kept_pts = []
     kept_z = []
-    for z in _iter_integer_box(lo, hi, budget):
-        pts = z.astype(np.float64) @ a.T + u
+    for z in _iter_integer_box(lo, hi):
+        pts = lattice_points(a, u, z)
         mask = design.region.contains(pts)
         if np.any(mask):
             kept_pts.append(pts[mask])

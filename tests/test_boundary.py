@@ -97,7 +97,8 @@ RANGE_CASES = {
     "taps 0": [(("channel",), {"model": "mimo_ofdm", "nt": 1, "nr": 1,
                                "tones": 1, "taps": 0})],
     "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
-    "node_budget 0": [(("sweep", "node_budget"), 0)],
+    # The search caps are constants: the key is unknown, whatever its value.
+    "node_budget unknown key": [(("sweep", "node_budget"), 0)],
     "singular generator": [(("design", "generator"), [[1.0, 1.0], [1.0, 1.0]])],
     # A parameter the model does not read: each used to pass the dry run
     # and then silently run a different channel.

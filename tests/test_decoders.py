@@ -159,11 +159,59 @@ def test_sphere_metric_matches_direct_objective():
         assert res.metric == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
-def test_sphere_node_budget_overflow():
+def test_sphere_node_budget_overflow(monkeypatch):
     rng = np.random.default_rng(777)
     prob = random_problem(rng, 3)
+    monkeypatch.setattr(decoders, "NODE_BUDGET", 2)
     with pytest.raises(EnumerationOverflow):
-        sphere_decode_regularized(prob, node_budget=2)
+        sphere_decode_regularized(prob)
+
+
+def _grid_minimizers(r, y, lo, hi):
+    """Every z in the integer box [lo, hi] within roundoff of the least
+    ||y - R z||^2 there, by scoring the whole box."""
+    grid = np.array(list(itertools.product(
+        *(range(a, b + 1) for a, b in zip(lo, hi)))), dtype=np.int64)
+    dists = np.sum((y - grid @ r.T) ** 2, axis=1)
+    return grid[dists <= dists.min() * (1.0 + 1e-9) + 1e-12]
+
+
+def test_unbounded_and_box_search_agree_with_the_grid():
+    # The grid is every z within the nearest-plane distance d of y, bounded
+    # per coordinate by |z - R^-1 y|_i <= d |row i of R^-1|, so it holds
+    # every minimizer.  A target y = R (z + 1/2) is equidistant from
+    # z + 1/2 +- w, an exact tie the search may settle either way, so its
+    # answer must be one of the grid's minimizers, which are one point
+    # exactly when y is Gaussian.  The box search runs in a box of width 1
+    # or 2 per level around that answer, which clamps the centers of most
+    # other paths, the nearest-plane one included; a box off the answer
+    # must give one of its own grid's minimizers.
+    rng = np.random.default_rng(1313)
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        r = (np.triu(0.5 * rng.standard_normal((n, n)), 1)
+             + np.diag(rng.uniform(1.0, 2.0, n)))
+        half = trial % 3 == 0
+        y = r @ (rng.integers(-2, 2, n) + 0.5) if half else rng.standard_normal(n)
+        zb = decoders._babai_backsub(r, y)
+        d = math.sqrt(float((y - r @ zb) @ (y - r @ zb)))
+        rinv = np.linalg.inv(r)
+        center, spread = rinv @ y, d * np.linalg.norm(rinv, axis=1)
+        nearest = _grid_minimizers(r, y, np.ceil(center - spread - 1e-9).astype(np.int64),
+                                   np.floor(center + spread + 1e-9).astype(np.int64))
+
+        [(z, cost)] = decoders._sphere_search(r, y)
+        box = (z - rng.integers(0, 2, n), z + rng.integers(0, 2, n))
+        [(zbox, cost_box)] = decoders._sphere_search(r, y, box=box)
+        assert np.array_equal(zbox, z) and cost_box == cost, f"trial {trial}"
+        assert any(np.array_equal(z, w) for w in nearest), f"trial {trial}"
+        assert (len(nearest) > 1) == half, f"trial {trial}"
+
+        lo = z + rng.integers(-3, 2, n)
+        hi = lo + rng.integers(0, 3, n)
+        [(zoff, _)] = decoders._sphere_search(r, y, box=(lo, hi))
+        assert any(np.array_equal(zoff, w) for w in _grid_minimizers(r, y, lo, hi)), (
+            f"trial {trial}")
 
 
 def test_dither_equivariance_bitwise():
@@ -567,12 +615,13 @@ def test_ml_search_scans_a_rank_deficient_channel(ml_search_everywhere):
     assert ml_search_everywhere
 
 
-def test_ml_search_ignores_the_node_budget(ml_search_everywhere):
+def test_ml_search_ignores_the_node_budget(ml_search_everywhere, monkeypatch):
     # The codebook's box bounds the search, so a one-node budget that
     # would stop the regularized search leaves ML records unchanged.
-    kwargs = dict(design=box_design(4), methods=("ml",), rho_db=(10.0, 16.0), r=1.0,
-                  channel=ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
-                  min_errors=20, max_trials=80, seed=3)
-    assert (run_sweep(SweepConfig(node_budget=1, **kwargs)).records
-            == run_sweep(SweepConfig(**kwargs)).records)
+    config = SweepConfig(design=box_design(4), methods=("ml",), rho_db=(10.0, 16.0),
+                         r=1.0, min_errors=20, max_trials=80, seed=3,
+                         channel=ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2))
+    uncapped = run_sweep(config).records
+    monkeypatch.setattr(decoders, "NODE_BUDGET", 1)
+    assert run_sweep(config).records == uncapped
     assert ml_search_everywhere

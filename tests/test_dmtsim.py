@@ -378,7 +378,7 @@ def _reference_plain_outcome(cfg, rho, key, trial, method):
     x = book.points[msg]
     y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
     out = decode(y, h, design, phi, method, rho=rho, gate=cfg.gate(),
-                 codebook=book, node_budget=cfg.node_budget)
+                 codebook=book)
     wrong = not (out.is_codeword and np.array_equal(out.coords, book.coords[msg]))
     return wrong, out.kind
 
@@ -395,8 +395,7 @@ def _reference_arq_outcome(cfg, rho, key, trial, method):
              for l in range(1, chan.arq_rounds + 1)]
     ep = simulate_arq_episode(frags, hc, rho, cfg.r, chan.arq_x_thresh, method,
                               trial_rng(cfg.seed, 0, *key, trial, 1),
-                              gate=cfg.gate(), noise=chan.noise,
-                              node_budget=cfg.node_budget)
+                              gate=cfg.gate(), noise=chan.noise)
     return ep.error, ep.outcome_kind
 
 

@@ -211,7 +211,7 @@ def test_shipped_configs_parse(name, monkeypatch, capsys):
         seed, grid, methods, alpha)
     assert (cfg.r, cfg.min_errors, cfg.max_trials, cfg.gate_delta) == (
         0.0, 50, max_trials, 0.75)
-    assert (cfg.integer_nesting, cfg.node_budget) == (False, 10**8)
+    assert cfg.integer_nesting is False
     assert (cfg.design.dimension, cfg.design.coding_duration) == (dim, 1)
     assert np.array_equal(cfg.design.generator, np.eye(dim))
     assert np.array_equal(cfg.design.dither, dither)

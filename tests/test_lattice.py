@@ -4,6 +4,7 @@ hand-counted cases."""
 import numpy as np
 import pytest
 
+from latdec import lattice
 from latdec.channels import trial_rng
 from latdec.errors import BudgetExceeded
 from latdec.lattice import (
@@ -133,10 +134,10 @@ def test_codebook_coord_box():
     assert book.coord_box()[0] is lo            # computed once
 
 
-def test_enumerate_codebook_budget():
+def test_enumerate_codebook_budget(monkeypatch):
+    monkeypatch.setattr(lattice, "DEFAULT_ENUM_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        enumerate_codebook(square_design(2, half_width=500.0), phi=1.0,
-                           budget=100)
+        enumerate_codebook(square_design(2, half_width=500.0), phi=1.0)
 
 
 def test_random_dither_in_fundamental_cell():
