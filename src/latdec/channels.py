@@ -364,8 +364,10 @@ class ChannelConfig:
             if f.name not in reads and (value is not None if f.default is None
                                         else value != f.default):
                 raise ValueError(f"the {self.model} model does not read {f.name}")
-        if min(self.nt, self.nr, self.tones, self.taps, self.arq_rounds) < 1:
-            raise ValueError("nt, nr, tones, taps and arq_rounds must be >= 1")
+        counts = (self.nt, self.nr, self.tones, self.taps, self.arq_rounds)
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in counts):
+            raise ValueError("nt, nr, tones, taps and arq_rounds must be integers >= 1")
+        self.nt, self.nr, self.tones, self.taps, self.arq_rounds = map(int, counts)
         if self.model == "fixed":
             if self.h_real is None:
                 raise ValueError("fixed channel requires h_real")

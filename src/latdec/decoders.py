@@ -269,10 +269,7 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
     the region, as the enumeration tests its candidates.  Every codeword
     within `ML_TIE_SLACK` of the nearest goes, in the codebook's
     lexicographic order, to `ml_decode`, whose tie rule then picks the
-    scan's codeword.  On a rotated generator BLAS may round a lone leaf
-    apart from the same row in the enumeration's stack, so a codeword
-    within that roundoff of the region's boundary slack may be judged apart
-    from the codebook.  A channel with fewer outputs than inputs, or a
+    scan's codeword.  A channel with fewer outputs than inputs, or a
     rank-deficient one, is scanned.  `book` is the design's codebook at the
     stage's scale."""
     problem = stage.problem

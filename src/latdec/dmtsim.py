@@ -11,10 +11,11 @@ and keeps every record bit-reproducible no matter how trials are
 scheduled.
 
 `sweep_cell` runs one block of trials at one signal level and returns
-its `BlockTally`; a whole cell is the one-block case.  A pooled
-`run_sweep` cuts every level into blocks, runs them in worker processes
-and scans each level's blocks in trial order, so that every method stops
-at exactly the trial where a serial run stops it.
+its `BlockTally`, whose `records` raise the failures it lists.  Every
+`run_sweep` cuts each level into blocks, runs them in this process or in
+worker processes, and scans them in trial order, so that every method
+stops at its min_errors-th error and a failure is raised where a serial
+run meets it.
 
 The diversity slope is the least-squares slope of -log10(error rate)
 against log10(rho) over the top qualifying signal levels.
@@ -55,8 +56,8 @@ _KIND_OUTAGE = 1
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-#: Trials per block, and blocks in flight per process, of a pooled sweep.
-#: Records do not depend on either.
+#: Trials per block of a sweep, and blocks in flight per process of a
+#: pooled one.  Records do not depend on either.
 BLOCK_TRIALS = 256
 BLOCKS_PER_WORKER = 2
 
@@ -94,6 +95,10 @@ class SweepConfig:
         self.rho_db = grid
         if not (0.0 <= self.r < math.inf):
             raise ValueError("r must be nonnegative and finite")
+        for name in ("min_errors", "max_trials", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            setattr(self, name, int(getattr(self, name)))
         if self.min_errors < 20:
             raise ValueError("min_errors must be >= 20")
         if self.max_trials < 1:
@@ -222,7 +227,10 @@ class BlockTally:
                    errors={m: [] for m in config.methods}, failures=[])
 
     def records(self) -> list:
-        """One `ErrorRateRecord` per method that ran a trial."""
+        """One `ErrorRateRecord` per method that ran a trial.  Raises the
+        first listed failure, the one a serial run reaches first."""
+        if self.failures:
+            raise self.failures[0][2]
         rho = 10.0 ** (self.rho_db / 10.0)
         records = []
         for method, trials in self.trials.items():
@@ -244,17 +252,14 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
     """Trials [start, stop) of one signal level (stop defaults to
     max_trials): each trial's draw and channel stage are shared by every
     method still running, and a method stops once its errors in this
-    block reach its budget.
+    block reach its budget.  `budgets` None gives every method the budget
+    min_errors; a method with budget 0 does not run.
 
-    With `budgets` None every method's budget is min_errors and the block
-    is a whole cell from trial 0: it is the serial run, and a
-    `LatdecError` is raised where it occurs.  With explicit budgets (a
-    method with budget 0 does not run), a `LatdecError` is caught and
-    listed in the tally instead, for the caller to raise or not: a method
-    that fails stops, and a failed draw ends the block."""
+    A `LatdecError` is not raised but listed in the tally, for
+    `BlockTally.records` to raise: a method that fails stops, and a failed
+    cell set-up or trial draw ends the block."""
     stop = config.max_trials if stop is None else stop
-    exact = budgets is None
-    if exact:
+    if budgets is None:
         budgets = dict.fromkeys(config.methods, config.min_errors)
     tally = BlockTally.empty(config, rho_db, start, stop)
     active = [m for m in config.methods if budgets[m] > 0]
@@ -280,8 +285,6 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
                 try:
                     outcome = detect(stage, method)
                 except LatdecError as exc:
-                    if exact:
-                        raise
                     tally.failures.append((trial, method, exc))
                     active.remove(method)
                     continue
@@ -292,8 +295,6 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
                     if len(errors) >= budgets[method]:
                         active.remove(method)
     except LatdecError as exc:
-        if exact:
-            raise
         tally.failures.append((trial, None, exc))
     return tally
 
@@ -353,9 +354,9 @@ def estimate_diversity_slope(records, min_errors: int = 50,
 
 
 class _CellScan:
-    """The pool's view of one signal level: the blocks submitted so far,
-    and the blocks scanned in trial order into one whole-cell tally in
-    which each method is cut at its min_errors-th error."""
+    """One signal level: the blocks handed out so far, and the blocks
+    scanned in trial order into one whole-cell tally, each method cut at
+    its min_errors-th error, that lists the first failure reached."""
 
     def __init__(self, config: SweepConfig, rho_db: float):
         self.config = config
@@ -363,7 +364,6 @@ class _CellScan:
         self.submitted = 0      # trials [0, submitted) are in blocks;
                                 # the tally holds [0, tally.stop)
         self.waiting = {}       # block start -> BlockTally not yet scanned
-        self.failure = None     # the LatdecError the serial run raises here
         self.closed = False
 
     def running(self, method: str) -> bool:
@@ -385,7 +385,7 @@ class _CellScan:
     def receive(self, block: BlockTally) -> None:
         """Scan every block that now joins the scanned prefix; close the
         cell once no method runs past it, or at the first failure the
-        serial run raises."""
+        serial run reaches."""
         self.waiting[block.start] = block
         while not self.closed and self.tally.stop in self.waiting:
             block = self.waiting.pop(self.tally.stop)
@@ -397,29 +397,24 @@ class _CellScan:
                 self.tally.trials[method] = (
                     errors[-1][0] + 1 if not self.running(method)
                     else block.start + block.trials[method])
-            for trial, method, exc in block.failures:
-                # Each failure ends its method's run in the block (a draw
-                # failure every method's): the serial run reaches it iff
-                # that method, or for a draw any method, still runs.
-                if any(self.running(m) for m in
-                       (self.config.methods if method is None else (method,))):
-                    self.failure = exc
-                    self.closed = True
-                    break
-            else:
-                self.tally.stop = block.stop
-                self.closed = (block.stop == self.config.max_trials
-                               or not any(map(self.running, self.config.methods)))
+            # Each failure ends its method's run in the block (a draw
+            # failure every method's): the serial run reaches it iff that
+            # method, or for a draw any method, still runs.
+            reached = [f for f in block.failures if any(map(
+                self.running, self.config.methods if f[1] is None else (f[1],)))]
+            self.tally.failures += reached[:1]
+            self.tally.stop = block.stop
+            self.closed = (bool(self.tally.failures)
+                           or block.stop == self.config.max_trials
+                           or not any(map(self.running, self.config.methods)))
 
 
-def _pooled_cells(config: SweepConfig, workers: int) -> list:
-    """Records of every signal level, from blocks of BLOCK_TRIALS trials
-    run in a pool of at most one process per level, with up to
-    BLOCKS_PER_WORKER blocks in flight per process.  Raises the first
-    failure in serial order (level, then trial, then method)."""
+def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
+    """Scan every level's blocks of BLOCK_TRIALS trials, run in a pool of
+    at most one process per level with up to BLOCKS_PER_WORKER blocks in
+    flight per process."""
     # Imported here so that `import latdec` does not load multiprocessing.
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
     processes = min(workers, len(cells))
     in_flight = {}  # future -> _CellScan
     pool = ProcessPoolExecutor(processes)
@@ -445,7 +440,7 @@ def _pooled_cells(config: SweepConfig, workers: int) -> list:
                 # or above a failed level: the serial run never runs them.
                 if not cell.closed:
                     cell.receive(future.result())
-                    if cell.failure is not None:
+                    if cell.tally.failures:
                         # The serial run stops here: no higher level matters.
                         for higher in cells[cells.index(cell) + 1:]:
                             higher.closed = True
@@ -454,30 +449,31 @@ def _pooled_cells(config: SweepConfig, workers: int) -> list:
                     del in_flight[future]
     finally:
         pool.shutdown(cancel_futures=True)
-    for cell in cells:
-        if cell.failure is not None:
-            raise cell.failure
-    return [cell.tally.records() for cell in cells]
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
-    With `workers` = 1 each signal level is one `sweep_cell` call, in
-    grid order.  With `workers` > 1 every level is cut into blocks of
-    trials that a process pool (at most one process per level) runs in
-    any order; the blocks of a level are scanned in trial order, and each
-    method is cut at its min_errors-th error or at max_trials.  Records,
-    and the failure raised if any, are identical either way: a trial is
-    keyed by (seed, rho, r, trial) alone.  Raises ValueError when
-    `workers` < 1."""
+    Every level is cut into blocks of BLOCK_TRIALS trials, scanned in
+    trial order, and each method is cut at its min_errors-th error or at
+    max_trials.  With `workers` = 1 the blocks run in this process, level
+    by level and in trial order, and the sweep stops at the first failed
+    level.  With `workers` > 1 a process pool (at most one process per
+    level) runs them in any order.  Records, and the failure raised if
+    any, are identical either way: a trial is keyed by (seed, rho, r,
+    trial) alone.  Raises ValueError when `workers` < 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
     if workers == 1:
-        per_rho = [sweep_cell(config, rho_db).records() for rho_db in config.rho_db]
+        for cell in cells:
+            while cell.wants_block():
+                cell.receive(sweep_cell(config, cell.tally.rho_db, *cell.next_block()))
+            if cell.tally.failures:
+                break
     else:
-        per_rho = _pooled_cells(config, workers)
-    records = [rec for cell in per_rho for rec in cell]
+        _run_pooled(config, cells, workers)
+    records = [rec for cell in cells for rec in cell.tally.records()]
     slopes = {}
     for method in config.methods:
         recs = [rec for rec in records if rec.method == method]

@@ -187,9 +187,9 @@ def scaling_factor(rho: float, r: float, t: int, n: int, integer_nesting: bool =
 def lattice_points(a: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The points a z + u of integer coordinates z, a vector or a stack of
     rows.  The enumeration, ML's leaf test and every decoder's point come
-    from here; the values agree bit for bit on a diagonal `a`, while on a
-    rotated one BLAS may round a lone vector apart from a row of a stack."""
-    return z.astype(np.float64) @ a.T + u
+    from here; `einsum` rounds a lone vector as its row of a stack, bit
+    for bit, where BLAS (gemv against gemm) would not on a rotated `a`."""
+    return np.einsum("...j,ij->...i", z.astype(np.float64), a) + u
 
 
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):

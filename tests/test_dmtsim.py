@@ -165,6 +165,34 @@ def test_sweep_config_validation():
         ChannelConfig(model="mimo_arq", arq_rounds=2)   # x_thresh mandatory
 
 
+# A non-integer count would otherwise be accepted here and fail, or run
+# unnoticed, inside the sweep.
+NON_INTEGER_COUNTS = {
+    "min_errors": lambda: rayleigh_config(min_errors=20.5),
+    "max_trials": lambda: rayleigh_config(max_trials=300.0),
+    "seed": lambda: rayleigh_config(seed=1.5),
+    "nt": lambda: ChannelConfig(model="quasi_static_rayleigh", nt=1.0),
+    "nr": lambda: ChannelConfig(model="quasi_static_rayleigh", nr=2.0),
+    "tones": lambda: ChannelConfig(model="mimo_ofdm", tones=2.0),
+    "taps": lambda: ChannelConfig(model="mimo_ofdm", taps=2.0),
+    "arq_rounds": lambda: ChannelConfig(model="mimo_arq", arq_rounds=2.0,
+                                        arq_x_thresh=1.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_COUNTS))
+def test_config_counts_must_be_integers(field):
+    with pytest.raises(ValueError, match="integer"):
+        NON_INTEGER_COUNTS[field]()
+
+
+def test_config_counts_accept_numpy_integers():
+    cfg = rayleigh_config(max_trials=np.int64(300), seed=np.int32(4))
+    chan = ChannelConfig(model="mimo_ofdm", nt=np.int64(2), tones=np.int64(2))
+    assert type(cfg.max_trials) is int and type(cfg.seed) is int
+    assert type(chan.nt) is int and type(chan.tones) is int
+
+
 def test_cell_determinism():
     cfg = rayleigh_config(methods=("ml", "lr_linear"))
     a = sweep_cell(cfg, 10.0).records()
@@ -521,13 +549,19 @@ def pooled_config(case):
     return differential_config(model, **settings)
 
 
+def whole_cell_records(cfg):
+    """Records of one whole-cell `sweep_cell` per level, in grid order:
+    the serial reference, which runs no block scan."""
+    return [rec for rho_db in cfg.rho_db for rec in sweep_cell(cfg, rho_db).records()]
+
+
 @pytest.fixture(scope="module")
 def serial_records():
     cache = {}
 
     def get(case):
         if case not in cache:
-            cache[case] = run_sweep(pooled_config(case))
+            cache[case] = whole_cell_records(pooled_config(case))
         return cache[case]
     return get
 
@@ -535,25 +569,28 @@ def serial_records():
 @pytest.mark.parametrize("block", [1, 7, 64, dmtsim.BLOCK_TRIALS])
 @pytest.mark.parametrize("case", sorted(POOLED_CASES))
 def test_pooled_blocks_match_serial(monkeypatch, serial_records, case, block):
-    # The pool cuts each level into blocks and runs them in any order;
-    # scanning them in trial order must give the serial records whatever
-    # the block size, including methods stopped by max_trials.
+    # Every run cuts each level into blocks, which the serial run runs in
+    # trial order and the pool in any order; scanning them in trial order
+    # must give the whole-cell records whatever the block size, including
+    # methods stopped by max_trials.
     cfg = pooled_config(case)
     monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
+    serial = run_sweep(cfg)
     pooled = run_sweep(cfg, workers=2)
-    serial = serial_records(case)
-    assert pooled.records == serial.records
+    assert serial.records == serial_records(case)
+    assert pooled.records == serial_records(case)
     assert pooled.slopes == serial.slopes
 
 
 def test_pooled_method_stopping_on_block_boundary(monkeypatch, serial_records):
-    serial = serial_records("quasi_static_rayleigh").records
+    serial = serial_records("quasi_static_rayleigh")
     cfg = differential_config("quasi_static_rayleigh")
     stop = min(rec.trials for rec in serial if rec.errors == cfg.min_errors)
     # The stopping error is the last trial of a block, then the first.
     for block in (stop, stop - 1):
         monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
-        assert run_sweep(cfg, workers=2).records == serial
+        for workers in (1, 2):
+            assert run_sweep(cfg, workers=workers).records == serial
 
 
 def scan_every_block(cfg, rho_db, block):
@@ -573,8 +610,8 @@ def test_scan_of_speculative_blocks_matches_serial(model, serial_records):
     cfg = differential_config(model)
     for rho_db in cfg.rho_db:
         scan = scan_every_block(cfg, rho_db, 32)
-        assert scan.failure is None
-        assert scan.tally.records() == [rec for rec in serial_records(model).records
+        assert not scan.tally.failures
+        assert scan.tally.records() == [rec for rec in serial_records(model)
                                          if rec.rho_db == rho_db]
 
 
@@ -617,14 +654,16 @@ def plant_failures(monkeypatch, plants):
     ids=["method", "draw", "both-levels"])
 def test_failures_past_the_stopping_trial_are_never_raised(
         monkeypatch, serial_records, plants):
-    serial = serial_records("quasi_static_rayleigh").records
+    serial = serial_records("quasi_static_rayleigh")
     cfg = differential_config("quasi_static_rayleigh")
     plant_failures(monkeypatch, plants)
+    assert whole_cell_records(cfg) == serial
     assert run_sweep(cfg).records == serial
     monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
-    assert run_sweep(cfg, workers=2).records == serial
+    for workers in (1, 2):
+        assert run_sweep(cfg, workers=workers).records == serial
     scan = scan_every_block(cfg, 12.0, 7)
-    assert scan.failure is None
+    assert not scan.tally.failures
     assert scan.tally.records() == serial[:len(cfg.methods)]
 
 
@@ -633,16 +672,72 @@ def test_failures_past_the_stopping_trial_are_never_raised(
     ([(12.0, 100, None)], "12.0 dB, method None"),
     # Serial order is level first: the lower level's later trial wins.
     ([(16.0, 0, "ml"), (12.0, 40, "lr_linear"), (12.0, 70, "naive")],
-     "12.0 dB, method lr_linear")],
-    ids=["method", "draw", "lower-level-first"])
+     "12.0 dB, method lr_linear"),
+    # Two failures the serial run reaches in one block: the earlier wins.
+    ([(12.0, 45, "lr_linear"), (12.0, 40, "naive")], "12.0 dB, method naive")],
+    ids=["method", "draw", "lower-level-first", "earlier-trial-first"])
 def test_failures_before_the_stopping_trial_raise_as_serial(
         monkeypatch, plants, raised):
     cfg = differential_config("quasi_static_rayleigh")
     plant_failures(monkeypatch, plants)
     with pytest.raises(NearSingularChannel, match=raised):
-        run_sweep(cfg)
+        whole_cell_records(cfg)
     for block in (7, dmtsim.BLOCK_TRIALS):
         monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
-        with pytest.raises(NearSingularChannel) as pooled:
-            run_sweep(cfg, workers=2)
-        assert str(pooled.value) == f"planted at {raised}"
+        for workers in (1, 2):
+            with pytest.raises(NearSingularChannel) as failure:
+                run_sweep(cfg, workers=workers)
+            assert str(failure.value) == f"planted at {raised}"
+
+
+def test_sweep_cell_lists_failures_and_records_raise_the_first(monkeypatch):
+    cfg = differential_config("quasi_static_rayleigh")
+    plant_failures(monkeypatch, [(12.0, 40, "naive"), (12.0, 100, None)])
+    tally = sweep_cell(cfg, 12.0)
+    # `naive` stops at its failure, the others run on to the failed draw.
+    assert [(trial, method) for trial, method, _ in tally.failures] == [
+        (40, "naive"), (100, None)]
+    assert tally.trials["naive"] == 40 and tally.trials["ml"] == 100
+    with pytest.raises(NearSingularChannel, match="12.0 dB, method naive") as raised:
+        tally.records()
+    assert raised.value is tally.failures[0][2]
+
+
+def test_serial_blocks_run_in_trial_order(monkeypatch, serial_records):
+    serial = serial_records("quasi_static_rayleigh")
+    cfg = differential_config("quasi_static_rayleigh")
+    blocks = []
+
+    def spy(config, rho_db, start, stop, budgets):
+        blocks.append((rho_db, start, stop))
+        return sweep_cell(config, rho_db, start, stop, budgets)
+
+    monkeypatch.setattr(dmtsim, "sweep_cell", spy)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    assert run_sweep(cfg).records == serial
+    # One block after another up to each level's last trial: none is
+    # speculative.
+    for rho_db in cfg.rho_db:
+        last = max(rec.trials for rec in serial if rec.rho_db == rho_db)
+        assert [b[1:] for b in blocks if b[0] == rho_db] == [
+            (start, min(start + 7, cfg.max_trials)) for start in range(0, last, 7)]
+
+
+def test_serial_failure_ends_the_run_within_a_block(monkeypatch):
+    cfg = differential_config("quasi_static_rayleigh")
+    plant_failures(monkeypatch, [(12.0, 0, "naive")])
+    calls = []
+    planted = dmtsim.detect
+
+    def counted(stage, method):
+        calls.append(method)
+        return planted(stage, method)
+
+    monkeypatch.setattr(dmtsim, "detect", counted)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    with pytest.raises(NearSingularChannel, match="12.0 dB, method naive"):
+        run_sweep(cfg)
+    # `ml` runs on to the end of the failed block, and no further.
+    after = calls[calls.index("naive") + 1:]
+    assert "naive" not in after and "ml" in after
+    assert len(calls) <= dmtsim.BLOCK_TRIALS * len(cfg.methods)

@@ -11,6 +11,7 @@ from latdec.lattice import (
     LatticeDesign,
     ShapingRegion,
     enumerate_codebook,
+    lattice_points,
     random_dither,
     round_half_away_from_zero,
     scaling_factor,
@@ -149,6 +150,21 @@ def test_random_dither_in_fundamental_cell():
     # Same key reproduces the same dither.
     u2 = random_dither(gen, 0.5, trial_rng(99, 0xD17, 0))
     assert np.array_equal(u, u2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_lattice_points_of_a_vector_equal_its_row_of_a_stack(n):
+    # On a rotated generator BLAS rounds a lone vector (gemv) apart from a
+    # stack (gemm); the enumeration's stack and the decoders' lone points
+    # must agree bit for bit.
+    rng = np.random.default_rng(n)
+    for rows in (1, 7, 300):
+        a = rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        zs = rng.integers(-8, 9, size=(rows, n))
+        stack = lattice_points(a, u, zs)
+        for z, row in zip(zs, stack):
+            assert np.array_equal(lattice_points(a, u, z), row)
 
 
 def test_design_validation():
