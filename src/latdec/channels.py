@@ -1,7 +1,8 @@
 """Channel models: configuration, samplers, the real embedding, noise.
 
 `ChannelConfig` is the one place that knows the channel models: it checks
-a design against its model and draws a sweep cell's trials, ARQ included.
+a design against its model and draws a sweep cell's trials, ARQ episodes
+(`simulate_arq_episode`) included.  This layer decodes nothing.
 
 Complex channels are numpy complex128 arrays.  Every sampler returns the
 real-embedded matrix used by the decoders: for a stack of k complex
@@ -28,7 +29,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoders import decode
 from .errors import NotPositiveDefinite
 from .lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
                       scaling_factor)
@@ -37,7 +37,6 @@ from .numkernel import as_matrix
 __all__ = [
     "ChannelConfig",
     "NoiseModel",
-    "ArqEpisode",
     "trial_rng",
     "standard_normal",
     "complex_gaussian",
@@ -49,7 +48,6 @@ __all__ = [
     "arq_ack",
     "TrialDraw",
     "arq_codebooks",
-    "draw_arq_trial",
     "simulate_arq_episode",
     "sample_noise",
 ]
@@ -251,16 +249,17 @@ def arq_codebooks(fragments, rho: float, r1: float,
             for l, frag in enumerate(fragments, start=1)]
 
 
-def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
-                   rng, noise: NoiseModel) -> tuple[TrialDraw, list]:
+def simulate_arq_episode(fragments, books, hc, rho: float, x_thresh: float,
+                         rng, noise: NoiseModel) -> tuple[TrialDraw, list]:
     """Draw one ARQ episode over long-term static fading up to its
     stopping round; returns the block decoded there and the ACK history.
 
-    `books` are the fragments' codebooks from `arq_codebooks`.  Rounds
-    1..L-1 stop on ACK; round L always stops.  A message index is drawn
-    uniformly below the smallest codebook size and encoded by the
-    stopping fragment through its canonical codebook order; each round
-    adds its own noise."""
+    `fragments[l-1]` is the design decoded after round l (its coding
+    duration covers rounds 1..l, and its rate is r1/l), and `books` are
+    their codebooks from `arq_codebooks`.  Rounds 1..L-1 stop on ACK;
+    round L always stops.  A message index is drawn uniformly below the
+    smallest codebook size and encoded by the stopping fragment through
+    its canonical codebook order; each round adds its own noise."""
     hc = np.asarray(hc, dtype=np.complex128)
     uses = fragments[0].coding_duration
     m_round, dim_round = 2 * uses * hc.shape[0], 2 * uses * hc.shape[1]
@@ -283,35 +282,6 @@ def draw_arq_trial(fragments, books, hc, rho: float, x_thresh: float,
     h = embed_complex(hc, stop * uses, rho)
     return TrialDraw(y=h @ x + w, h=h, design=fragments[stop - 1],
                      codebook=book, message=message), acks
-
-
-@dataclass
-class ArqEpisode:
-    """One incremental-redundancy episode."""
-
-    rounds_used: int
-    error: bool
-    ack_history: list
-    outcome_kind: str
-    message: int
-
-
-def simulate_arq_episode(fragments, hc, rho: float, r1: float,
-                         x_thresh: float, method: str, rng,
-                         gate=None, noise: NoiseModel | None = None) -> ArqEpisode:
-    """Run and decode one ARQ episode (see `draw_arq_trial`).
-
-    `fragments[l-1]` is the design decoded after round l (its coding
-    duration covers rounds 1..l, and its rate is r1/l).  The episode errs
-    iff the decode at the stopping round is not the transmitted codeword."""
-    books = arq_codebooks(fragments, rho, r1)
-    draw, acks = draw_arq_trial(fragments, books, hc, rho, x_thresh, rng,
-                                noise or NoiseModel())
-    outcome = decode(draw.y, draw.h, draw.design, draw.codebook.scale, method,
-                     rho=rho, gate=gate, codebook=draw.codebook)
-    return ArqEpisode(rounds_used=len(acks), error=not draw.decoded_by(outcome),
-                      ack_history=acks, outcome_kind=outcome.kind,
-                      message=draw.message)
 
 
 def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:
@@ -365,7 +335,8 @@ class ChannelConfig:
                                         else value != f.default):
                 raise ValueError(f"the {self.model} model does not read {f.name}")
         counts = (self.nt, self.nr, self.tones, self.taps, self.arq_rounds)
-        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in counts):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and v >= 1 for v in counts):
             raise ValueError("nt, nr, tones, taps and arq_rounds must be integers >= 1")
         self.nt, self.nr, self.tones, self.taps, self.arq_rounds = map(int, counts)
         if self.model == "fixed":
@@ -430,8 +401,9 @@ class ChannelConfig:
 
             def draw_arq(trial: int) -> TrialDraw:
                 hc = complex_gaussian(stream(trial), (self.nr, self.nt))
-                return draw_arq_trial(fragments, books, hc, rho, self.arq_x_thresh,
-                                      stream(trial, 1), self.noise)[0]
+                return simulate_arq_episode(fragments, books, hc, rho,
+                                            self.arq_x_thresh, stream(trial, 1),
+                                            self.noise)[0]
 
             return draw_arq
 

@@ -24,6 +24,10 @@ codebook's integer coordinate box (a box-constrained Schnorr-Euchner
 search; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
 lattices", IEEE T-IT 2002), and hands the few codewords near the best to
 `ml_decode`, whose tie rule then returns the scan's codeword.
+
+A received block goes through `prepare` once, which builds the channel
+stage every method shares, and through `decode(stage, method=...)` once
+per method: the one method dispatch.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ __all__ = [
     "approximation_ratio",
     "ChannelStage",
     "prepare",
-    "detect",
     "decode",
 ]
 
@@ -94,7 +97,7 @@ TIE_TOLERANCE = 1e-12
 #: the codebook's box and takes no cap.
 NODE_BUDGET = 10**8
 
-#: `detect` scans codebooks up to this size and searches larger ones; the
+#: `decode` scans codebooks up to this size and searches larger ones; the
 #: two agree on every codeword they return, so records do not depend on it.
 ML_SCAN_MAX_POINTS = 4096
 
@@ -503,7 +506,7 @@ def prepare(y, h, design: LatticeDesign, phi: float,
     return ChannelStage(problem, design, phi, rho=rho, gate=gate, codebook=codebook)
 
 
-def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
+def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
     """Decode a prepared block with `method`.
 
     A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
@@ -525,14 +528,6 @@ def detect(stage: ChannelStage, method: str) -> DecodeOutcome:
         detector = babai_nearest_plane if method == METHOD_LR_SIC else lr_aided_linear
         return _classify(stage.design, detector(problem, outcome.basis))
     raise ValueError(f"unknown method {method!r}")
-
-
-def decode(y, h, design: LatticeDesign, phi: float, method: str,
-           rho: float | None = None, gate: DecodeGate | None = None,
-           codebook: Codebook | None = None) -> DecodeOutcome:
-    """One-shot decode: `detect(prepare(...), method)`."""
-    return detect(prepare(y, h, design, phi, rho=rho, gate=gate, codebook=codebook),
-                  method)
 
 
 def _classify(design: LatticeDesign, res: LatticeDecodeResult) -> DecodeOutcome:

@@ -11,11 +11,14 @@ and keeps every record bit-reproducible no matter how trials are
 scheduled.
 
 `sweep_cell` runs one block of trials at one signal level and returns
-its `BlockTally`, whose `records` raise the failures it lists.  Every
-`run_sweep` cuts each level into blocks, runs them in this process or in
-worker processes, and scans them in trial order, so that every method
-stops at its min_errors-th error and a failure is raised where a serial
-run meets it.
+its `BlockTally`, whose `records` raise the failures it lists.  Each
+trial has one path: the channel layer's trial sampler draws it (an ARQ
+trial through `channels.simulate_arq_episode`), `decoders.prepare` builds
+its one channel stage, and `decoders.decode` runs each method still
+running on that stage.  Every `run_sweep` cuts each level into blocks,
+runs them in this process or in worker processes, and scans them in
+trial order, so that every method stops at its min_errors-th error and a
+failure is raised where a serial run meets it.
 
 The diversity slope is the least-squares slope of -log10(error rate)
 against log10(rho) over the top qualifying signal levels.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelConfig, trial_rng
-from .decoders import METHOD_NAIVE, METHODS, DecodeGate, detect, prepare
+from .decoders import METHOD_NAIVE, METHODS, DecodeGate, decode, prepare
 from .errors import InsufficientData, LatdecError
 from .lattice import LatticeDesign
 from .numkernel import cholesky_upper
@@ -96,9 +99,10 @@ class SweepConfig:
         if not (0.0 <= self.r < math.inf):
             raise ValueError("r must be nonnegative and finite")
         for name in ("min_errors", "max_trials", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-            setattr(self, name, int(getattr(self, name)))
+            setattr(self, name, int(value))
         if self.min_errors < 20:
             raise ValueError("min_errors must be >= 20")
         if self.max_trials < 1:
@@ -283,7 +287,7 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
                             rho=rho, gate=gate, codebook=draw.codebook)
             for method in tuple(active):
                 try:
-                    outcome = detect(stage, method)
+                    outcome = decode(stage, method=method)
                 except LatdecError as exc:
                     tally.failures.append((trial, method, exc))
                     active.remove(method)

@@ -117,9 +117,10 @@ class LatticeDesign:
             raise ValueError(f"generator must be square, got {g.shape}")
         qr_decompose(g)  # raises RankDeficient when singular
         self.generator = g
-        if not isinstance(self.coding_duration, (int, np.integer)) or self.coding_duration < 1:
+        t = self.coding_duration
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
             raise ValueError("coding_duration must be an integer >= 1")
-        self.coding_duration = int(self.coding_duration)
+        self.coding_duration = int(t)
         if self.dither is not None:
             u = as_vector(self.dither, "dither")
             if u.shape[0] != n:

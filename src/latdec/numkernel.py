@@ -13,7 +13,7 @@ Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
 The kernels coerce with np.asarray and scan nothing: NaN/Inf entries are
 rejected (by `as_matrix`/`as_vector`) only where arrays enter the program,
 in the config objects (`LatticeDesign`, `ShapingRegion`, `ChannelConfig`,
-`SweepConfig`) and the decoder entry points (`prepare`/`decode` and the
+`SweepConfig`) and the decoder entry points (`prepare` and the
 `RegularizedProblem` constructor).  Every floor is written as
 `not (value >= floor)`, so a NaN produced inside the program fails it.
 """

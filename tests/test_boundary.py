@@ -1,7 +1,7 @@
 """Non-finite inputs are rejected where they enter the program: in the
 config objects built from experiment files and at the decoder entry points
-(`prepare`, `decode` and the `RegularizedProblem` constructor).  The
-kernels below them scan nothing."""
+(`prepare` and the `RegularizedProblem` constructor).  The kernels below
+them scan nothing."""
 
 import copy
 
@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from latdec.cli import main
-from latdec.decoders import RegularizedProblem, decode, prepare
+from latdec.decoders import RegularizedProblem, prepare
 from latdec.dmtsim import ChannelConfig
 from latdec.errors import SchemaError
 from latdec.experiment import parse_experiment
@@ -37,9 +37,6 @@ def _problem(y=None, h=None):
 ENTRY_POINTS = {
     "prepare.y": lambda bad: prepare(_with(bad, (2,), 1), np.eye(2), DESIGN, 1.0),
     "prepare.H": lambda bad: prepare(np.ones(2), _with(bad, (2, 2), (1, 0)), DESIGN, 1.0),
-    "decode.y": lambda bad: decode(_with(bad, (2,), 0), np.eye(2), DESIGN, 1.0, "ml"),
-    "decode.H": lambda bad: decode(np.ones(2), _with(bad, (2, 2), (0, 1)), DESIGN,
-                                   1.0, "lr_linear"),
     "RegularizedProblem.y": lambda bad: _problem(y=_with(bad, (2,), 0)),
     "RegularizedProblem.H": lambda bad: _problem(h=_with(bad, (2, 2), (1, 1))),
     "LatticeDesign.generator": lambda bad: LatticeDesign(

@@ -12,7 +12,6 @@ from latdec.channels import (
     arq_ack,
     arq_codebooks,
     complex_gaussian,
-    draw_arq_trial,
     embed_complex,
     fixed_channel,
     sample_mimo_ofdm,
@@ -23,6 +22,7 @@ from latdec.channels import (
     standard_normal,
     trial_rng,
 )
+from latdec.decoders import decode, prepare
 from latdec.lattice import LatticeDesign, ShapingRegion
 
 
@@ -272,8 +272,8 @@ def test_draw_arq_trial_channel_is_round_blocks():
     stops = set()
     for _ in range(60):
         hc = complex_gaussian(rng, (1, 1))
-        draw, acks = draw_arq_trial(frags, books, hc, 20.0, 1.2, rng,
-                                    NoiseModel())
+        draw, acks = simulate_arq_episode(frags, books, hc, 20.0, 1.2, rng,
+                                          NoiseModel())
         stop = len(acks)
         stops.add(stop)
         want = np.kron(np.eye(stop), embed_complex(hc, 2, 20.0))
@@ -282,50 +282,57 @@ def test_draw_arq_trial_channel_is_round_blocks():
     assert stops == {1, 2, 3}
 
 
+def arq_episode(frags, hc, rho, r1, x_thresh, method, rng, noise=NoiseModel()):
+    """One episode drawn to its stopping round and decoded there: the
+    draw, the ACK history and the decode outcome."""
+    books = arq_codebooks(frags, rho, r1)
+    draw, acks = simulate_arq_episode(frags, books, hc, rho, x_thresh, rng, noise)
+    stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
+                    codebook=draw.codebook)
+    return draw, acks, decode(stage, method=method)
+
+
 def test_arq_episode_noiseless_strong_channel():
     frags = arq_fragment_designs()
     hc = np.array([[3.0 + 0.0j]])
     quiet = NoiseModel(scale=0.0)
-    ep = simulate_arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
-                              trial_rng(42, 0), noise=quiet)
+    draw, acks, out = arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
+                                  trial_rng(42, 0), noise=quiet)
     # ln(1 + 100 * 9) = 6.80 >= 1.0 * ln 100 = 4.61: ack in round 1.
-    assert ep.rounds_used == 1
-    assert ep.ack_history == [True]
-    assert not ep.error
-    assert ep.outcome_kind == "codeword"
+    assert acks == [True]
+    assert draw.decoded_by(out)
+    assert out.kind == "codeword"
 
 
 def test_arq_episode_noiseless_weak_channel_uses_final_round():
     frags = arq_fragment_designs()
     hc = np.array([[0.1 + 0.0j]])
     quiet = NoiseModel(scale=0.0)
-    ep = simulate_arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
-                              trial_rng(43, 0), noise=quiet)
+    draw, acks, out = arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
+                                  trial_rng(43, 0), noise=quiet)
     # ln(1 + 100 * 0.01) = 0.69 < 4.61: round 1 NACKs; the final round
     # always decodes, and without noise it decodes correctly.
-    assert ep.rounds_used == 2
-    assert ep.ack_history == [False, True]
-    assert not ep.error
+    assert acks == [False, True]
+    assert draw.design is frags[1]
+    assert draw.decoded_by(out)
 
 
 def test_arq_episode_randomness_is_keyed():
     frags = arq_fragment_designs()
     hc = np.array([[1.0 + 0.5j]])
-    a = simulate_arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
-    b = simulate_arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
-    assert a == b
+    draw_a, acks_a, out_a = arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
+    draw_b, acks_b, out_b = arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
+    assert draw_a.message == draw_b.message and acks_a == acks_b
+    assert out_a.kind == out_b.kind and np.array_equal(out_a.coords, out_b.coords)
     # Same episode stream, different method: same message is transmitted.
-    c = simulate_arq_episode(frags, hc, 50.0, 0.5, 1.0, "reg_exact",
-                             trial_rng(7, 0))
-    assert c.message == a.message
+    draw_c, _, _ = arq_episode(frags, hc, 50.0, 0.5, 1.0, "reg_exact", trial_rng(7, 0))
+    assert draw_c.message == draw_a.message
 
 
 def test_arq_episode_rejects_mismatched_fragments():
     bad = [square_design(2, t=1), square_design(4, t=3)]   # wrong duration
     with pytest.raises(ValueError):
-        simulate_arq_episode(bad, np.array([[1.0 + 0.0j]]), 10.0, 0.5, 1.0,
-                             "ml", trial_rng(1, 0))
+        arq_codebooks(bad, 10.0, 0.5)
     bad2 = [square_design(2, t=1), square_design(6, t=2)]  # wrong dimension
     with pytest.raises(ValueError):
-        simulate_arq_episode(bad2, np.array([[1.0 + 0.0j]]), 10.0, 0.5, 1.0,
-                             "ml", trial_rng(1, 0))
+        arq_codebooks(bad2, 10.0, 0.5)

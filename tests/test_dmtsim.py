@@ -11,6 +11,7 @@ import pytest
 from latdec import channels, decoders, dmtsim, reduction
 from latdec.channels import (
     NoiseModel,
+    arq_codebooks,
     complex_gaussian,
     fixed_channel,
     sample_mimo_ofdm,
@@ -20,7 +21,7 @@ from latdec.channels import (
     simulate_arq_episode,
     trial_rng,
 )
-from latdec.decoders import decode
+from latdec.decoders import decode, prepare
 from latdec.dmtsim import (
     ChannelConfig,
     ErrorRateRecord,
@@ -177,6 +178,17 @@ NON_INTEGER_COUNTS = {
     "taps": lambda: ChannelConfig(model="mimo_ofdm", taps=2.0),
     "arq_rounds": lambda: ChannelConfig(model="mimo_arq", arq_rounds=2.0,
                                         arq_x_thresh=1.0),
+    "coding_duration": lambda: LatticeDesign(
+        generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]), coding_duration=2.0),
+    # A bool is an int to Python, but never a count.
+    "min_errors bool": lambda: rayleigh_config(min_errors=True),
+    "max_trials bool": lambda: rayleigh_config(max_trials=True),
+    "seed bool": lambda: rayleigh_config(seed=False),
+    "nt bool": lambda: ChannelConfig(model="quasi_static_rayleigh", nt=True),
+    "arq_rounds bool": lambda: ChannelConfig(model="mimo_arq", arq_rounds=True,
+                                             arq_x_thresh=1.0),
+    "coding_duration bool": lambda: LatticeDesign(
+        generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]), coding_duration=True),
 }
 
 
@@ -387,7 +399,7 @@ DIFFERENTIAL_CASES = {
 
 
 def _reference_plain_outcome(cfg, rho, key, trial, method):
-    """One decode() call on the trial's channel, codeword and noise."""
+    """One prepare() and decode() on the trial's channel, codeword and noise."""
     chan, design = cfg.channel, cfg.design
     t = design.coding_duration
     phi = scaling_factor(rho, cfg.r, t, design.dimension)
@@ -405,14 +417,15 @@ def _reference_plain_outcome(cfg, rho, key, trial, method):
     msg = int(rng.integers(book.size))
     x = book.points[msg]
     y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
-    out = decode(y, h, design, phi, method, rho=rho, gate=cfg.gate(),
-                 codebook=book)
+    out = decode(prepare(y, h, design, phi, rho=rho, gate=cfg.gate(), codebook=book),
+                 method=method)
     wrong = not (out.is_codeword and np.array_equal(out.coords, book.coords[msg]))
     return wrong, out.kind
 
 
 def _reference_arq_outcome(cfg, rho, key, trial, method):
-    """One simulate_arq_episode() call on the trial's channel."""
+    """One simulate_arq_episode() on the trial's channel, decoded at its
+    stopping round by one prepare() and decode()."""
     chan = cfg.channel
     hc = complex_gaussian(trial_rng(cfg.seed, 0, *key, trial), (chan.nr, chan.nt))
     frags = [LatticeDesign(generator=np.kron(np.eye(l), cfg.design.generator),
@@ -421,10 +434,12 @@ def _reference_arq_outcome(cfg, rho, key, trial, method):
                            coding_duration=l * cfg.design.coding_duration,
                            dither=np.tile(cfg.design.dither, l))
              for l in range(1, chan.arq_rounds + 1)]
-    ep = simulate_arq_episode(frags, hc, rho, cfg.r, chan.arq_x_thresh, method,
-                              trial_rng(cfg.seed, 0, *key, trial, 1),
-                              gate=cfg.gate(), noise=chan.noise)
-    return ep.error, ep.outcome_kind
+    draw, _ = simulate_arq_episode(frags, arq_codebooks(frags, rho, cfg.r), hc, rho,
+                                   chan.arq_x_thresh,
+                                   trial_rng(cfg.seed, 0, *key, trial, 1), chan.noise)
+    out = decode(prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
+                         gate=cfg.gate(), codebook=draw.codebook), method=method)
+    return not draw.decoded_by(out), out.kind
 
 
 @pytest.mark.parametrize("model", sorted(DIFFERENTIAL_CASES))
@@ -636,13 +651,13 @@ def plant_failures(monkeypatch, plants):
         planted(None)
         return decoders.prepare(*args, **kwargs)
 
-    def planted_detect(stage, method):
+    def planted_decode(stage, *, method):
         planted(method)
-        return decoders.detect(stage, method)
+        return decoders.decode(stage, method=method)
 
     monkeypatch.setattr(dmtsim, "trial_rng", keyed_rng)
     monkeypatch.setattr(dmtsim, "prepare", planted_prepare)
-    monkeypatch.setattr(dmtsim, "detect", planted_detect)
+    monkeypatch.setattr(dmtsim, "decode", planted_decode)
 
 
 # In the Rayleigh case at 12 dB `naive` stops after trial 59, `lr_linear`
@@ -727,13 +742,13 @@ def test_serial_failure_ends_the_run_within_a_block(monkeypatch):
     cfg = differential_config("quasi_static_rayleigh")
     plant_failures(monkeypatch, [(12.0, 0, "naive")])
     calls = []
-    planted = dmtsim.detect
+    planted = dmtsim.decode
 
-    def counted(stage, method):
+    def counted(stage, *, method):
         calls.append(method)
-        return planted(stage, method)
+        return planted(stage, method=method)
 
-    monkeypatch.setattr(dmtsim, "detect", counted)
+    monkeypatch.setattr(dmtsim, "decode", counted)
     monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
     with pytest.raises(NearSingularChannel, match="12.0 dB, method naive"):
         run_sweep(cfg)

@@ -2,15 +2,21 @@
 function its tracer rebinds and every function its output checks call
 must exist, and installing then removing the tracer must leave every
 module binding as it was.  An API cut that breaks this would otherwise
-surface only in a traced benchmark run (`--trace 1`)."""
+surface only in a traced benchmark run (`--trace 1`).  A sweep must also
+call the traced per-trial functions, or their metrics read 0."""
 
+import collections
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import checks  # noqa: E402
+import latdec  # noqa: E402
 import tracing  # noqa: E402  (imports checks.LATDEC_FNS)
 
 
@@ -39,3 +45,34 @@ def test_tracer_install_and_uninstall_restore_every_binding(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+
+@pytest.mark.parametrize("channel", [
+    latdec.ChannelConfig(model="quasi_static_rayleigh"),
+    latdec.ChannelConfig(model="mimo_arq", arq_rounds=2, arq_x_thresh=1.0)],
+    ids=lambda c: c.model)
+def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
+    # Each recorded decode is one traced `decoders.decode` span of its
+    # method, and each ARQ trial one traced `channels.simulate_arq_episode`.
+    design = latdec.LatticeDesign(generator=np.eye(2),
+                                  region=latdec.ShapingRegion.box([0.6, 0.6]),
+                                  dither=np.full(2, 0.5))
+    config = latdec.SweepConfig(design=design, channel=channel,
+                                methods=("ml", "reg_exact", "lr_sic", "lr_linear"),
+                                rho_db=(10.0, 14.0), r=0.0, min_errors=20,
+                                max_trials=60, seed=3, gate_alpha=1.5)
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        records = latdec.run_sweep(config).records
+    finally:
+        tracer.uninstall()
+    spans = collections.Counter(span[0] for span in tracer.spans)
+    for method in config.methods:
+        decodes = sum(rec.trials for rec in records if rec.method == method)
+        assert decodes > 0 and spans[f"decoders.decode.{method}"] == decodes
+    trials = sum(max(rec.trials for rec in records if rec.rho_db == rho_db)
+                 for rho_db in config.rho_db)
+    episodes = trials if channel.model == "mimo_arq" else 0
+    assert spans["channels.simulate_arq_episode"] == episodes
