@@ -227,8 +227,7 @@ def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
         for l in range(1, rounds + 1)]
 
 
-def arq_codebooks(fragments, rho: float, r1: float,
-                  integer_nesting: bool = False) -> list:
+def arq_codebooks(fragments, rho: float, r1: float) -> list:
     """Check the fragment ladder and enumerate each fragment's codebook.
 
     Fragment l (1-based) is decoded after round l at rate r1/l; it must
@@ -244,8 +243,7 @@ def arq_codebooks(fragments, rho: float, r1: float,
                              f"dimension {l * base.dimension}, coding duration "
                              f"{l * base.coding_duration}")
     return [enumerate_codebook(frag, scaling_factor(
-                rho, r1 / l, frag.coding_duration, frag.dimension,
-                integer_nesting=integer_nesting))
+                rho, r1 / l, frag.coding_duration, frag.dimension))
             for l, frag in enumerate(fragments, start=1)]
 
 
@@ -386,8 +384,7 @@ class ChannelConfig:
             return fixed_channel(self.h_real)
         raise ValueError(f"cannot sample model {self.model!r} directly")
 
-    def trial_sampler(self, design: LatticeDesign, rho: float, r: float,
-                      stream, integer_nesting: bool = False):
+    def trial_sampler(self, design: LatticeDesign, rho: float, r: float, stream):
         """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.
 
         `stream(trial, *sub)` gives a trial's random stream.  A plain trial
@@ -396,8 +393,7 @@ class ChannelConfig:
         `stream(trial, 1)`."""
         if self.model == "mimo_arq":
             fragments = _arq_fragments(design, self.arq_rounds)
-            books = arq_codebooks(fragments, rho, r,
-                                  integer_nesting=integer_nesting)
+            books = arq_codebooks(fragments, rho, r)
 
             def draw_arq(trial: int) -> TrialDraw:
                 hc = complex_gaussian(stream(trial), (self.nr, self.nt))
@@ -408,8 +404,7 @@ class ChannelConfig:
             return draw_arq
 
         t = design.coding_duration
-        codebook = enumerate_codebook(design, scaling_factor(
-            rho, r, t, design.dimension, integer_nesting=integer_nesting))
+        codebook = enumerate_codebook(design, scaling_factor(rho, r, t, design.dimension))
 
         def draw(trial: int) -> TrialDraw:
             rng = stream(trial)

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .experiment import load_experiment
-from .validation import POISON_TARGETS, SUITES, run_suites
+from .validation import SUITES, run_suites
 
 __all__ = ["main", "write_results_csv", "write_results_json", "write_slopes_json"]
 
@@ -183,10 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run built-in self-check suites")
     p_val.add_argument("--suite", action="append", choices=sorted(SUITES),
                        help="run only this suite (repeatable)")
-    p_val.add_argument("--poison", default=None, choices=sorted(POISON_TARGETS),
+    p_val.add_argument("--poison", default=None, choices=sorted(SUITES),
                        help="corrupt one instance inside the named suite, "
-                            "which must run ('lll' names reduction-bound), "
-                            "to prove detection")
+                            "which must run, to prove detection")
     p_val.set_defaults(func=_cmd_validate)
 
     p_ref = sub.add_parser("dmt-reference",

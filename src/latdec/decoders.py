@@ -65,7 +65,6 @@ __all__ = [
     "METHOD_LR_LINEAR",
     "METHODS",
     "RegularizedProblem",
-    "DecodeGate",
     "DecodeOutcome",
     "LatticeDecodeResult",
     "mmse_gdfe_filters",
@@ -105,14 +104,6 @@ ML_SCAN_MAX_POINTS = 4096
 #: 1 + ||y - H u||^2, of the nearest; far above roundoff, so the scan's
 #: tie rule sees every codeword that can win.
 ML_TIE_SLACK = 1e-9
-
-
-@dataclass
-class DecodeGate:
-    """Reduction-gate settings for the reduction-aided decoders."""
-
-    alpha: float
-    delta: float = 0.75
 
 
 @dataclass(eq=False)
@@ -471,39 +462,43 @@ class ChannelStage:
     """Channel-side preprocessing of one received block, shared by every
     method that decodes it: the one regularized problem (which factors
     its GDFE filters on first use) and the gated reduction of its basis,
-    built at most once and only for methods that need it."""
+    built at most once and only for methods that need it.
+
+    The gate refuses a basis whose condition number exceeds
+    rho^gate_alpha; LLL runs at delta = 3/4, the value its swap cap
+    assumes."""
 
     problem: RegularizedProblem
     design: LatticeDesign
     phi: float
     rho: float | None = None
-    gate: DecodeGate | None = None
+    gate_alpha: float | None = None
     codebook: Codebook | None = None
 
     @cached_property
     def reduction(self) -> GateOutcome:
         """The problem's basis through the condition gate and LLL."""
-        if self.gate is None:
-            raise ValueError("reduction-aided methods require gate settings")
+        if self.gate_alpha is None:
+            raise ValueError("reduction-aided methods require gate_alpha")
         if self.rho is None:
             raise ValueError("reduction-aided methods require rho for the gate")
-        return gated_reduce(self.problem.prepared().basis, self.rho,
-                            self.gate.alpha, delta=self.gate.delta)
+        return gated_reduce(self.problem.prepared().basis, self.rho, self.gate_alpha)
 
 
 def prepare(y, h, design: LatticeDesign, phi: float,
-            rho: float | None = None, gate: DecodeGate | None = None,
+            rho: float | None = None, gate_alpha: float | None = None,
             codebook: Codebook | None = None) -> ChannelStage:
     """Channel stage of one received block for a design at scale phi.
 
     The penalty is the identity.  The reduction-aided methods need `rho`
-    and `gate`; `codebook` spares ML an enumeration.  The stage's one
-    `RegularizedProblem` is built here, and building it is the one check
-    of y and H."""
+    and the gate exponent `gate_alpha`; `codebook` spares ML an
+    enumeration.  The stage's one `RegularizedProblem` is built here, and
+    building it is the one check of y and H."""
     problem = RegularizedProblem(y=y, h=h, t_reg=np.eye(design.dimension),
                                  scaled_generator=phi * design.generator,
                                  dither=design.dither)
-    return ChannelStage(problem, design, phi, rho=rho, gate=gate, codebook=codebook)
+    return ChannelStage(problem, design, phi, rho=rho, gate_alpha=gate_alpha,
+                        codebook=codebook)
 
 
 def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:

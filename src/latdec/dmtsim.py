@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .channels import ChannelConfig, trial_rng
-from .decoders import METHOD_NAIVE, METHODS, DecodeGate, decode, prepare
+from .decoders import METHOD_NAIVE, METHODS, decode, prepare
 from .errors import InsufficientData, LatdecError
-from .lattice import LatticeDesign
+from .lattice import LatticeDesign, scaling_factor
 from .numkernel import cholesky_upper
 
 __all__ = [
@@ -78,8 +79,8 @@ class SweepConfig:
     max_trials: int = 10**6
     seed: int = 0
     gate_alpha: float | None = None
-    gate_delta: float = 0.75
-    integer_nesting: bool = False
+    #: LLL's delta: fixed, since the swap cap of `reduction` holds for 3/4.
+    gate_delta: ClassVar[float] = 0.75
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -112,18 +113,24 @@ class SweepConfig:
             raise ValueError("reduction-aided methods need gate_alpha")
         if self.gate_alpha is not None and not math.isfinite(self.gate_alpha):
             raise ValueError("gate_alpha must be finite")
-        if not (0.25 < self.gate_delta < 1.0):
-            raise ValueError("gate_delta must lie in (1/4, 1)")
         self.channel.check_design(self.design)
+        # Each level's rho, gate threshold and lattice scale must be float64
+        # numbers a trial can use, or the sweep would stop at that level.
+        t, n = self.design.coding_duration, self.design.dimension
+        for v in grid:
+            rho = _float_or_inf(pow, 10.0, v / 10.0)
+            if not 0.0 < rho < math.inf:
+                raise ValueError(f"rho_db {v} leaves the float64 range")
+            if self.gate_alpha is not None and (
+                    _float_or_inf(pow, rho, self.gate_alpha) == math.inf):
+                raise ValueError(f"gate threshold rho^alpha overflows at rho_db {v}")
+            if not 0.0 < _float_or_inf(scaling_factor, rho, self.r, t, n) < math.inf:
+                raise ValueError(f"lattice scale phi leaves the float64 range "
+                                 f"at rho_db {v} and r {self.r}")
         outputs, inputs = self.channel.real_dims(self.design.coding_duration)
         if METHOD_NAIVE in self.methods and outputs < inputs:
             raise ValueError(f"naive decoding needs at least as many channel outputs "
                              f"as inputs, the channel gives {outputs} for {inputs}")
-
-    def gate(self) -> DecodeGate | None:
-        if self.gate_alpha is None:
-            return None
-        return DecodeGate(alpha=self.gate_alpha, delta=self.gate_delta)
 
 
 @dataclass
@@ -198,6 +205,14 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
     if errors == trials:
         hi = 1.0
     return lo, hi
+
+
+def _float_or_inf(fn, *args) -> float:
+    """fn(*args), or inf where float64 arithmetic overflows."""
+    try:
+        return float(fn(*args))
+    except OverflowError:
+        return math.inf
 
 
 def _key_from_float(x: float) -> int:
@@ -275,16 +290,14 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
 
     trial = start
     try:
-        draw_trial = config.channel.trial_sampler(
-            config.design, rho, config.r, stream,
-            integer_nesting=config.integer_nesting)
-        gate = config.gate()
+        draw_trial = config.channel.trial_sampler(config.design, rho, config.r, stream)
         for trial in range(start, stop):
             if not active:
                 break
             draw = draw_trial(trial)
             stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
-                            rho=rho, gate=gate, codebook=draw.codebook)
+                            rho=rho, gate_alpha=config.gate_alpha,
+                            codebook=draw.codebook)
             for method in tuple(active):
                 try:
                     outcome = decode(stage, method=method)

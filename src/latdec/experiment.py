@@ -9,18 +9,17 @@ reader.  This layer checks only what is specific to the YAML form: that
 sections are mappings, that no key is unknown and no required key is
 missing (both named with their dotted path), and that every value has its
 type (a bool is not a number).  It also resolves `dither: "random"`, the
-seed precedence, the gate's "exactly one of alpha or d_target" and the
-`arq` mapping onto the channel's ARQ fields.  Every value check, default
-and allowed-value list lives in the config object a section builds
-(`ShapingRegion`, `LatticeDesign`, `NoiseModel`, `ChannelConfig`,
-`SweepConfig`); absent keys are not passed, and the objects' errors come
-back as `SchemaError` with the section's path.  Everything is validated
+seed precedence (--seed, then the file, then 0), the gate's "exactly one
+of alpha or d_target" and the `arq` mapping onto the channel's ARQ
+fields.  Every value check, default and allowed-value list lives in the
+config object a section builds (`ShapingRegion`, `LatticeDesign`,
+`NoiseModel`, `ChannelConfig`, `SweepConfig`); absent keys are not
+passed, and the objects' errors come back as `SchemaError` with the
+section's path.  Everything is validated
 before any computation starts.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import yaml
@@ -31,9 +30,7 @@ from .errors import LatdecError, SchemaError
 from .lattice import LatticeDesign, ShapingRegion, random_dither
 from .reduction import gate_exponent_default
 
-__all__ = ["load_experiment", "parse_experiment", "ENV_SEED"]
-
-ENV_SEED = "LATDEC_SEED"
+__all__ = ["load_experiment", "parse_experiment"]
 
 
 def _section(node, path: str, table: dict, required=()) -> dict:
@@ -61,16 +58,15 @@ def _build(cls, path: str, **kwargs):
 
 
 def _typed(kind, name: str):
-    """Reader accepting instances of `kind` only (never a bool for a number)."""
+    """Reader accepting instances of `kind` only (never a bool)."""
     def read(value, path: str):
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise SchemaError(f"{path}: expected {name}")
         return value
     return read
 
 
 _integer = _typed(int, "an integer")
-_boolean = _typed(bool, "true/false")
 _string = _typed(str, "a string")
 _real = _typed((int, float), "a number")
 
@@ -117,7 +113,7 @@ def _dither(value, path: str):
 _REGION = {"kind": _string, "half_widths": _vector, "radius": _number}
 _NOISE = {"kind": _string, "sigma_e": _number, "scale": _number}
 _ARQ = {"rounds": _integer, "x_thresh": _number}
-_GATE = {"alpha": _number, "d_target": _number, "delta": _number}
+_GATE = {"alpha": _number, "d_target": _number}
 
 
 def _region(node, path: str) -> ShapingRegion:
@@ -140,10 +136,8 @@ def _gate(node, path: str) -> dict:
     gate = _section(node, path, _GATE)
     if ("alpha" in gate) == ("d_target" in gate):
         raise SchemaError(f"{path}: give exactly one of alpha or d_target")
-    kwargs = {"gate_delta": gate["delta"]} if "delta" in gate else {}
-    kwargs["gate_alpha"] = gate["alpha"] if "alpha" in gate else _build(
-        gate_exponent_default, f"{path}.d_target", d_target=gate["d_target"])
-    return kwargs
+    return {"gate_alpha": gate["alpha"] if "alpha" in gate else _build(
+        gate_exponent_default, f"{path}.d_target", d_target=gate["d_target"])}
 
 
 _DESIGN = {"generator": _matrix, "region": _region, "coding_duration": _integer,
@@ -152,7 +146,7 @@ _CHANNEL = {"model": _string, "nt": _integer, "nr": _integer, "tones": _integer,
             "taps": _integer, "h_real": _matrix, "noise": _noise, "arq": _arq}
 _SWEEP = {"rho_db": _list(_number), "r": _number, "methods": _list(_string),
           "min_errors": _integer, "max_trials": _integer, "seed": _integer,
-          "gate": _gate, "integer_nesting": _boolean}
+          "gate": _gate}
 _TOP = ("design", "channel", "sweep")
 
 
@@ -160,18 +154,14 @@ def parse_experiment(doc, seed_override: int | None = None,
                      source: str = "<config>") -> SweepConfig:
     """Validate a parsed YAML document and build the sweep configuration.
 
-    Seed precedence: --seed override, then the file, then the LATDEC_SEED
-    environment variable, then 0."""
+    Seed precedence: `seed_override` (the CLI's --seed), then the file's
+    `sweep.seed`, then 0."""
     doc = _section(doc, source, dict.fromkeys(_TOP, lambda v, p: v), _TOP)
     sweep = _section(doc["sweep"], "sweep", _SWEEP, ("rho_db", "r", "methods"))
     sweep.update(sweep.pop("gate", {}))
     if seed_override is not None:
         sweep["seed"] = int(seed_override)
-    elif "seed" not in sweep:
-        try:
-            sweep["seed"] = int(os.environ.get(ENV_SEED) or 0)
-        except ValueError as exc:
-            raise SchemaError(f"{ENV_SEED} must be an integer") from exc
+    sweep.setdefault("seed", 0)
 
     design = _section(doc["design"], "design", _DESIGN, ("generator", "region"))
     if isinstance(design.get("dither"), str):

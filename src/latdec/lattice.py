@@ -167,21 +167,15 @@ class Codebook:
         return self._box
 
 
-def scaling_factor(rho: float, r: float, t: int, n: int, integer_nesting: bool = False) -> float:
-    """Lattice shrink factor phi = rho^(-r T / n).
-
-    With integer_nesting=True the inverse scale is snapped to the nearest
-    integer >= 1 (so the scaled lattice nests inside the base one).
-    """
+def scaling_factor(rho: float, r: float, t: int, n: int) -> float:
+    """Lattice shrink factor phi = rho^(-r T / n), so a design's codebook
+    at this scale grows as phi^-n = rho^(r T): r log2(rho) bits per use."""
     if not (rho > 0.0):
         raise ValueError("rho must be positive")
     if r < 0.0:
         raise ValueError("r must be nonnegative")
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
-    if integer_nesting:
-        inv = float(round_half_away_from_zero(rho ** (r * t / n)))
-        return 1.0 / max(inv, 1.0)
     return float(rho ** (-r * t / n))
 
 
@@ -231,6 +225,9 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     hw = design.region.bounding_half_widths(n)
     center = -ainv @ u
     spread = np.abs(ainv) @ hw
+    # Checked before the int64 cast, which wraps bounds past 2^63 silently.
+    if not np.all(spread < DEFAULT_ENUM_BUDGET):
+        raise BudgetExceeded(f"candidate box wider than budget {DEFAULT_ENUM_BUDGET}")
     lo = np.ceil(center - spread - 1e-9).astype(np.int64)
     hi = np.floor(center + spread + 1e-9).astype(np.int64)
     kept_pts = []

@@ -20,7 +20,7 @@ from .decoders import (
 from .errors import MetricMismatch
 from .reduction import integer_det, is_lll_reduced, iteration_bound, lll_reduce
 
-__all__ = ["POISON_TARGETS", "SUITES", "run_suites"]
+__all__ = ["SUITES", "run_suites"]
 
 
 def _random_problem(rng, n: int, m: int | None = None) -> RegularizedProblem:
@@ -151,26 +151,21 @@ SUITES = {
 }
 
 
-#: Accepted `poison` values and the suite each corrupts.
-POISON_TARGETS = {**{name: name for name in SUITES}, "lll": "reduction-bound"}
-
-
 def run_suites(names=None, poison: str | None = None) -> list[dict]:
-    """Run the named suites (all by default); `poison` corrupts one
-    instance inside the matching suite to prove the check detects it.
+    """Run the named suites (all by default); `poison`, a suite name,
+    corrupts one instance inside that suite to prove the check detects it.
 
-    Raises ValueError for an unknown suite, or a poison that targets no
+    Raises ValueError for an unknown suite, or a poison that names no
     suite of this run (such a run would prove nothing)."""
     if names is None:
         names = list(SUITES)
-    target = POISON_TARGETS.get(poison)
-    if poison is not None and target not in names:
-        raise ValueError(f"poison {poison!r} targets no suite of this run")
+    if poison is not None and poison not in names:
+        raise ValueError(f"poison {poison!r} names no suite of this run")
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        res = SUITES[name](name == target)
+        res = SUITES[name](name == poison)
         res["suite"] = name
         results.append(res)
     return results

@@ -64,7 +64,7 @@ DOC = {
                 "noise": {"scale": 1.0}},
     "sweep": {"rho_db": [8.0, 12.0], "r": 0.0, "methods": ["ml"],
               "min_errors": 20, "max_trials": 50, "seed": 3,
-              "gate": {"alpha": 1.5, "delta": 0.75}},
+              "gate": {"alpha": 1.5}},
 }
 
 NAN, INF = float("nan"), float("inf")
@@ -82,7 +82,6 @@ FILE_CASES = {
     "rho_db": [(("sweep", "rho_db", 0), NAN)],
     "r": [(("sweep", "r"), NAN)],
     "gate alpha": [(("sweep", "gate", "alpha"), INF)],
-    "gate delta": [(("sweep", "gate", "delta"), NAN)],
 }
 
 
@@ -94,8 +93,17 @@ RANGE_CASES = {
     "taps 0": [(("channel",), {"model": "mimo_ofdm", "nt": 1, "nr": 1,
                                "tones": 1, "taps": 0})],
     "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
-    # The search caps are constants: the key is unknown, whatever its value.
+    # The search caps, LLL's delta and the lattice scaling are fixed: each
+    # key is unknown, whatever its value.
     "node_budget unknown key": [(("sweep", "node_budget"), 0)],
+    "gate delta unknown key": [(("sweep", "gate", "delta"), 0.75)],
+    "integer_nesting unknown key": [(("sweep", "integer_nesting"), False)],
+    # Finite in the file, but out of float64 range once a level is run:
+    # rho itself, the gate threshold rho^alpha, or phi = rho^(-r T / n).
+    "rho_db overflows": [(("sweep", "rho_db"), [20.0, 3100.0])],
+    "gate threshold overflows": [(("sweep", "rho_db"), [20.0, 30.0]),
+                                 (("sweep", "gate"), {"alpha": 120.0})],
+    "phi underflows": [(("sweep", "rho_db"), [26.0, 30.0]), (("sweep", "r"), 400.0)],
     "singular generator": [(("design", "generator"), [[1.0, 1.0], [1.0, 1.0]])],
     # A parameter the model does not read: each used to pass the dry run
     # and then silently run a different channel.
@@ -127,7 +135,6 @@ TYPE_CASES = {
     "model list": [(("channel", "model"), ["a"])],
     "methods nested list": [(("sweep", "methods"), [["ml"]])],
     "nt float": [(("channel", "nt"), 1.0)],
-    "integer_nesting int": [(("sweep", "integer_nesting"), 1)],
     "region kind list": [(("design", "region", "kind"), ["box"])],
 }
 

@@ -14,7 +14,6 @@ import pytest
 from latdec import SweepConfig, decoders, load_experiment, run_sweep
 from latdec.channels import ChannelConfig, NoiseModel, trial_rng
 from latdec.decoders import (
-    DecodeGate,
     DecodeOutcome,
     RegularizedProblem,
     approximation_ratio,
@@ -379,7 +378,6 @@ def test_pipeline_all_methods_agree_at_high_snr():
     rng = np.random.default_rng(1212)
     design = square_design(2)
     book = enumerate_codebook(design, phi=1.0)
-    gate = DecodeGate(alpha=3.0)
     agreements = 0
     for trial in range(100):
         h = rng.standard_normal((2, 2)) + 4.0 * np.eye(2)
@@ -388,7 +386,7 @@ def test_pipeline_all_methods_agree_at_high_snr():
         outs = {}
         for method in ("ml", "reg_exact", "lr_sic", "lr_linear", "naive"):
             outs[method] = decode(prepare(y, h, design, phi=1.0, rho=100.0,
-                                          gate=gate, codebook=book), method=method)
+                                          gate_alpha=3.0, codebook=book), method=method)
         assert outs["ml"].is_codeword
         assert np.array_equal(outs["ml"].point, x)
         if all(o.is_codeword and np.array_equal(o.point, x)
@@ -413,7 +411,7 @@ def test_pipeline_gate_timeout():
         region=ShapingRegion.box([1.0, 1.0]),
         coding_duration=1, dither=None)
     out = decode(prepare(np.ones(2), np.eye(2), design, phi=1.0, rho=10.0,
-                         gate=DecodeGate(alpha=1.5)), method="lr_linear")
+                         gate_alpha=1.5), method="lr_linear")
     assert out.kind == "timeout"
     assert out.point is None
     assert out.metric == math.inf
@@ -425,7 +423,7 @@ def test_pipeline_gate_harmless_for_regularized_channel():
     design = square_design(2)
     h = np.array([[1.0, 0.0], [0.0, 1e-6]])
     out = decode(prepare(np.ones(2), h, design, phi=1.0, rho=10.0,
-                         gate=DecodeGate(alpha=1.5)), method="lr_linear")
+                         gate_alpha=1.5), method="lr_linear")
     assert out.kind in ("codeword", "out_of_codebook")
 
 

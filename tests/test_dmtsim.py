@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from latdec import channels, decoders, dmtsim, reduction
+from latdec import decoders, dmtsim, reduction
 from latdec.channels import (
     NoiseModel,
     arq_codebooks,
@@ -162,6 +162,9 @@ def test_sweep_config_validation():
         rayleigh_config(min_errors=10)
     with pytest.raises(ValueError):
         rayleigh_config(methods=("lr_linear",), gate_alpha=None)
+    with pytest.raises(TypeError):      # LLL's delta is the constant 3/4
+        rayleigh_config(gate_delta=0.75)
+    assert rayleigh_config().gate_delta == 0.75
     with pytest.raises(ValueError):
         ChannelConfig(model="mimo_arq", arq_rounds=2)   # x_thresh mandatory
 
@@ -417,8 +420,8 @@ def _reference_plain_outcome(cfg, rho, key, trial, method):
     msg = int(rng.integers(book.size))
     x = book.points[msg]
     y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
-    out = decode(prepare(y, h, design, phi, rho=rho, gate=cfg.gate(), codebook=book),
-                 method=method)
+    out = decode(prepare(y, h, design, phi, rho=rho, gate_alpha=cfg.gate_alpha,
+                         codebook=book), method=method)
     wrong = not (out.is_codeword and np.array_equal(out.coords, book.coords[msg]))
     return wrong, out.kind
 
@@ -438,7 +441,8 @@ def _reference_arq_outcome(cfg, rho, key, trial, method):
                                    chan.arq_x_thresh,
                                    trial_rng(cfg.seed, 0, *key, trial, 1), chan.noise)
     out = decode(prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
-                         gate=cfg.gate(), codebook=draw.codebook), method=method)
+                         gate_alpha=cfg.gate_alpha, codebook=draw.codebook),
+                 method=method)
     return not draw.decoded_by(out), out.kind
 
 
@@ -520,27 +524,6 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     # a reduced basis.
     assert reduced and len(factored) <= 3 * 60
     assert not any(np.array_equal(m, basis) for m in factored for basis in reduced)
-
-
-def test_arq_sweep_applies_integer_nesting(monkeypatch):
-    ladders = []
-    original = channels.arq_codebooks
-
-    def spy(*args, **kwargs):
-        ladders.append(original(*args, **kwargs))
-        return ladders[-1]
-
-    monkeypatch.setattr(channels, "arq_codebooks", spy)
-    chan = ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=3,
-                         arq_x_thresh=1.0)
-    cfg = SweepConfig(design=square_design(2), channel=chan, methods=("ml",),
-                      rho_db=(10.0, 17.0), r=0.7, min_errors=20,
-                      max_trials=20, seed=9, integer_nesting=True)
-    sweep_cell(cfg, 17.0)
-    [books] = ladders
-    inverse = [1.0 / book.scale for book in books]
-    assert inverse == [float(round(v)) for v in inverse]
-    assert min(inverse) >= 1.0 and max(inverse) > 1.0
 
 
 def differential_config(model, **kw):

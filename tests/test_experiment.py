@@ -1,6 +1,7 @@
 """Experiment-file parsing: schema errors with dotted paths, seed
 precedence, and faithful construction of the sweep configuration."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import yaml
 
 from latdec.cli import main
 from latdec.errors import SchemaError
-from latdec.experiment import ENV_SEED, load_experiment, parse_experiment
+from latdec.experiment import load_experiment, parse_experiment
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 GOOD = """
 design:
@@ -108,18 +110,15 @@ def test_bad_method_name():
 
 
 def test_seed_precedence(monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
     assert parse(GOOD).seed == 77                       # file value
     assert parse(GOOD, seed_override=5).seed == 5       # override wins
-    monkeypatch.setenv(ENV_SEED, "123")
-    assert parse(GOOD).seed == 77                       # file beats env
     no_seed = GOOD.replace("  seed: 77\n", "")
-    assert parse(no_seed).seed == 123                   # env fills in
-    monkeypatch.delenv(ENV_SEED)
-    assert parse(no_seed).seed == 0                     # final default
-    monkeypatch.setenv(ENV_SEED, "donkey")
-    with pytest.raises(SchemaError):
-        parse(no_seed)
+    assert parse(no_seed, seed_override=5).seed == 5
+    # No environment variable is read: the final default is 0.
+    monkeypatch.setenv("LATDEC_SEED", "123")
+    assert parse(no_seed).seed == 0
+    monkeypatch.setenv("LATDEC_SEED", "donkey")
+    assert parse(no_seed).seed == 0
 
 
 def test_mistyped_seed_is_an_error_under_override():
@@ -203,15 +202,13 @@ SHIPPED = {
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
-def test_shipped_configs_parse(name, monkeypatch, capsys):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+def test_shipped_configs_parse(name, capsys):
     seed, grid, methods, alpha, dim, dither, nt, nr, max_trials = SHIPPED[name]
     cfg = load_experiment(str(CONFIGS / name))
     assert (cfg.seed, cfg.rho_db, cfg.methods, cfg.gate_alpha) == (
         seed, grid, methods, alpha)
     assert (cfg.r, cfg.min_errors, cfg.max_trials, cfg.gate_delta) == (
         0.0, 50, max_trials, 0.75)
-    assert cfg.integer_nesting is False
     assert (cfg.design.dimension, cfg.design.coding_duration) == (dim, 1)
     assert np.array_equal(cfg.design.generator, np.eye(dim))
     assert np.array_equal(cfg.design.dither, dither)
@@ -229,3 +226,12 @@ def test_load_experiment_file(tmp_path):
     path.write_text(GOOD)
     cfg = load_experiment(str(path), seed_override=9)
     assert cfg.seed == 9
+
+
+def test_readme_experiment_file_parses():
+    # The README documents the schema by one example file: it must parse,
+    # so the documented keys cannot drift from the schema.
+    [block] = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(
+        encoding="utf-8"), flags=re.DOTALL)
+    cfg = parse(block)
+    assert cfg.methods == ("ml", "lr_linear") and len(cfg.rho_db) == 5

@@ -41,12 +41,6 @@ def test_round_half_away_from_zero_table():
 def test_scaling_factor_values():
     assert scaling_factor(100.0, 1.0, 2, 4) == pytest.approx(0.1, rel=1e-14)
     assert scaling_factor(37.0, 0.0, 3, 6) == 1.0
-    # Integer nesting snaps 1/phi to an integer.
-    assert scaling_factor(100.0, 1.0, 2, 4, integer_nesting=True) == pytest.approx(0.1)
-    got = scaling_factor(10.0, 1.0, 1, 2, integer_nesting=True)
-    assert got == pytest.approx(1.0 / 3.0, rel=1e-14)   # round(sqrt(10)) = 3
-    # Nesting never scales up: ratios below 1.5 clamp to 1.
-    assert scaling_factor(1.1, 1.0, 1, 2, integer_nesting=True) == 1.0
 
 
 def test_region_membership():
@@ -139,6 +133,9 @@ def test_enumerate_codebook_budget(monkeypatch):
     monkeypatch.setattr(lattice, "DEFAULT_ENUM_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
         enumerate_codebook(square_design(2, half_width=500.0), phi=1.0)
+    # A box past int64 range: once its bounds wrapped to a one-point box.
+    with pytest.raises(BudgetExceeded):
+        enumerate_codebook(square_design(2), phi=1e-160)
 
 
 def test_random_dither_in_fundamental_cell():
