@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
-                      scaling_factor)
+from .lattice import (Codebook, LatticeDesign, ShapingRegion, candidate_box,
+                      enumerate_codebook, scaling_factor)
 from .numkernel import as_matrix
 
 __all__ = [
@@ -242,9 +242,14 @@ def arq_codebooks(fragments, rho: float, r1: float) -> list:
             raise ValueError(f"fragment {l} must span {l} rounds of fragment 1: "
                              f"dimension {l * base.dimension}, coding duration "
                              f"{l * base.coding_duration}")
-    return [enumerate_codebook(frag, scaling_factor(
-                rho, r1 / l, frag.coding_duration, frag.dimension))
-            for l, frag in enumerate(fragments, start=1)]
+    return [enumerate_codebook(frag, phi)
+            for frag, phi in zip(fragments, _codebook_scales(fragments, rho, r1))]
+
+
+def _codebook_scales(designs, rho: float, r1: float) -> list:
+    """phi of each design's codebook: design l (1-based) at rate r1/l."""
+    return [scaling_factor(rho, r1 / l, d.coding_duration, d.dimension)
+            for l, d in enumerate(designs, start=1)]
 
 
 def simulate_arq_episode(fragments, books, hc, rho: float, x_thresh: float,
@@ -383,6 +388,15 @@ class ChannelConfig:
         if self.model == "fixed":
             return fixed_channel(self.h_real)
         raise ValueError(f"cannot sample model {self.model!r} directly")
+
+    def check_codebook_budget(self, design: LatticeDesign, rho: float, r: float) -> None:
+        """Raise BudgetExceeded where a codebook `trial_sampler` would build
+        at (rho, r), each ARQ fragment's included, has more candidates than
+        the enumeration budget.  Builds no codebook."""
+        designs = (_arq_fragments(design, self.arq_rounds)
+                   if self.model == "mimo_arq" else [design])
+        for d, phi in zip(designs, _codebook_scales(designs, rho, r)):
+            candidate_box(d, phi)
 
     def trial_sampler(self, design: LatticeDesign, rho: float, r: float, stream):
         """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.

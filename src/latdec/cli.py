@@ -93,6 +93,7 @@ def _cmd_sweep(args) -> int:
     config = load_experiment(args.config, seed_override=args.seed)
     n_cells = len(config.rho_db) * len(config.methods)
     if args.dry_run:
+        config.check_codebook_budgets()
         print(f"config ok: {n_cells} cells "
               f"({len(config.rho_db)} signal levels x {len(config.methods)} methods)")
         return 0

@@ -132,6 +132,13 @@ class SweepConfig:
             raise ValueError(f"naive decoding needs at least as many channel outputs "
                              f"as inputs, the channel gives {outputs} for {inputs}")
 
+    def check_codebook_budgets(self) -> None:
+        """Raise BudgetExceeded at the first level whose codebooks have
+        more candidates than the enumeration budget, as the sweep would
+        there; builds no codebook."""
+        for v in self.rho_db:
+            self.channel.check_codebook_budget(self.design, 10.0 ** (v / 10.0), self.r)
+
 
 @dataclass
 class ErrorRateRecord:

@@ -24,6 +24,7 @@ __all__ = [
     "round_half_away_from_zero",
     "scaling_factor",
     "lattice_points",
+    "candidate_box",
     "enumerate_codebook",
     "random_dither",
 ]
@@ -187,16 +188,37 @@ def lattice_points(a: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...j,ij->...i", z.astype(np.float64), a) + u
 
 
+def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the integer box holding the preimage of R's bounding box
+    under phi G, the candidates `enumerate_codebook` tests.  Raises
+    BudgetExceeded when the box holds more than `DEFAULT_ENUM_BUDGET`
+    points, so a sweep can check its codebooks before it builds them."""
+    if not (phi > 0.0) or not math.isfinite(phi):
+        raise ValueError("phi must be positive and finite")
+    u = design.dither_or_zero()
+    ainv = np.linalg.inv(phi * design.generator)
+    hw = design.region.bounding_half_widths(design.dimension)
+    center = -ainv @ u
+    spread = np.abs(ainv) @ hw
+    # Checked before the int64 cast, which wraps bounds past 2^63 silently.
+    if not np.all(spread < DEFAULT_ENUM_BUDGET):
+        raise BudgetExceeded(f"candidate box wider than budget {DEFAULT_ENUM_BUDGET}")
+    lo = np.ceil(center - spread - 1e-9).astype(np.int64)
+    hi = np.floor(center + spread + 1e-9).astype(np.int64)
+    total = int(np.prod(np.maximum(hi - lo + 1, 0).astype(object)))
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{total} candidate points exceed budget "
+                             f"{DEFAULT_ENUM_BUDGET}")
+    return lo, hi
+
+
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
     """Yield (chunk of integer vectors) covering the box [lo, hi], in
     odometer order, without materializing more than ~2^18 rows at once."""
     sizes = (hi - lo + 1).astype(np.int64)
     if np.any(sizes <= 0):
         return
-    total = int(np.prod(sizes.astype(object)))
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"{total} candidate points exceed budget "
-                             f"{DEFAULT_ENUM_BUDGET}")
+    total = int(np.prod(sizes))
     n = lo.shape[0]
     strides = np.ones(n, dtype=np.int64)
     for i in range(n - 2, -1, -1):
@@ -211,25 +233,13 @@ def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
 def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     """Exact finite codebook {phi G z + u} intersect R.
 
-    Candidates come from the integer preimage of R's bounding box under
-    phi G; membership is the closed-set region test.  Raises BudgetExceeded
-    when the candidate count passes `DEFAULT_ENUM_BUDGET`.
+    Candidates are the integers of `candidate_box`, which raises
+    BudgetExceeded past `DEFAULT_ENUM_BUDGET` of them; membership is the
+    closed-set region test.
     """
-    if not (phi > 0.0) or not math.isfinite(phi):
-        raise ValueError("phi must be positive and finite")
-    g = design.generator
-    n = design.dimension
+    lo, hi = candidate_box(design, phi)
+    a = phi * design.generator
     u = design.dither_or_zero()
-    a = phi * g
-    ainv = np.linalg.inv(a)
-    hw = design.region.bounding_half_widths(n)
-    center = -ainv @ u
-    spread = np.abs(ainv) @ hw
-    # Checked before the int64 cast, which wraps bounds past 2^63 silently.
-    if not np.all(spread < DEFAULT_ENUM_BUDGET):
-        raise BudgetExceeded(f"candidate box wider than budget {DEFAULT_ENUM_BUDGET}")
-    lo = np.ceil(center - spread - 1e-9).astype(np.int64)
-    hi = np.floor(center + spread + 1e-9).astype(np.int64)
     kept_pts = []
     kept_z = []
     for z in _iter_integer_box(lo, hi):

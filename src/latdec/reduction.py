@@ -3,15 +3,18 @@
 The reducer is floating-point LLL run on the triangular factor of the
 basis (the R-domain formulation of MMSE-SQRD LLL): one QR factors the
 input, size reduction subtracts columns of R, and each swap is repaired by
-one 2x2 reflection of two rows of R and two columns of Q.  The unimodular
-transform Z is held in int64 and guarded below 2^53, so
-reduced = input @ Z holds with |det Z| = 1 checkable over the integers,
-and the reduced basis leaves the reducer already factored as Q R for the
-detectors.  A closed-form bound on the number of swap steps (quadratic in
-dimension, logarithmic in the condition number) backs both the pathology
-guard and the run-time gate: bases whose condition number exceeds
-rho^alpha are refused outright, which is what keeps worst-case decode
-complexity polynomially bounded in the signal level.
+one 2x2 reflection of two rows of R and two columns of Q.  After the QR,
+the loop runs on Python floats and ints, so on these small triangles it
+pays no per-scalar numpy dispatch, and its arithmetic does not depend on
+which OpenBLAS kernel the host selects.  The unimodular transform Z is
+guarded below 2^53 and returned in int64, so reduced = input @ Z holds
+with |det Z| = 1 checkable over the integers, and the reduced basis
+leaves the reducer already factored as Q R for the detectors.  A
+closed-form bound on the number of swap steps (quadratic in dimension,
+logarithmic in the condition number) backs both the pathology guard and
+the run-time gate: bases whose condition number exceeds rho^alpha are
+refused outright, which is what keeps worst-case decode complexity
+polynomially bounded in the signal level.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationOverflow
-from .lattice import round_half_away_from_zero
 from .numkernel import condition_number_2norm, qr_decompose
 
 __all__ = [
@@ -101,6 +103,10 @@ def lll_reduce(m, delta: float = 0.75,
     cap raises IterationOverflow.  So does a size-reduction step that could
     push an entry of the unimodular transform past 2^53, beyond which
     neither int64 arithmetic is safe nor M @ Z exact in float64.
+
+    Only the entry QR and the final M @ Z run through numpy: the swap
+    loop works on Python floats, so its result does not depend on the
+    OpenBLAS kernel.  The arrays are rebuilt once, at the end.
     """
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[1]
@@ -112,26 +118,36 @@ def lll_reduce(m, delta: float = 0.75,
     if max_swaps is None:
         max_swaps = 10 * iteration_bound(m)
 
-    # Work on the triangle: mu_kj = R_jk / R_jj and ||b*_k||^2 = R_kk^2.
-    z = np.eye(n, dtype=np.int64)
+    # One list per column of R, Q and Z: mu_kj = R_jk / R_jj and
+    # ||b*_k||^2 = R_kk^2.
+    rc = r.T.tolist()
+    qc = q.T.tolist()
+    zc = [[int(i == j) for i in range(n)] for j in range(n)]
     swaps = 0
     size_reds = 0
 
     def size_reduce(k: int, j: int):
         nonlocal size_reds
-        c = float(round_half_away_from_zero(r[j, k] / r[j, j]))
+        rk, rj = rc[k], rc[j]
+        x = rk[j] / rj[j]
+        # lattice.round_half_away_from_zero, on one Python float.
+        c = math.copysign(math.floor(abs(x) + 0.5), x)
         if c == 0.0:
             return
-        if abs(c) * np.max(np.abs(z[:, j])) + np.max(np.abs(z[:, k])) > _Z_LIMIT:
+        zk, zj = zc[k], zc[j]
+        if abs(c) * max(map(abs, zj)) + max(map(abs, zk)) > _Z_LIMIT:
             raise IterationOverflow("unimodular transform would exceed 2^53")
-        r[:j + 1, k] -= c * r[:j + 1, j]
-        z[:, k] -= int(c) * z[:, j]
+        for i in range(j + 1):
+            rk[i] -= c * rj[i]
+        ci = int(c)
+        zc[k] = [a - ci * b for a, b in zip(zk, zj)]
         size_reds += 1
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if delta * r[k - 1, k - 1] ** 2 > r[k, k] ** 2 + r[k - 1, k] ** 2 + _SWAP_SLACK:
+        rk1, rk = rc[k - 1], rc[k]
+        if delta * rk1[k - 1] ** 2 > rk[k] ** 2 + rk[k - 1] ** 2 + _SWAP_SLACK:
             swaps += 1
             if swaps > max_swaps:
                 raise IterationOverflow(
@@ -140,21 +156,27 @@ def lll_reduce(m, delta: float = 0.75,
             # Exchange columns k-1, k; a reflection of rows k-1, k of R
             # (and of the matching columns of Q) restores the triangle
             # with a positive diagonal.
-            r[:, [k - 1, k]] = r[:, [k, k - 1]]
-            z[:, [k - 1, k]] = z[:, [k, k - 1]]
-            a, b = r[k - 1, k - 1], r[k, k - 1]
-            h = math.hypot(a, b)
-            rot = np.array([[a, b], [b, -a]]) / h
-            r[[k - 1, k], k - 1:] = rot @ r[[k - 1, k], k - 1:]
-            r[k, k - 1] = 0.0
-            q[:, [k - 1, k]] = q[:, [k - 1, k]] @ rot
+            rc[k - 1], rc[k] = rk, rk1
+            zc[k - 1], zc[k] = zc[k], zc[k - 1]
+            h = math.hypot(rk[k - 1], rk[k])
+            ca, cb = rk[k - 1] / h, rk[k] / h
+            for col in rc[k - 1:]:
+                x0, x1 = col[k - 1], col[k]
+                col[k - 1] = ca * x0 + cb * x1
+                col[k] = cb * x0 - ca * x1
+            rk[k] = 0.0  # R[k, k-1]
+            q0, q1 = qc[k - 1], qc[k]
+            qc[k - 1] = [ca * x0 + cb * x1 for x0, x1 in zip(q0, q1)]
+            qc[k] = [cb * x0 - ca * x1 for x0, x1 in zip(q0, q1)]
             k = max(k - 1, 1)
         else:
             for j in range(k - 2, -1, -1):
                 size_reduce(k, j)
             k += 1
-    return ReducedBasis(reduced=m @ z, unimodular=z, q=q, r=r,
-                        iterations=swaps, size_reductions=size_reds)
+    z = np.array(zc, dtype=np.int64).T.copy()
+    return ReducedBasis(reduced=m @ z, unimodular=z, q=np.array(qc).T.copy(),
+                        r=np.array(rc).T.copy(), iterations=swaps,
+                        size_reductions=size_reds)
 
 
 def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:

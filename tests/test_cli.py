@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from latdec import cli, dmtsim
+from latdec import channels, cli, dmtsim
 from latdec.cli import main
 
 TINY = """
@@ -223,6 +223,39 @@ def test_dry_run_rejects_ofdm_duration_not_multiple_of_tones(tmp_path, capsys):
     code, out = dry_run_exit(tmp_path, capsys, text)
     assert code == 1
     assert "multiple of the tone count" in out.err
+
+
+def test_dry_run_exits_2_where_the_sweep_passes_the_enumeration_budget(tmp_path, capsys):
+    # At r = 30 the 1x1 codebook's candidate box is far past the budget at
+    # both levels: the dry run fails as the sweep does, not "config ok".
+    path = write_config(tmp_path, TINY.replace("r: 0.0", "r: 30.0"))
+    assert main(["sweep", path, "--dry-run"]) == 2
+    dry = capsys.readouterr()
+    assert "config ok" not in dry.out
+    assert main(["sweep", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == dry.err
+    assert "budget" in dry.err
+
+
+def test_dry_run_checks_every_codebook_the_sweep_enumerates(tmp_path, capsys, monkeypatch):
+    text = TINY.replace(
+        "  model: quasi_static_rayleigh\n",
+        "  model: mimo_arq\n  arq:\n    rounds: 2\n    x_thresh: 1.0\n",
+    ).replace("r: 0.0", "r: 1.5").replace("max_trials: 800", "max_trials: 20")
+    path = write_config(tmp_path, text)
+    checked, built = [], []
+
+    def spy(log, fn):
+        return lambda design, phi: log.append((design.dimension, phi)) or fn(design, phi)
+
+    monkeypatch.setattr(channels, "candidate_box", spy(checked, channels.candidate_box))
+    monkeypatch.setattr(channels, "enumerate_codebook",
+                        spy(built, channels.enumerate_codebook))
+    assert main(["sweep", path, "--dry-run"]) == 0
+    assert built == []
+    assert main(["sweep", path, "--out", str(tmp_path / "x"), "--workers", "1"]) == 0
+    # Both levels, each with the 2-dim fragment at r and the 4-dim one at r/2.
+    assert len(checked) == 4 and sorted(checked) == sorted(set(built))
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from latdec.channels import sample_quasi_static_rayleigh
+from latdec.decoders import RegularizedProblem
 from latdec.errors import IterationOverflow, RankDeficient
+from latdec.lattice import round_half_away_from_zero
+from latdec.numkernel import qr_decompose
 from latdec.reduction import (
     gate_exponent_default,
     gated_reduce,
@@ -185,3 +189,116 @@ def test_integer_det_exact():
                        dtype=object)
         want = round(float(np.linalg.det(a.astype(np.float64))))
         assert integer_det(obj) == want
+
+
+def _numpy_lll_reference(m, delta=0.75, max_swaps=None):
+    """The swap loop as it ran on numpy arrays, one call per scalar: the
+    differential reference for `lll_reduce`'s list loop.  Its reflections
+    run through BLAS, so its Q and R agree with the list loop's to
+    roundoff, not bit for bit."""
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[1]
+    q, r = qr_decompose(m)
+    if max_swaps is None:
+        max_swaps = 10 * iteration_bound(m)
+    z = np.eye(n, dtype=np.int64)
+    swaps = 0
+
+    def size_reduce(k, j):
+        c = float(round_half_away_from_zero(r[j, k] / r[j, j]))
+        if c == 0.0:
+            return
+        if abs(c) * np.max(np.abs(z[:, j])) + np.max(np.abs(z[:, k])) > 2.0**53:
+            raise IterationOverflow("unimodular transform would exceed 2^53")
+        r[:j + 1, k] -= c * r[:j + 1, j]
+        z[:, k] -= int(c) * z[:, j]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if delta * r[k - 1, k - 1] ** 2 > r[k, k] ** 2 + r[k - 1, k] ** 2 + 1e-12:
+            swaps += 1
+            if swaps > max_swaps:
+                raise IterationOverflow(f"swap count exceeded budget {max_swaps}")
+            r[:, [k - 1, k]] = r[:, [k, k - 1]]
+            z[:, [k - 1, k]] = z[:, [k, k - 1]]
+            a, b = r[k - 1, k - 1], r[k, k - 1]
+            h = math.hypot(a, b)
+            rot = np.array([[a, b], [b, -a]]) / h
+            r[[k - 1, k], k - 1:] = rot @ r[[k - 1, k], k - 1:]
+            r[k, k - 1] = 0.0
+            q[:, [k - 1, k]] = q[:, [k - 1, k]] @ rot
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return z, swaps, q, r
+
+
+def _gdfe_basis(h):
+    """The basis a reduction-aided decode of H reduces: the GDFE triangle
+    of H with the identity penalty, times the identity generator."""
+    n = h.shape[1]
+    return RegularizedProblem(y=np.zeros(h.shape[0]), h=h, t_reg=np.eye(n),
+                              scaled_generator=np.eye(n)).prepared().basis
+
+
+def _differential_bases():
+    """Seeded bases: 2x2 Rayleigh GDFE triangles at several levels, 8-dim
+    block-diagonal ones like the two-round ARQ fragment, and random
+    n = 2..8 Gaussian matrices."""
+    rng = np.random.default_rng(1707)
+    bases = []
+    for rho_db in (5.0, 15.0, 25.0, 35.0):
+        rho = 10.0 ** (rho_db / 10.0)
+        bases += [_gdfe_basis(sample_quasi_static_rayleigh(2, 2, 1, rho, rng))
+                  for _ in range(150)]
+    bases += [_gdfe_basis(sample_quasi_static_rayleigh(2, 2, 2, 10.0 ** 2.5, rng))
+              for _ in range(200)]
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        m = rng.standard_normal((n, n))
+        while abs(np.linalg.det(m)) < 1e-3:
+            m = rng.standard_normal((n, n))
+        bases.append(m)
+    return bases
+
+
+def test_lll_list_loop_matches_numpy_reference():
+    bases = _differential_bases()
+    assert any(b.shape == (8, 8) and np.count_nonzero(b[:4, 4:]) == 0 for b in bases)
+    for i, m in enumerate(bases):
+        res = lll_reduce(m)
+        z_ref, swaps_ref, q_ref, r_ref = _numpy_lll_reference(m)
+        assert res.iterations == swaps_ref, f"basis {i}"
+        assert np.array_equal(res.unimodular, z_ref), f"basis {i}"
+        scale = float(np.max(np.abs(r_ref)))
+        assert np.allclose(res.r, r_ref, rtol=0.0, atol=1e-11 * scale), f"basis {i}"
+        assert np.allclose(res.q, q_ref, rtol=0.0, atol=1e-11), f"basis {i}"
+        n = m.shape[1]
+        ok, why = is_lll_reduced(res.reduced)
+        assert ok, f"basis {i}: {why}"
+        assert abs(integer_det(res.unimodular)) == 1
+        assert np.array_equal(res.reduced, m @ res.unimodular)
+        assert np.allclose(res.q @ res.r, res.reduced, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(np.triu(res.r), res.r)
+        assert np.all(np.diag(res.r) > 0)
+        assert (res.unimodular.dtype, res.q.dtype, res.r.dtype, res.reduced.dtype) == (
+            np.int64, np.float64, np.float64, np.float64)
+        assert res.q.shape == res.r.shape == (n, n)
+        if i % 10 == 0 and res.iterations > 0:
+            with pytest.raises(IterationOverflow):
+                lll_reduce(m, max_swaps=res.iterations - 1)
+            capped = lll_reduce(m, max_swaps=res.iterations)
+            assert np.array_equal(capped.unimodular, res.unimodular)
+
+
+def test_lll_reference_refuses_as_the_list_loop():
+    # The same 2^53 hazard and swap cap refuse both loops.
+    m = np.array([[1.0, 1e8, 0.0], [0.0, 1.0, 1e9], [0.0, 0.0, 1.0]])
+    for reduce in (lll_reduce, _numpy_lll_reference):
+        with pytest.raises(IterationOverflow, match="2\\^53"):
+            reduce(m)
+        with pytest.raises(IterationOverflow, match="budget 0"):
+            reduce(np.array([[1.0, 0.99], [0.0, 0.01]]), max_swaps=0)
