@@ -1,7 +1,9 @@
 """Channel models: configuration, samplers, the real embedding, noise.
 
 `ChannelConfig` is the one place that knows the channel models: it checks
-a design against its model and draws a sweep cell's trials, ARQ episodes
+a design against its model, states a sweep cell's codebook designs and
+scales (`cell_designs`: the design at rate r, or each ARQ fragment l at
+rate r/l) and draws the cell's trials, ARQ episodes
 (`simulate_arq_episode`) included.  This layer decodes nothing.
 
 Complex channels are numpy complex128 arrays.  Every sampler returns the
@@ -30,8 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .lattice import (Codebook, LatticeDesign, ShapingRegion, candidate_box,
-                      enumerate_codebook, scaling_factor)
+from .lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
+                      scaling_factor)
 from .numkernel import as_matrix
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "fixed_channel",
     "arq_ack",
     "TrialDraw",
-    "arq_codebooks",
     "simulate_arq_episode",
     "sample_noise",
 ]
@@ -227,64 +228,44 @@ def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
         for l in range(1, rounds + 1)]
 
 
-def arq_codebooks(fragments, rho: float, r1: float) -> list:
-    """Check the fragment ladder and enumerate each fragment's codebook.
-
-    Fragment l (1-based) is decoded after round l at rate r1/l; it must
-    cover l rounds of fragment 1: l times its dimension and its coding
-    duration."""
-    if len(fragments) < 1:
-        raise ValueError("need at least one fragment design")
-    base = fragments[0]
-    for l, frag in enumerate(fragments, start=1):
-        if (frag.dimension, frag.coding_duration) != (
-                l * base.dimension, l * base.coding_duration):
-            raise ValueError(f"fragment {l} must span {l} rounds of fragment 1: "
-                             f"dimension {l * base.dimension}, coding duration "
-                             f"{l * base.coding_duration}")
-    return [enumerate_codebook(frag, phi)
-            for frag, phi in zip(fragments, _codebook_scales(fragments, rho, r1))]
-
-
-def _codebook_scales(designs, rho: float, r1: float) -> list:
-    """phi of each design's codebook: design l (1-based) at rate r1/l."""
-    return [scaling_factor(rho, r1 / l, d.coding_duration, d.dimension)
-            for l, d in enumerate(designs, start=1)]
-
-
-def simulate_arq_episode(fragments, books, hc, rho: float, x_thresh: float,
+def simulate_arq_episode(rungs, hc, rho: float, x_thresh: float,
                          rng, noise: NoiseModel) -> tuple[TrialDraw, list]:
     """Draw one ARQ episode over long-term static fading up to its
     stopping round; returns the block decoded there and the ACK history.
 
-    `fragments[l-1]` is the design decoded after round l (its coding
-    duration covers rounds 1..l, and its rate is r1/l), and `books` are
-    their codebooks from `arq_codebooks`.  Rounds 1..L-1 stop on ACK;
-    round L always stops.  A message index is drawn uniformly below the
-    smallest codebook size and encoded by the stopping fragment through
-    its canonical codebook order; each round adds its own noise."""
+    `rungs[l-1]` is the (design, codebook) pair decoded after round l, as
+    `ChannelConfig.trial_sampler` builds it from `cell_designs`: its design
+    covers rounds 1..l, so it spans l rounds of the channel's input and l
+    times rung 1's coding duration.  Rounds 1..L-1 stop on ACK; round L
+    always stops.  A message index is drawn uniformly below the smallest
+    codebook size and encoded by the stopping rung through its canonical
+    codebook order; each round adds its own noise."""
     hc = np.asarray(hc, dtype=np.complex128)
-    uses = fragments[0].coding_duration
+    if not rungs:
+        raise ValueError("need at least one rung")
+    uses = rungs[0][0].coding_duration
     m_round, dim_round = 2 * uses * hc.shape[0], 2 * uses * hc.shape[1]
-    if dim_round != fragments[0].dimension:
-        raise ValueError(f"fragment 1 dimension {fragments[0].dimension} != "
-                         f"{dim_round} channel input dims per round")
-    rounds = len(fragments)
+    for l, (design, _) in enumerate(rungs, start=1):
+        if (design.dimension, design.coding_duration) != (l * dim_round, l * uses):
+            raise ValueError(f"rung {l} must span {l} rounds of {dim_round} channel "
+                             f"input dims over {uses} uses: dimension "
+                             f"{l * dim_round}, coding duration {l * uses}")
+    rounds = len(rungs)
     acks = []
     for l in range(1, rounds + 1):
         acks.append(l == rounds or arq_ack(hc, rho, x_thresh, l))
         if acks[-1]:
             break
     stop = len(acks)
-    book = books[stop - 1]
-    message = int(rng.integers(min(b.size for b in books)))
+    design, book = rungs[stop - 1]
+    message = int(rng.integers(min(b.size for _, b in rungs)))
     x = book.points[message]
     w = np.concatenate([
         sample_noise(m_round, noise, x[j * dim_round:(j + 1) * dim_round], rng)
         for j in range(stop)])
     h = embed_complex(hc, stop * uses, rho)
-    return TrialDraw(y=h @ x + w, h=h, design=fragments[stop - 1],
-                     codebook=book, message=message), acks
+    return TrialDraw(y=h @ x + w, h=h, design=design, codebook=book,
+                     message=message), acks
 
 
 def sample_noise(m: int, model: NoiseModel, x, rng) -> np.ndarray:
@@ -389,36 +370,37 @@ class ChannelConfig:
             return fixed_channel(self.h_real)
         raise ValueError(f"cannot sample model {self.model!r} directly")
 
-    def check_codebook_budget(self, design: LatticeDesign, rho: float, r: float) -> None:
-        """Raise BudgetExceeded where a codebook `trial_sampler` would build
-        at (rho, r), each ARQ fragment's included, has more candidates than
-        the enumeration budget.  Builds no codebook."""
+    def cell_designs(self, design: LatticeDesign, rho: float, r: float) -> list:
+        """The designs a sweep cell at (rho, r) decodes, each with the scale
+        phi of its codebook, as [(design_l, phi_l)]: the design itself at
+        rate r or, for ARQ, fragment l (1-based, rounds 1..l tiled) at
+        rate r/l.  Every codebook of a cell is built or checked from here."""
         designs = (_arq_fragments(design, self.arq_rounds)
                    if self.model == "mimo_arq" else [design])
-        for d, phi in zip(designs, _codebook_scales(designs, rho, r)):
-            candidate_box(d, phi)
+        return [(d, scaling_factor(rho, r / l, d.coding_duration, d.dimension))
+                for l, d in enumerate(designs, start=1)]
 
     def trial_sampler(self, design: LatticeDesign, rho: float, r: float, stream):
-        """Per-cell set-up (scales, codebooks); returns trial index -> TrialDraw.
+        """Per-cell set-up, which enumerates the codebook of each rung of
+        `cell_designs`; returns trial index -> TrialDraw.
 
         `stream(trial, *sub)` gives a trial's random stream.  A plain trial
         draws channel, message and noise from `stream(trial)`; an ARQ
         episode draws its channel there and its message and noise from
-        `stream(trial, 1)`."""
+        `stream(trial, 1)`, and is decoded on the rung of its stopping
+        round."""
+        rungs = [(d, enumerate_codebook(d, phi))
+                 for d, phi in self.cell_designs(design, rho, r)]
         if self.model == "mimo_arq":
-            fragments = _arq_fragments(design, self.arq_rounds)
-            books = arq_codebooks(fragments, rho, r)
-
             def draw_arq(trial: int) -> TrialDraw:
                 hc = complex_gaussian(stream(trial), (self.nr, self.nt))
-                return simulate_arq_episode(fragments, books, hc, rho,
-                                            self.arq_x_thresh, stream(trial, 1),
-                                            self.noise)[0]
+                return simulate_arq_episode(rungs, hc, rho, self.arq_x_thresh,
+                                            stream(trial, 1), self.noise)[0]
 
             return draw_arq
 
+        [(_, codebook)] = rungs
         t = design.coding_duration
-        codebook = enumerate_codebook(design, scaling_factor(rho, r, t, design.dimension))
 
         def draw(trial: int) -> TrialDraw:
             rng = stream(trial)

@@ -6,8 +6,9 @@ Subcommands:
   validate          run the built-in self-check suites (JSON verdicts)
   dmt-reference     print reference diversity-curve breakpoints
 
-Exit codes: 0 success, 1 usage or experiment-file error, 2 enumeration
-budget exceeded, 3 numerical failure, 4 self-check failure.
+Exit codes: 0 success, 1 usage or experiment-file error (an empty
+codebook included), 2 enumeration budget exceeded, 3 numerical failure,
+4 self-check failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from . import dmtsim
 from .errors import (
     BudgetExceeded,
+    EmptyCodebook,
     EnumerationOverflow,
     InsufficientData,
     LatdecError,
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (SchemaError, InsufficientData) as exc:
+    except (SchemaError, InsufficientData, EmptyCodebook) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceeded, EnumerationOverflow) as exc:

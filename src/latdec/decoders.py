@@ -42,7 +42,6 @@ from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel, Ra
 from .lattice import (
     Codebook,
     LatticeDesign,
-    enumerate_codebook,
     lattice_points,
     round_half_away_from_zero,
 )
@@ -254,7 +253,7 @@ def ml_decode(y, h, codebook: Codebook) -> DecodeOutcome:
                                   float(dists[idx]))
 
 
-def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
+def _ml_search(stage: ChannelStage) -> DecodeOutcome:
     """`ml_decode` over a codebook too large to scan, by the box-bounded
     sphere search.
 
@@ -264,9 +263,8 @@ def _ml_search(stage: ChannelStage, book: Codebook) -> DecodeOutcome:
     within `ML_TIE_SLACK` of the nearest goes, in the codebook's
     lexicographic order, to `ml_decode`, whose tie rule then picks the
     scan's codeword.  A channel with fewer outputs than inputs, or a
-    rank-deficient one, is scanned.  `book` is the design's codebook at the
-    stage's scale."""
-    problem = stage.problem
+    rank-deficient one, is scanned."""
+    problem, book = stage.problem, stage.codebook
     m, n = problem.h.shape
     a, u = problem.scaled_generator, problem.dither_or_zero()
     region = stage.design.region
@@ -460,9 +458,10 @@ def approximation_ratio(problem: RegularizedProblem, candidate,
 @dataclass(eq=False)
 class ChannelStage:
     """Channel-side preprocessing of one received block, shared by every
-    method that decodes it: the one regularized problem (which factors
-    its GDFE filters on first use) and the gated reduction of its basis,
-    built at most once and only for methods that need it.
+    method that decodes it: the design's codebook (whose scale is the
+    problem's phi, and which ML decodes over), the one regularized problem
+    (which factors its GDFE filters on first use) and the gated reduction
+    of its basis, built at most once and only for methods that need it.
 
     The gate refuses a basis whose condition number exceeds
     rho^gate_alpha; LLL runs at delta = 3/4, the value its swap cap
@@ -470,10 +469,9 @@ class ChannelStage:
 
     problem: RegularizedProblem
     design: LatticeDesign
-    phi: float
+    codebook: Codebook
     rho: float | None = None
     gate_alpha: float | None = None
-    codebook: Codebook | None = None
 
     @cached_property
     def reduction(self) -> GateOutcome:
@@ -485,20 +483,19 @@ class ChannelStage:
         return gated_reduce(self.problem.prepared().basis, self.rho, self.gate_alpha)
 
 
-def prepare(y, h, design: LatticeDesign, phi: float,
-            rho: float | None = None, gate_alpha: float | None = None,
-            codebook: Codebook | None = None) -> ChannelStage:
-    """Channel stage of one received block for a design at scale phi.
+def prepare(y, h, design: LatticeDesign, codebook: Codebook,
+            rho: float | None = None, gate_alpha: float | None = None) -> ChannelStage:
+    """Channel stage of one received block sent from `codebook`, the
+    design's codebook, whose scale is the lattice's phi for every method.
 
     The penalty is the identity.  The reduction-aided methods need `rho`
-    and the gate exponent `gate_alpha`; `codebook` spares ML an
-    enumeration.  The stage's one `RegularizedProblem` is built here, and
-    building it is the one check of y and H."""
+    and the gate exponent `gate_alpha`.  The stage's one
+    `RegularizedProblem` is built here, and building it is the one check
+    of y and H."""
     problem = RegularizedProblem(y=y, h=h, t_reg=np.eye(design.dimension),
-                                 scaled_generator=phi * design.generator,
+                                 scaled_generator=codebook.scale * design.generator,
                                  dither=design.dither)
-    return ChannelStage(problem, design, phi, rho=rho, gate_alpha=gate_alpha,
-                        codebook=codebook)
+    return ChannelStage(problem, design, codebook, rho=rho, gate_alpha=gate_alpha)
 
 
 def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
@@ -508,10 +505,9 @@ def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
     are classified against the shaping region, here and nowhere else."""
     problem = stage.problem
     if method == METHOD_ML:
-        book = stage.codebook or enumerate_codebook(stage.design, stage.phi)
-        if book.size <= ML_SCAN_MAX_POINTS:
-            return ml_decode(problem.y, problem.h, book)
-        return _ml_search(stage, book)
+        if stage.codebook.size <= ML_SCAN_MAX_POINTS:
+            return ml_decode(problem.y, problem.h, stage.codebook)
+        return _ml_search(stage)
     if method in (METHOD_NAIVE, METHOD_REG_EXACT):
         search = (naive_lattice_decode if method == METHOD_NAIVE
                   else sphere_decode_regularized)

@@ -35,7 +35,7 @@ import numpy as np
 from .channels import ChannelConfig, trial_rng
 from .decoders import METHOD_NAIVE, METHODS, decode, prepare
 from .errors import InsufficientData, LatdecError
-from .lattice import LatticeDesign, scaling_factor
+from .lattice import LatticeDesign, candidate_box, scaling_factor
 from .numkernel import cholesky_upper
 
 __all__ = [
@@ -133,11 +133,13 @@ class SweepConfig:
                              f"as inputs, the channel gives {outputs} for {inputs}")
 
     def check_codebook_budgets(self) -> None:
-        """Raise BudgetExceeded at the first level whose codebooks have
-        more candidates than the enumeration budget, as the sweep would
-        there; builds no codebook."""
+        """Raise, at the first level where the sweep would, BudgetExceeded
+        when a codebook of `ChannelConfig.cell_designs` has more candidates
+        than the enumeration budget and EmptyCodebook when it has none;
+        builds no codebook."""
         for v in self.rho_db:
-            self.channel.check_codebook_budget(self.design, 10.0 ** (v / 10.0), self.r)
+            for d, phi in self.channel.cell_designs(self.design, 10.0 ** (v / 10.0), self.r):
+                candidate_box(d, phi)
 
 
 @dataclass
@@ -194,15 +196,15 @@ class SweepResult:
     slopes: dict  # method -> SlopeEstimate | None
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 95% for a binomial proportion."""
     if trials < 1 or errors < 0 or errors > trials:
         raise ValueError("bad counts")
     p = errors / trials
-    zz = z * z
+    zz = _Z95 * _Z95
     denom = 1.0 + zz / trials
     center = (p + zz / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials)) / denom
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
     # At the extremes the score interval's endpoint equals p exactly;
@@ -302,9 +304,8 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
             if not active:
                 break
             draw = draw_trial(trial)
-            stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
-                            rho=rho, gate_alpha=config.gate_alpha,
-                            codebook=draw.codebook)
+            stage = prepare(draw.y, draw.h, draw.design, draw.codebook,
+                            rho=rho, gate_alpha=config.gate_alpha)
             for method in tuple(active):
                 try:
                     outcome = decode(stage, method=method)

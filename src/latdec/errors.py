@@ -12,6 +12,7 @@ __all__ = [
     "SingularTriangular",
     "MetricMismatch",
     "BudgetExceeded",
+    "EmptyCodebook",
     "EnumerationOverflow",
     "IterationOverflow",
     "NearSingularChannel",
@@ -42,6 +43,13 @@ class MetricMismatch(LatdecError):
 
 class BudgetExceeded(LatdecError):
     """An enumeration candidate budget was exceeded."""
+
+
+class EmptyCodebook(LatdecError, ValueError):
+    """A design's shaping region holds no point of the scaled lattice.
+
+    A ValueError too: the design and scale are a bad argument to the
+    enumeration."""
 
 
 class EnumerationOverflow(LatdecError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, EmptyCodebook
 from .numkernel import as_matrix, as_vector, qr_decompose
 
 __all__ = [
@@ -191,8 +191,9 @@ def lattice_points(a: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
 def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the integer box holding the preimage of R's bounding box
     under phi G, the candidates `enumerate_codebook` tests.  Raises
-    BudgetExceeded when the box holds more than `DEFAULT_ENUM_BUDGET`
-    points, so a sweep can check its codebooks before it builds them."""
+    EmptyCodebook when the box holds no integer point and BudgetExceeded
+    when it holds more than `DEFAULT_ENUM_BUDGET`, so a sweep can check
+    its codebooks before it builds them."""
     if not (phi > 0.0) or not math.isfinite(phi):
         raise ValueError("phi must be positive and finite")
     u = design.dither_or_zero()
@@ -205,7 +206,10 @@ def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.nda
         raise BudgetExceeded(f"candidate box wider than budget {DEFAULT_ENUM_BUDGET}")
     lo = np.ceil(center - spread - 1e-9).astype(np.int64)
     hi = np.floor(center + spread + 1e-9).astype(np.int64)
-    total = int(np.prod(np.maximum(hi - lo + 1, 0).astype(object)))
+    if np.any(hi < lo):
+        raise EmptyCodebook("codebook is empty for this design and scale: "
+                            "no integer point in the candidate box")
+    total = int(np.prod((hi - lo + 1).astype(object)))
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"{total} candidate points exceed budget "
                              f"{DEFAULT_ENUM_BUDGET}")
@@ -213,11 +217,9 @@ def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.nda
 
 
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
-    """Yield (chunk of integer vectors) covering the box [lo, hi], in
-    odometer order, without materializing more than ~2^18 rows at once."""
+    """Yield (chunk of integer vectors) covering the nonempty box [lo, hi],
+    in odometer order, without materializing more than ~2^18 rows at once."""
     sizes = (hi - lo + 1).astype(np.int64)
-    if np.any(sizes <= 0):
-        return
     total = int(np.prod(sizes))
     n = lo.shape[0]
     strides = np.ones(n, dtype=np.int64)
@@ -235,7 +237,8 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
 
     Candidates are the integers of `candidate_box`, which raises
     BudgetExceeded past `DEFAULT_ENUM_BUDGET` of them; membership is the
-    closed-set region test.
+    closed-set region test.  Raises EmptyCodebook when the region keeps
+    no candidate.
     """
     lo, hi = candidate_box(design, phi)
     a = phi * design.generator
@@ -249,7 +252,8 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
             kept_pts.append(pts[mask])
             kept_z.append(z[mask])
     if not kept_pts:
-        raise ValueError("codebook is empty for this design and scale")
+        raise EmptyCodebook("codebook is empty for this design and scale: "
+                            "the region rejects every candidate")
     pts = np.concatenate(kept_pts, axis=0)
     zs = np.concatenate(kept_z, axis=0)
     # Canonical order: lexicographic by point coordinates.

@@ -14,10 +14,11 @@ from latdec.decoders import RegularizedProblem, prepare
 from latdec.dmtsim import ChannelConfig
 from latdec.errors import SchemaError
 from latdec.experiment import parse_experiment
-from latdec.lattice import LatticeDesign, ShapingRegion
+from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook
 
 DESIGN = LatticeDesign(generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]),
                        dither=np.array([0.5, 0.5]))
+BOOK = enumerate_codebook(DESIGN, 1.0)
 
 
 def _with(bad, shape, index):
@@ -35,8 +36,8 @@ def _problem(y=None, h=None):
 # Each entry builds one object or runs one entry point with a single bad
 # entry in one of its inputs.
 ENTRY_POINTS = {
-    "prepare.y": lambda bad: prepare(_with(bad, (2,), 1), np.eye(2), DESIGN, 1.0),
-    "prepare.H": lambda bad: prepare(np.ones(2), _with(bad, (2, 2), (1, 0)), DESIGN, 1.0),
+    "prepare.y": lambda bad: prepare(_with(bad, (2,), 1), np.eye(2), DESIGN, BOOK),
+    "prepare.H": lambda bad: prepare(np.ones(2), _with(bad, (2, 2), (1, 0)), DESIGN, BOOK),
     "RegularizedProblem.y": lambda bad: _problem(y=_with(bad, (2,), 0)),
     "RegularizedProblem.H": lambda bad: _problem(h=_with(bad, (2, 2), (1, 1))),
     "LatticeDesign.generator": lambda bad: LatticeDesign(

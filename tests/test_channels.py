@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from latdec import channels
 from latdec.channels import (
     ChannelConfig,
     NoiseModel,
     arq_ack,
-    arq_codebooks,
     complex_gaussian,
     embed_complex,
     fixed_channel,
@@ -23,7 +23,7 @@ from latdec.channels import (
     trial_rng,
 )
 from latdec.decoders import decode, prepare
-from latdec.lattice import LatticeDesign, ShapingRegion
+from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
 
 
 def square_design(n, t=1, half_width=0.6):
@@ -258,45 +258,47 @@ def test_arq_ack_frequency_matches_exponential_tail():
     assert abs(acks / n - want) < 0.04
 
 
-def arq_fragment_designs():
-    # Round fragment: two real dims per round (scalar complex channel).
-    return [square_design(2, t=1), square_design(4, t=2)]
+def arq_rungs(rounds, rho, r1, t=1):
+    """(design, codebook) rungs of an ARQ cell over a scalar channel whose
+    round fragment is `square_design(2 t, t)`, as `trial_sampler` builds
+    them from `cell_designs`."""
+    chan = ChannelConfig(model="mimo_arq", arq_rounds=rounds, arq_x_thresh=1.0)
+    return [(d, enumerate_codebook(d, phi))
+            for d, phi in chan.cell_designs(square_design(2 * t, t), rho, r1)]
 
 
 def test_draw_arq_trial_channel_is_round_blocks():
     # Three rounds of a two-use fragment: H of an episode stopping at
     # round l is l copies of the per-round embedding on the diagonal.
-    frags = [square_design(4 * l, t=2 * l) for l in (1, 2, 3)]
-    books = arq_codebooks(frags, 20.0, 0.5)
+    rungs = arq_rungs(3, 20.0, 0.5, t=2)
+    assert [d.dimension for d, _ in rungs] == [4, 8, 12]
     rng = trial_rng(1008, 0)
     stops = set()
     for _ in range(60):
         hc = complex_gaussian(rng, (1, 1))
-        draw, acks = simulate_arq_episode(frags, books, hc, 20.0, 1.2, rng,
-                                          NoiseModel())
+        draw, acks = simulate_arq_episode(rungs, hc, 20.0, 1.2, rng, NoiseModel())
         stop = len(acks)
         stops.add(stop)
         want = np.kron(np.eye(stop), embed_complex(hc, 2, 20.0))
         assert np.array_equal(draw.h, want)
-        assert draw.design is frags[stop - 1] and draw.codebook is books[stop - 1]
+        design, book = rungs[stop - 1]
+        assert draw.design is design and draw.codebook is book
     assert stops == {1, 2, 3}
 
 
-def arq_episode(frags, hc, rho, r1, x_thresh, method, rng, noise=NoiseModel()):
+def arq_episode(rungs, hc, rho, x_thresh, method, rng, noise=NoiseModel()):
     """One episode drawn to its stopping round and decoded there: the
     draw, the ACK history and the decode outcome."""
-    books = arq_codebooks(frags, rho, r1)
-    draw, acks = simulate_arq_episode(frags, books, hc, rho, x_thresh, rng, noise)
-    stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
-                    codebook=draw.codebook)
+    draw, acks = simulate_arq_episode(rungs, hc, rho, x_thresh, rng, noise)
+    stage = prepare(draw.y, draw.h, draw.design, draw.codebook, rho=rho)
     return draw, acks, decode(stage, method=method)
 
 
 def test_arq_episode_noiseless_strong_channel():
-    frags = arq_fragment_designs()
+    rungs = arq_rungs(2, 100.0, 0.5)
     hc = np.array([[3.0 + 0.0j]])
     quiet = NoiseModel(scale=0.0)
-    draw, acks, out = arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
+    draw, acks, out = arq_episode(rungs, hc, 100.0, 1.0, "ml",
                                   trial_rng(42, 0), noise=quiet)
     # ln(1 + 100 * 9) = 6.80 >= 1.0 * ln 100 = 4.61: ack in round 1.
     assert acks == [True]
@@ -305,34 +307,131 @@ def test_arq_episode_noiseless_strong_channel():
 
 
 def test_arq_episode_noiseless_weak_channel_uses_final_round():
-    frags = arq_fragment_designs()
+    rungs = arq_rungs(2, 100.0, 0.5)
     hc = np.array([[0.1 + 0.0j]])
     quiet = NoiseModel(scale=0.0)
-    draw, acks, out = arq_episode(frags, hc, 100.0, 0.5, 1.0, "ml",
+    draw, acks, out = arq_episode(rungs, hc, 100.0, 1.0, "ml",
                                   trial_rng(43, 0), noise=quiet)
     # ln(1 + 100 * 0.01) = 0.69 < 4.61: round 1 NACKs; the final round
     # always decodes, and without noise it decodes correctly.
     assert acks == [False, True]
-    assert draw.design is frags[1]
+    assert draw.design is rungs[1][0]
     assert draw.decoded_by(out)
 
 
 def test_arq_episode_randomness_is_keyed():
-    frags = arq_fragment_designs()
+    rungs = arq_rungs(2, 50.0, 0.5)
     hc = np.array([[1.0 + 0.5j]])
-    draw_a, acks_a, out_a = arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
-    draw_b, acks_b, out_b = arq_episode(frags, hc, 50.0, 0.5, 1.0, "ml", trial_rng(7, 0))
+    draw_a, acks_a, out_a = arq_episode(rungs, hc, 50.0, 1.0, "ml", trial_rng(7, 0))
+    draw_b, acks_b, out_b = arq_episode(rungs, hc, 50.0, 1.0, "ml", trial_rng(7, 0))
     assert draw_a.message == draw_b.message and acks_a == acks_b
     assert out_a.kind == out_b.kind and np.array_equal(out_a.coords, out_b.coords)
     # Same episode stream, different method: same message is transmitted.
-    draw_c, _, _ = arq_episode(frags, hc, 50.0, 0.5, 1.0, "reg_exact", trial_rng(7, 0))
+    draw_c, _, _ = arq_episode(rungs, hc, 50.0, 1.0, "reg_exact", trial_rng(7, 0))
     assert draw_c.message == draw_a.message
 
 
 def test_arq_episode_rejects_mismatched_fragments():
-    bad = [square_design(2, t=1), square_design(4, t=3)]   # wrong duration
-    with pytest.raises(ValueError):
-        arq_codebooks(bad, 10.0, 0.5)
-    bad2 = [square_design(2, t=1), square_design(6, t=2)]  # wrong dimension
-    with pytest.raises(ValueError):
-        arq_codebooks(bad2, 10.0, 0.5)
+    def episode(designs):
+        rungs = [(d, enumerate_codebook(d, 1.0)) for d in designs]
+        simulate_arq_episode(rungs, np.array([[1.0 + 0.0j]]), 10.0, 0.5,
+                             trial_rng(1, 0), NoiseModel())
+
+    episode([square_design(2, t=1), square_design(4, t=2)])
+    with pytest.raises(ValueError, match="rung 2"):
+        episode([square_design(2, t=1), square_design(4, t=3)])   # wrong duration
+    with pytest.raises(ValueError, match="rung 2"):
+        episode([square_design(2, t=1), square_design(6, t=2)])   # wrong dimension
+    with pytest.raises(ValueError, match="rung 1"):
+        episode([square_design(4, t=1), square_design(8, t=2)])   # not one round
+
+
+#: A plain Rayleigh cell and a 3-round ARQ cell (two uses per round):
+#: channel, base design, rho, r.
+LADDER_CASES = {
+    "rayleigh": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+                 square_design(4), 20.0, 1.0),
+    "arq3": (ChannelConfig(model="mimo_arq", nt=1, nr=1, arq_rounds=3,
+                           arq_x_thresh=1.2),
+             square_design(4, t=2), 20.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_cell_designs_give_each_rung_its_dimension_duration_and_phi(name):
+    chan, design, rho, r = LADDER_CASES[name]
+    rungs = chan.cell_designs(design, rho, r)
+    if chan.model != "mimo_arq":
+        assert len(rungs) == 1 and rungs[0][0] is design
+        assert rungs[0][1] == scaling_factor(rho, r, 1, 4)
+        return
+    n, t = design.dimension, design.coding_duration
+    assert len(rungs) == 3
+    for l, (d, phi) in enumerate(rungs, start=1):
+        assert (d.dimension, d.coding_duration) == (l * n, l * t)
+        assert np.array_equal(d.generator, np.kron(np.eye(l), design.generator))
+        assert np.array_equal(d.region.half_widths, np.tile(design.region.half_widths, l))
+        assert np.array_equal(d.dither, np.tile(design.dither, l))
+        # Rate r/l over l rounds: phi_l = rho^(-(r/l) (l t) / (l n)).
+        assert phi == pytest.approx(rho ** (-r * t / (l * n)), rel=1e-13)
+
+
+def spy_enumeration(monkeypatch):
+    """Record (design, phi, codebook) of every `channels.enumerate_codebook` call."""
+    built = []
+
+    def spy(design, phi):
+        book = enumerate_codebook(design, phi)
+        built.append((design, phi, book))
+        return book
+
+    monkeypatch.setattr(channels, "enumerate_codebook", spy)
+    return built
+
+
+def _stream(trial, *sub):
+    return trial_rng(1009, trial, *sub)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_trial_sampler_enumerates_the_cell_designs(name, monkeypatch):
+    chan, design, rho, r = LADDER_CASES[name]
+    built = spy_enumeration(monkeypatch)
+    chan.trial_sampler(design, rho, r, _stream)
+    want = chan.cell_designs(design, rho, r)
+    assert len(built) == len(want)
+    for (d, phi, book), (wd, wphi) in zip(built, want):
+        assert phi == wphi and book.scale == wphi
+        assert (d.dimension, d.coding_duration) == (wd.dimension, wd.coding_duration)
+        assert np.array_equal(d.generator, wd.generator)
+        assert np.array_equal(d.dither, wd.dither)
+
+
+def test_arq_draw_stopping_at_round_l_decodes_on_rung_l(monkeypatch):
+    chan, design, rho, r = LADDER_CASES["arq3"]
+    built = spy_enumeration(monkeypatch)
+    draw_trial = chan.trial_sampler(design, rho, r, _stream)
+    stops = set()
+    for trial in range(60):
+        hc = complex_gaussian(_stream(trial), (1, 1))
+        # Rounds 1 and 2 stop on ACK, round 3 always.
+        acks = [arq_ack(hc, rho, chan.arq_x_thresh, l) for l in (1, 2)] + [True]
+        stop = acks.index(True) + 1
+        stops.add(stop)
+        draw = draw_trial(trial)
+        d, _, book = built[stop - 1]
+        assert draw.design is d and draw.codebook is book
+        assert draw.h.shape == (stop * 4, stop * 4)
+    assert stops == {1, 2, 3}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_prepare_scales_the_generator_by_the_codebook_scale(name):
+    chan, design, rho, r = LADDER_CASES[name]
+    draw_trial = chan.trial_sampler(design, rho, r, _stream)
+    for trial in range(20):
+        draw = draw_trial(trial)
+        stage = prepare(draw.y, draw.h, draw.design, draw.codebook)
+        assert stage.codebook is draw.codebook
+        assert np.array_equal(stage.problem.scaled_generator,
+                              draw.codebook.scale * draw.design.generator)

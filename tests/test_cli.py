@@ -248,7 +248,7 @@ def test_dry_run_checks_every_codebook_the_sweep_enumerates(tmp_path, capsys, mo
     def spy(log, fn):
         return lambda design, phi: log.append((design.dimension, phi)) or fn(design, phi)
 
-    monkeypatch.setattr(channels, "candidate_box", spy(checked, channels.candidate_box))
+    monkeypatch.setattr(dmtsim, "candidate_box", spy(checked, dmtsim.candidate_box))
     monkeypatch.setattr(channels, "enumerate_codebook",
                         spy(built, channels.enumerate_codebook))
     assert main(["sweep", path, "--dry-run"]) == 0
@@ -256,6 +256,27 @@ def test_dry_run_checks_every_codebook_the_sweep_enumerates(tmp_path, capsys, mo
     assert main(["sweep", path, "--out", str(tmp_path / "x"), "--workers", "1"]) == 0
     # Both levels, each with the 2-dim fragment at r and the 4-dim one at r/2.
     assert len(checked) == 4 and sorted(checked) == sorted(set(built))
+
+
+@pytest.mark.parametrize("region, dry_run_fails", [
+    # The candidate box of dither 0.5 and half-width 0.4 holds no integer.
+    ("kind: box\n    half_widths: [0.4, 0.4]", True),
+    # Its box holds candidates, all outside the ball: only the sweep,
+    # which enumerates them, finds the codebook empty.
+    ("kind: ball\n    radius: 0.6", False),
+], ids=["box", "ball"])
+def test_empty_codebook_exits_1(tmp_path, capsys, region, dry_run_fails):
+    path = write_config(tmp_path, TINY.replace(
+        "kind: box\n    half_widths: [0.6, 0.6]", region))
+    dry_code = main(["sweep", path, "--dry-run"])
+    dry = capsys.readouterr()
+    assert main(["sweep", path, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codebook is empty" in err
+    if dry_run_fails:
+        assert dry_code == 1 and dry.err == err and "config ok" not in dry.out
+    else:
+        assert dry_code == 0 and "config ok" in dry.out
 
 
 @pytest.mark.parametrize("argv", [

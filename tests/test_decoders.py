@@ -30,6 +30,7 @@ from latdec.decoders import (
 from latdec.errors import EnumerationOverflow, NearSingularChannel
 from latdec.lattice import (
     MEMBERSHIP_SLACK,
+    Codebook,
     LatticeDesign,
     ShapingRegion,
     enumerate_codebook,
@@ -319,7 +320,7 @@ def test_naive_decoder_reports_plain_distance():
     design = square_design(2)
     h = 2.0 * np.eye(2)
     y = np.array([1.1, -0.9])
-    out = decode(prepare(y, h, design, 1.0), method="naive")
+    out = decode(prepare(y, h, design, enumerate_codebook(design, 1.0)), method="naive")
     assert out.is_codeword
     assert np.array_equal(out.point, [0.5, -0.5])
     want = float(np.sum((y - h @ np.array([0.5, -0.5])) ** 2))
@@ -369,7 +370,7 @@ def test_naive_decoder_escapes_region_under_fades():
     design = square_design(2)
     h = np.array([[1.0, 0.0], [0.0, 1e-3]])
     y = np.array([0.4, 0.8])     # second coordinate mostly noise
-    out = decode(prepare(y, h, design, 1.0), method="naive")
+    out = decode(prepare(y, h, design, enumerate_codebook(design, 1.0)), method="naive")
     assert out.kind == "out_of_codebook"
     assert abs(out.point[1]) > 0.6
 
@@ -385,8 +386,8 @@ def test_pipeline_all_methods_agree_at_high_snr():
         y = h @ x + 0.01 * rng.standard_normal(2)
         outs = {}
         for method in ("ml", "reg_exact", "lr_sic", "lr_linear", "naive"):
-            outs[method] = decode(prepare(y, h, design, phi=1.0, rho=100.0,
-                                          gate_alpha=3.0, codebook=book), method=method)
+            outs[method] = decode(prepare(y, h, design, book, rho=100.0,
+                                          gate_alpha=3.0), method=method)
         assert outs["ml"].is_codeword
         assert np.array_equal(outs["ml"].point, x)
         if all(o.is_codeword and np.array_equal(o.point, x)
@@ -396,9 +397,11 @@ def test_pipeline_all_methods_agree_at_high_snr():
 
 
 def test_pipeline_ml_enumerates_when_no_codebook_given():
+    # ML decodes over the codebook the stage is prepared with, here the
+    # design's enumerated at phi = 1.
     design = square_design(2)
-    out = decode(prepare(np.array([0.3, 0.2]), np.eye(2), design, phi=1.0),
-                 method="ml")
+    out = decode(prepare(np.array([0.3, 0.2]), np.eye(2), design,
+                         enumerate_codebook(design, 1.0)), method="ml")
     assert np.array_equal(out.point, [0.5, 0.5])
 
 
@@ -410,7 +413,12 @@ def test_pipeline_gate_timeout():
         generator=np.array([[1.0, 0.0], [0.0, 1e-6]]),
         region=ShapingRegion.box([1.0, 1.0]),
         coding_duration=1, dither=None)
-    out = decode(prepare(np.ones(2), np.eye(2), design, phi=1.0, rho=10.0,
+    # The stage reads phi = 1 from its codebook; the reduction-aided
+    # methods decode no codeword from it, so one point stands for the
+    # design's codebook of six million.
+    book = Codebook(points=np.zeros((1, 2)), coords=np.zeros((1, 2), dtype=np.int64),
+                    scale=1.0)
+    out = decode(prepare(np.ones(2), np.eye(2), design, book, rho=10.0,
                          gate_alpha=1.5), method="lr_linear")
     assert out.kind == "timeout"
     assert out.point is None
@@ -422,17 +430,18 @@ def test_pipeline_gate_harmless_for_regularized_channel():
     # matrix floors the filtered basis conditioning.
     design = square_design(2)
     h = np.array([[1.0, 0.0], [0.0, 1e-6]])
-    out = decode(prepare(np.ones(2), h, design, phi=1.0, rho=10.0,
-                         gate_alpha=1.5), method="lr_linear")
+    out = decode(prepare(np.ones(2), h, design, enumerate_codebook(design, 1.0),
+                         rho=10.0, gate_alpha=1.5), method="lr_linear")
     assert out.kind in ("codeword", "out_of_codebook")
 
 
 def test_pipeline_requires_gate_for_reduction_methods():
     design = square_design(2)
+    book = enumerate_codebook(design, 1.0)
     with pytest.raises(ValueError):
-        decode(prepare(np.ones(2), np.eye(2), design, phi=1.0), method="lr_linear")
+        decode(prepare(np.ones(2), np.eye(2), design, book), method="lr_linear")
     with pytest.raises(ValueError):
-        decode(prepare(np.ones(2), np.eye(2), design, phi=1.0), method="bogus")
+        decode(prepare(np.ones(2), np.eye(2), design, book), method="bogus")
 
 
 def test_timeout_outcome_shape():
@@ -504,8 +513,7 @@ def assert_search_matches_scan(channel, design, rho_db, r, draws, seed):
                                        lambda t, *sub: trial_rng(seed, t, *sub))
     for trial in range(draws):
         draw = draw_trial(trial)
-        stage = prepare(draw.y, draw.h, draw.design, draw.codebook.scale,
-                        codebook=draw.codebook)
+        stage = prepare(draw.y, draw.h, draw.design, draw.codebook)
         got = decode(stage, method="ml")
         want = ml_decode(draw.y, draw.h, draw.codebook)
         assert np.array_equal(got.coords, want.coords), f"trial {trial}"
@@ -543,7 +551,7 @@ def test_ml_search_breaks_exact_ties_like_the_scan(dither, smallest,
     # dither -0.5 the search's first leaf is the largest, (0.5, 0.5).
     design = square_design(2, dither=dither)
     book = enumerate_codebook(design, phi=1.0)
-    out = decode(prepare(np.zeros(2), np.eye(2), design, 1.0, codebook=book), method="ml")
+    out = decode(prepare(np.zeros(2), np.eye(2), design, book), method="ml")
     assert np.array_equal(out.coords, smallest)
     assert np.array_equal(out.point, [-0.5, -0.5])
     assert out.metric == ml_decode(np.zeros(2), np.eye(2), book).metric
@@ -575,7 +583,7 @@ def test_ml_search_keeps_codewords_on_the_boundary(generator, region, phi, corne
     book = enumerate_codebook(design, phi)
     assert any(np.array_equal(z, corner) for z in book.coords)
     y = 1.2 * point
-    out = decode(prepare(y, np.eye(2), design, phi, codebook=book), method="ml")
+    out = decode(prepare(y, np.eye(2), design, book), method="ml")
     assert np.array_equal(out.coords, corner)
     assert np.array_equal(out.coords, ml_decode(y, np.eye(2), book).coords)
     assert ml_search_everywhere
@@ -592,7 +600,7 @@ def test_ml_search_skips_candidates_the_region_rejects(region, y, rejected,
     design = LatticeDesign(generator=np.eye(2), region=region)
     book = enumerate_codebook(design, 1.0)
     assert not any(np.array_equal(z, rejected) for z in book.coords)
-    out = decode(prepare(np.array(y), np.eye(2), design, 1.0, codebook=book), method="ml")
+    out = decode(prepare(np.array(y), np.eye(2), design, book), method="ml")
     want = ml_decode(np.array(y), np.eye(2), book)
     assert np.array_equal(out.coords, want.coords)
     assert not np.array_equal(out.coords, rejected)
@@ -605,7 +613,7 @@ def test_ml_search_scans_a_rank_deficient_channel(ml_search_everywhere):
     book = enumerate_codebook(design, phi=1.0)
     h = np.array([[1.0, 0.0], [0.5, 0.0]])
     y = np.array([0.4, 0.3])
-    out = decode(prepare(y, h, design, 1.0, codebook=book), method="ml")
+    out = decode(prepare(y, h, design, book), method="ml")
     want = ml_decode(y, h, book)
     assert np.array_equal(out.coords, want.coords)
     assert out.metric == want.metric

@@ -11,7 +11,6 @@ import pytest
 from latdec import decoders, dmtsim, reduction
 from latdec.channels import (
     NoiseModel,
-    arq_codebooks,
     complex_gaussian,
     fixed_channel,
     sample_mimo_ofdm,
@@ -420,8 +419,8 @@ def _reference_plain_outcome(cfg, rho, key, trial, method):
     msg = int(rng.integers(book.size))
     x = book.points[msg]
     y = h @ x + sample_noise(h.shape[0], chan.noise, x, rng)
-    out = decode(prepare(y, h, design, phi, rho=rho, gate_alpha=cfg.gate_alpha,
-                         codebook=book), method=method)
+    out = decode(prepare(y, h, design, book, rho=rho, gate_alpha=cfg.gate_alpha),
+                 method=method)
     wrong = not (out.is_codeword and np.array_equal(out.coords, book.coords[msg]))
     return wrong, out.kind
 
@@ -437,12 +436,13 @@ def _reference_arq_outcome(cfg, rho, key, trial, method):
                            coding_duration=l * cfg.design.coding_duration,
                            dither=np.tile(cfg.design.dither, l))
              for l in range(1, chan.arq_rounds + 1)]
-    draw, _ = simulate_arq_episode(frags, arq_codebooks(frags, rho, cfg.r), hc, rho,
-                                   chan.arq_x_thresh,
+    rungs = [(d, enumerate_codebook(d, scaling_factor(rho, cfg.r / l, d.coding_duration,
+                                                      d.dimension)))
+             for l, d in enumerate(frags, start=1)]
+    draw, _ = simulate_arq_episode(rungs, hc, rho, chan.arq_x_thresh,
                                    trial_rng(cfg.seed, 0, *key, trial, 1), chan.noise)
-    out = decode(prepare(draw.y, draw.h, draw.design, draw.codebook.scale, rho=rho,
-                         gate_alpha=cfg.gate_alpha, codebook=draw.codebook),
-                 method=method)
+    out = decode(prepare(draw.y, draw.h, draw.design, draw.codebook, rho=rho,
+                         gate_alpha=cfg.gate_alpha), method=method)
     return not draw.decoded_by(out), out.kind
 
 
