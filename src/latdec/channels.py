@@ -1,9 +1,9 @@
 """Channel models: configuration, samplers, the real embedding, noise.
 
 `ChannelConfig` is the one place that knows the channel models: it checks
-a design against its model, states a sweep cell's codebook designs and
-scales (`cell_designs`: the design at rate r, or each ARQ fragment l at
-rate r/l) and draws the cell's trials, ARQ episodes
+a design against its model, builds a sweep cell's codebooks once
+(`cell_codebooks`: the design at rate r, or each ARQ fragment l at rate
+r/l) and draws the cell's trials on them, ARQ episodes
 (`simulate_arq_episode`) included.  This layer decodes nothing.
 
 Complex channels are numpy complex128 arrays.  Every sampler returns the
@@ -234,12 +234,12 @@ def simulate_arq_episode(rungs, hc, rho: float, x_thresh: float,
     stopping round; returns the block decoded there and the ACK history.
 
     `rungs[l-1]` is the (design, codebook) pair decoded after round l, as
-    `ChannelConfig.trial_sampler` builds it from `cell_designs`: its design
-    covers rounds 1..l, so it spans l rounds of the channel's input and l
-    times rung 1's coding duration.  Rounds 1..L-1 stop on ACK; round L
-    always stops.  A message index is drawn uniformly below the smallest
-    codebook size and encoded by the stopping rung through its canonical
-    codebook order; each round adds its own noise."""
+    `ChannelConfig.cell_codebooks` builds it: its design covers rounds
+    1..l, so it spans l rounds of the channel's input and l times rung 1's
+    coding duration.  Rounds 1..L-1 stop on ACK; round L always stops.  A
+    message index is drawn uniformly below the smallest codebook size and
+    encoded by the stopping rung through its canonical codebook order;
+    each round adds its own noise."""
     hc = np.asarray(hc, dtype=np.complex128)
     if not rungs:
         raise ValueError("need at least one rung")
@@ -370,27 +370,25 @@ class ChannelConfig:
             return fixed_channel(self.h_real)
         raise ValueError(f"cannot sample model {self.model!r} directly")
 
-    def cell_designs(self, design: LatticeDesign, rho: float, r: float) -> list:
-        """The designs a sweep cell at (rho, r) decodes, each with the scale
-        phi of its codebook, as [(design_l, phi_l)]: the design itself at
-        rate r or, for ARQ, fragment l (1-based, rounds 1..l tiled) at
-        rate r/l.  Every codebook of a cell is built or checked from here."""
+    def cell_codebooks(self, design: LatticeDesign, rho: float, r: float) -> list:
+        """The rungs [(design_l, codebook_l)] a sweep cell at (rho, r)
+        decodes on, all built here: the design itself at rate r or, for
+        ARQ, fragment l (1-based, rounds 1..l tiled) at rate r/l, each
+        enumerated at its scale phi_l (`codebook_l.scale`)."""
         designs = (_arq_fragments(design, self.arq_rounds)
                    if self.model == "mimo_arq" else [design])
-        return [(d, scaling_factor(rho, r / l, d.coding_duration, d.dimension))
+        return [(d, enumerate_codebook(
+                    d, scaling_factor(rho, r / l, d.coding_duration, d.dimension)))
                 for l, d in enumerate(designs, start=1)]
 
-    def trial_sampler(self, design: LatticeDesign, rho: float, r: float, stream):
-        """Per-cell set-up, which enumerates the codebook of each rung of
-        `cell_designs`; returns trial index -> TrialDraw.
+    def trial_sampler(self, rungs: list, rho: float, stream):
+        """Trial index -> TrialDraw on a cell's `cell_codebooks` rungs; builds nothing.
 
         `stream(trial, *sub)` gives a trial's random stream.  A plain trial
         draws channel, message and noise from `stream(trial)`; an ARQ
         episode draws its channel there and its message and noise from
         `stream(trial, 1)`, and is decoded on the rung of its stopping
         round."""
-        rungs = [(d, enumerate_codebook(d, phi))
-                 for d, phi in self.cell_designs(design, rho, r)]
         if self.model == "mimo_arq":
             def draw_arq(trial: int) -> TrialDraw:
                 hc = complex_gaussian(stream(trial), (self.nr, self.nt))
@@ -399,12 +397,11 @@ class ChannelConfig:
 
             return draw_arq
 
-        [(_, codebook)] = rungs
-        t = design.coding_duration
+        [(design, codebook)] = rungs
 
         def draw(trial: int) -> TrialDraw:
             rng = stream(trial)
-            h = self.sample(t, rho, rng)
+            h = self.sample(design.coding_duration, rho, rng)
             msg = int(rng.integers(codebook.size))
             x = codebook.points[msg]
             y = h @ x + sample_noise(h.shape[0], self.noise, x, rng)

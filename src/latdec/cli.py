@@ -95,7 +95,8 @@ def _cmd_sweep(args) -> int:
     config = load_experiment(args.config, seed_override=args.seed)
     n_cells = len(config.rho_db) * len(config.methods)
     if args.dry_run:
-        config.check_codebook_budgets()
+        for rho_db in config.rho_db:  # the sweep's own set-up: fails where it would
+            config.cell_codebooks(rho_db)
         print(f"config ok: {n_cells} cells "
               f"({len(config.rho_db)} signal levels x {len(config.methods)} methods)")
         return 0
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes running blocks of trials "
                               "(at most one per signal level)")
     p_sweep.add_argument("--dry-run", action="store_true",
-                         help="validate the file and print the cell count")
+                         help="validate the file, build its codebooks, print the cell count")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run built-in self-check suites")

@@ -10,15 +10,16 @@ comparisons (exact vs approximate decoders, outage vs error rate) exact
 and keeps every record bit-reproducible no matter how trials are
 scheduled.
 
-`sweep_cell` runs one block of trials at one signal level and returns
-its `BlockTally`, whose `records` raise the failures it lists.  Each
-trial has one path: the channel layer's trial sampler draws it (an ARQ
-trial through `channels.simulate_arq_episode`), `decoders.prepare` builds
-its one channel stage, and `decoders.decode` runs each method still
-running on that stage.  Every `run_sweep` cuts each level into blocks,
-runs them in this process or in worker processes, and scans them in
-trial order, so that every method stops at its min_errors-th error and a
-failure is raised where a serial run meets it.
+`SweepConfig.cell_codebooks` sets up a level, for the sweep and the dry
+run alike; `sweep_cell` runs a block of its trials into a `BlockTally`,
+whose `records` raise the failures it lists.  Each trial has one path:
+the channel layer's trial sampler draws it (ARQ trials through
+`channels.simulate_arq_episode`), `decoders.prepare` builds its channel
+stage, and `decoders.decode` runs each method still running on it.
+Every `run_sweep` sets up each level once, cuts it into blocks, runs them
+here or in worker processes, and scans them in trial order, so that every
+method stops at its min_errors-th error and a failure is raised where a
+serial run meets it.
 
 The diversity slope is the least-squares slope of -log10(error rate)
 against log10(rho) over the top qualifying signal levels.
@@ -35,7 +36,7 @@ import numpy as np
 from .channels import ChannelConfig, trial_rng
 from .decoders import METHOD_NAIVE, METHODS, decode, prepare
 from .errors import InsufficientData, LatdecError
-from .lattice import LatticeDesign, candidate_box, scaling_factor
+from .lattice import LatticeDesign, scaling_factor
 from .numkernel import cholesky_upper
 
 __all__ = [
@@ -84,9 +85,11 @@ class SweepConfig:
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:   # would count each error twice
+                raise ValueError(f"method {m!r} is listed twice")
         if not self.methods:
             raise ValueError("need at least one method")
         grid = tuple(float(v) for v in self.rho_db)
@@ -132,14 +135,9 @@ class SweepConfig:
             raise ValueError(f"naive decoding needs at least as many channel outputs "
                              f"as inputs, the channel gives {outputs} for {inputs}")
 
-    def check_codebook_budgets(self) -> None:
-        """Raise, at the first level where the sweep would, BudgetExceeded
-        when a codebook of `ChannelConfig.cell_designs` has more candidates
-        than the enumeration budget and EmptyCodebook when it has none;
-        builds no codebook."""
-        for v in self.rho_db:
-            for d, phi in self.channel.cell_designs(self.design, 10.0 ** (v / 10.0), self.r):
-                candidate_box(d, phi)
+    def cell_codebooks(self, rho_db: float) -> list:
+        """Level `rho_db`'s set-up, its [(design, codebook)] rungs, or what enumeration raises."""
+        return self.channel.cell_codebooks(self.design, 10.0 ** (rho_db / 10.0), self.r)
 
 
 @dataclass
@@ -236,8 +234,8 @@ class BlockTally:
     a prefix of the block) and `errors[method]` lists the (trial, outcome
     kind) of each of its errors.  `failures` lists each `LatdecError` the
     block caught as (trial, method, error), in serial order; method None
-    marks a failure of the cell set-up or of the trial draw, which ends
-    the block."""
+    marks a failure of the trial draw, which ends the block, or, in a
+    scan's whole-cell tally, a failed set-up of the level (trial 0)."""
 
     rho_db: float
     r: float
@@ -275,17 +273,18 @@ class BlockTally:
         return records
 
 
-def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
+def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int = 0,
                stop: int | None = None, budgets: dict | None = None) -> BlockTally:
     """Trials [start, stop) of one signal level (stop defaults to
-    max_trials): each trial's draw and channel stage are shared by every
-    method still running, and a method stops once its errors in this
-    block reach its budget.  `budgets` None gives every method the budget
-    min_errors; a method with budget 0 does not run.
+    max_trials) on its `rungs` from `SweepConfig.cell_codebooks`: each
+    trial's draw and channel stage are shared by every method still
+    running, and a method stops once its errors in this block reach its
+    budget.  `budgets` None gives every method the budget min_errors; a
+    method with budget 0 does not run.
 
     A `LatdecError` is not raised but listed in the tally, for
     `BlockTally.records` to raise: a method that fails stops, and a failed
-    cell set-up or trial draw ends the block."""
+    trial draw ends the block."""
     stop = config.max_trials if stop is None else stop
     if budgets is None:
         budgets = dict.fromkeys(config.methods, config.min_errors)
@@ -297,9 +296,8 @@ def sweep_cell(config: SweepConfig, rho_db: float, start: int = 0,
     def stream(trial: int, *sub: int):
         return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
 
-    trial = start
+    draw_trial = config.channel.trial_sampler(rungs, rho, stream)
     try:
-        draw_trial = config.channel.trial_sampler(config.design, rho, config.r, stream)
         for trial in range(start, stop):
             if not active:
                 break
@@ -379,9 +377,10 @@ def estimate_diversity_slope(records, min_errors: int = 50,
 
 
 class _CellScan:
-    """One signal level: the blocks handed out so far, and the blocks
-    scanned in trial order into one whole-cell tally, each method cut at
-    its min_errors-th error, that lists the first failure reached."""
+    """One signal level: its set-up `rungs` (None once the cell closes; a
+    failed set-up is its failure at trial 0), the blocks handed out so far,
+    and the blocks scanned in trial order into one whole-cell tally, each
+    method cut at its min_errors-th error, listing the first failure met."""
 
     def __init__(self, config: SweepConfig, rho_db: float):
         self.config = config
@@ -389,7 +388,15 @@ class _CellScan:
         self.submitted = 0      # trials [0, submitted) are in blocks;
                                 # the tally holds [0, tally.stop)
         self.waiting = {}       # block start -> BlockTally not yet scanned
-        self.closed = False
+        try:
+            self.rungs = config.cell_codebooks(rho_db)
+        except LatdecError as exc:
+            self.tally.failures.append((0, None, exc))
+            self.rungs = None
+
+    @property
+    def closed(self) -> bool:
+        return self.rungs is None
 
     def running(self, method: str) -> bool:
         return len(self.tally.errors[method]) < self.config.min_errors
@@ -398,14 +405,14 @@ class _CellScan:
         return not self.closed and self.submitted < self.config.max_trials
 
     def next_block(self) -> tuple:
-        """(start, stop, budgets) of the next block: each budget is the
-        errors a method still needs after the scanned trials, an upper
-        bound on what it needs after `start`."""
+        """`sweep_cell`'s (rungs, rho_db, start, stop, budgets) for the next
+        block: each budget is the errors a method still needs after the
+        scanned trials, an upper bound on what it needs after `start`."""
         start = self.submitted
         self.submitted = min(start + BLOCK_TRIALS, self.config.max_trials)
         budgets = {m: self.config.min_errors - len(self.tally.errors[m])
                    for m in self.config.methods}
-        return start, self.submitted, budgets
+        return self.rungs, self.tally.rho_db, start, self.submitted, budgets
 
     def receive(self, block: BlockTally) -> None:
         """Scan every block that now joins the scanned prefix; close the
@@ -429,9 +436,9 @@ class _CellScan:
                 self.running, self.config.methods if f[1] is None else (f[1],)))]
             self.tally.failures += reached[:1]
             self.tally.stop = block.stop
-            self.closed = (bool(self.tally.failures)
-                           or block.stop == self.config.max_trials
-                           or not any(map(self.running, self.config.methods)))
+            if (self.tally.failures or block.stop == self.config.max_trials
+                    or not any(map(self.running, self.config.methods))):
+                self.rungs = None
 
 
 def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
@@ -451,8 +458,7 @@ def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
                            key=lambda c: sum(v is c for v in in_flight.values()))
                 # Blocks go out through the module-level name, so a
                 # rebinding of `sweep_cell` runs in the workers.
-                future = pool.submit(sweep_cell, config, cell.tally.rho_db,
-                                     *cell.next_block())
+                future = pool.submit(sweep_cell, config, *cell.next_block())
                 in_flight[future] = cell
                 if not cell.wants_block():
                     open_cells.remove(cell)
@@ -468,7 +474,7 @@ def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
                     if cell.tally.failures:
                         # The serial run stops here: no higher level matters.
                         for higher in cells[cells.index(cell) + 1:]:
-                            higher.closed = True
+                            higher.rungs = None
             for future, cell in list(in_flight.items()):
                 if cell.closed and future.cancel():
                     del in_flight[future]
@@ -479,24 +485,25 @@ def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
-    Every level is cut into blocks of BLOCK_TRIALS trials, scanned in
-    trial order, and each method is cut at its min_errors-th error or at
-    max_trials.  With `workers` = 1 the blocks run in this process, level
-    by level and in trial order, and the sweep stops at the first failed
-    level.  With `workers` > 1 a process pool (at most one process per
-    level) runs them in any order.  Records, and the failure raised if
-    any, are identical either way: a trial is keyed by (seed, rho, r,
-    trial) alone.  Raises ValueError when `workers` < 1."""
+    Each level is set up once, in grid order, cut into blocks of
+    BLOCK_TRIALS trials and scanned in trial order; each method is cut at
+    its min_errors-th error or at max_trials.  With `workers` = 1 a level's
+    blocks run here once it is set up, one level's codebooks at a time, and
+    the sweep stops at the first failed level.  With `workers` > 1 a pool
+    (at most one process per level) runs, in any order, the blocks of the
+    levels up to the first failed set-up.  Records, and the failure raised,
+    match: a trial is keyed by (seed, rho, r, trial) alone.  Raises
+    ValueError when `workers` < 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
-    if workers == 1:
-        for cell in cells:
-            while cell.wants_block():
-                cell.receive(sweep_cell(config, cell.tally.rho_db, *cell.next_block()))
-            if cell.tally.failures:
-                break
-    else:
+    cells = []
+    for rho_db in config.rho_db:
+        cells.append(cell := _CellScan(config, rho_db))
+        while workers == 1 and cell.wants_block():
+            cell.receive(sweep_cell(config, *cell.next_block()))
+        if cell.tally.failures:
+            break
+    if workers > 1:
         _run_pooled(config, cells, workers)
     records = [rec for cell in cells for rec in cell.tally.records()]
     slopes = {}

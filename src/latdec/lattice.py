@@ -24,7 +24,6 @@ __all__ = [
     "round_half_away_from_zero",
     "scaling_factor",
     "lattice_points",
-    "candidate_box",
     "enumerate_codebook",
     "random_dither",
 ]
@@ -188,12 +187,10 @@ def lattice_points(a: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...j,ij->...i", z.astype(np.float64), a) + u
 
 
-def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the integer box holding the preimage of R's bounding box
-    under phi G, the candidates `enumerate_codebook` tests.  Raises
-    EmptyCodebook when the box holds no integer point and BudgetExceeded
-    when it holds more than `DEFAULT_ENUM_BUDGET`, so a sweep can check
-    its codebooks before it builds them."""
+    under phi G, the candidates `enumerate_codebook` tests (hi = lo - 1 on
+    an empty axis).  Raises BudgetExceeded past `DEFAULT_ENUM_BUDGET` of them."""
     if not (phi > 0.0) or not math.isfinite(phi):
         raise ValueError("phi must be positive and finite")
     u = design.dither_or_zero()
@@ -206,9 +203,6 @@ def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.nda
         raise BudgetExceeded(f"candidate box wider than budget {DEFAULT_ENUM_BUDGET}")
     lo = np.ceil(center - spread - 1e-9).astype(np.int64)
     hi = np.floor(center + spread + 1e-9).astype(np.int64)
-    if np.any(hi < lo):
-        raise EmptyCodebook("codebook is empty for this design and scale: "
-                            "no integer point in the candidate box")
     total = int(np.prod((hi - lo + 1).astype(object)))
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"{total} candidate points exceed budget "
@@ -217,8 +211,8 @@ def candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.nda
 
 
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
-    """Yield (chunk of integer vectors) covering the nonempty box [lo, hi],
-    in odometer order, without materializing more than ~2^18 rows at once."""
+    """Yield (chunk of integer vectors) covering the box [lo, hi], in
+    odometer order, without materializing more than ~2^18 rows at once."""
     sizes = (hi - lo + 1).astype(np.int64)
     total = int(np.prod(sizes))
     n = lo.shape[0]
@@ -235,12 +229,12 @@ def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
 def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     """Exact finite codebook {phi G z + u} intersect R.
 
-    Candidates are the integers of `candidate_box`, which raises
+    Candidates are the integers of `_candidate_box`, which raises
     BudgetExceeded past `DEFAULT_ENUM_BUDGET` of them; membership is the
-    closed-set region test.  Raises EmptyCodebook when the region keeps
-    no candidate.
+    closed-set region test.  Raises EmptyCodebook when no candidate lies
+    in the region, an empty candidate box included.
     """
-    lo, hi = candidate_box(design, phi)
+    lo, hi = _candidate_box(design, phi)
     a = phi * design.generator
     u = design.dither_or_zero()
     kept_pts = []
@@ -253,7 +247,7 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
             kept_z.append(z[mask])
     if not kept_pts:
         raise EmptyCodebook("codebook is empty for this design and scale: "
-                            "the region rejects every candidate")
+                            "no candidate lies in the region")
     pts = np.concatenate(kept_pts, axis=0)
     zs = np.concatenate(kept_z, axis=0)
     # Canonical order: lexicographic by point coordinates.

@@ -260,11 +260,9 @@ def test_arq_ack_frequency_matches_exponential_tail():
 
 def arq_rungs(rounds, rho, r1, t=1):
     """(design, codebook) rungs of an ARQ cell over a scalar channel whose
-    round fragment is `square_design(2 t, t)`, as `trial_sampler` builds
-    them from `cell_designs`."""
+    round fragment is `square_design(2 t, t)`, from `cell_codebooks`."""
     chan = ChannelConfig(model="mimo_arq", arq_rounds=rounds, arq_x_thresh=1.0)
-    return [(d, enumerate_codebook(d, phi))
-            for d, phi in chan.cell_designs(square_design(2 * t, t), rho, r1)]
+    return chan.cell_codebooks(square_design(2 * t, t), rho, r1)
 
 
 def test_draw_arq_trial_channel_is_round_blocks():
@@ -360,14 +358,15 @@ LADDER_CASES = {
 @pytest.mark.parametrize("name", sorted(LADDER_CASES))
 def test_cell_designs_give_each_rung_its_dimension_duration_and_phi(name):
     chan, design, rho, r = LADDER_CASES[name]
-    rungs = chan.cell_designs(design, rho, r)
+    rungs = chan.cell_codebooks(design, rho, r)
     if chan.model != "mimo_arq":
         assert len(rungs) == 1 and rungs[0][0] is design
-        assert rungs[0][1] == scaling_factor(rho, r, 1, 4)
+        assert rungs[0][1].scale == scaling_factor(rho, r, 1, 4)
         return
     n, t = design.dimension, design.coding_duration
     assert len(rungs) == 3
-    for l, (d, phi) in enumerate(rungs, start=1):
+    for l, (d, book) in enumerate(rungs, start=1):
+        phi = book.scale
         assert (d.dimension, d.coding_duration) == (l * n, l * t)
         assert np.array_equal(d.generator, np.kron(np.eye(l), design.generator))
         assert np.array_equal(d.region.half_widths, np.tile(design.region.half_widths, l))
@@ -395,22 +394,24 @@ def _stream(trial, *sub):
 
 @pytest.mark.parametrize("name", sorted(LADDER_CASES))
 def test_trial_sampler_enumerates_the_cell_designs(name, monkeypatch):
+    # The sampler draws on the rungs `cell_codebooks` enumerated, once each,
+    # and enumerates nothing itself.
     chan, design, rho, r = LADDER_CASES[name]
     built = spy_enumeration(monkeypatch)
-    chan.trial_sampler(design, rho, r, _stream)
-    want = chan.cell_designs(design, rho, r)
-    assert len(built) == len(want)
-    for (d, phi, book), (wd, wphi) in zip(built, want):
-        assert phi == wphi and book.scale == wphi
-        assert (d.dimension, d.coding_duration) == (wd.dimension, wd.coding_duration)
-        assert np.array_equal(d.generator, wd.generator)
-        assert np.array_equal(d.dither, wd.dither)
+    rungs = chan.cell_codebooks(design, rho, r)
+    assert len(built) == len(rungs)
+    for (d, phi, book), (rung_design, rung_book) in zip(built, rungs):
+        assert d is rung_design and book is rung_book and book.scale == phi
+    draw_trial = chan.trial_sampler(rungs, rho, _stream)
+    draws = [draw_trial(trial) for trial in range(20)]
+    assert len(built) == len(rungs)
+    assert all(any(draw.codebook is book for _, book in rungs) for draw in draws)
 
 
 def test_arq_draw_stopping_at_round_l_decodes_on_rung_l(monkeypatch):
     chan, design, rho, r = LADDER_CASES["arq3"]
     built = spy_enumeration(monkeypatch)
-    draw_trial = chan.trial_sampler(design, rho, r, _stream)
+    draw_trial = chan.trial_sampler(chan.cell_codebooks(design, rho, r), rho, _stream)
     stops = set()
     for trial in range(60):
         hc = complex_gaussian(_stream(trial), (1, 1))
@@ -428,7 +429,7 @@ def test_arq_draw_stopping_at_round_l_decodes_on_rung_l(monkeypatch):
 @pytest.mark.parametrize("name", sorted(LADDER_CASES))
 def test_prepare_scales_the_generator_by_the_codebook_scale(name):
     chan, design, rho, r = LADDER_CASES[name]
-    draw_trial = chan.trial_sampler(design, rho, r, _stream)
+    draw_trial = chan.trial_sampler(chan.cell_codebooks(design, rho, r), rho, _stream)
     for trial in range(20):
         draw = draw_trial(trial)
         stage = prepare(draw.y, draw.h, draw.design, draw.codebook)

@@ -243,40 +243,44 @@ def test_dry_run_checks_every_codebook_the_sweep_enumerates(tmp_path, capsys, mo
         "  model: mimo_arq\n  arq:\n    rounds: 2\n    x_thresh: 1.0\n",
     ).replace("r: 0.0", "r: 1.5").replace("max_trials: 800", "max_trials: 20")
     path = write_config(tmp_path, text)
-    checked, built = [], []
-
-    def spy(log, fn):
-        return lambda design, phi: log.append((design.dimension, phi)) or fn(design, phi)
-
-    monkeypatch.setattr(dmtsim, "candidate_box", spy(checked, dmtsim.candidate_box))
-    monkeypatch.setattr(channels, "enumerate_codebook",
-                        spy(built, channels.enumerate_codebook))
+    built = []
+    enumerate_codebook = channels.enumerate_codebook
+    monkeypatch.setattr(channels, "enumerate_codebook", lambda design, phi: (
+        built.append((design.dimension, phi)) or enumerate_codebook(design, phi)))
     assert main(["sweep", path, "--dry-run"]) == 0
-    assert built == []
+    dry = list(built)
+    built.clear()
     assert main(["sweep", path, "--out", str(tmp_path / "x"), "--workers", "1"]) == 0
-    # Both levels, each with the 2-dim fragment at r and the 4-dim one at r/2.
-    assert len(checked) == 4 and sorted(checked) == sorted(set(built))
+    # Both levels, each with the 2-dim fragment at r and the 4-dim one at r/2,
+    # built once by the dry run and once by the sweep.
+    assert len(dry) == 4 and dry == built
 
 
-@pytest.mark.parametrize("region, dry_run_fails", [
+@pytest.mark.parametrize("region", [
     # The candidate box of dither 0.5 and half-width 0.4 holds no integer.
-    ("kind: box\n    half_widths: [0.4, 0.4]", True),
-    # Its box holds candidates, all outside the ball: only the sweep,
-    # which enumerates them, finds the codebook empty.
-    ("kind: ball\n    radius: 0.6", False),
+    "kind: box\n    half_widths: [0.4, 0.4]",
+    # Its box holds candidates, all outside the ball.
+    "kind: ball\n    radius: 0.6",
 ], ids=["box", "ball"])
-def test_empty_codebook_exits_1(tmp_path, capsys, region, dry_run_fails):
+def test_empty_codebook_exits_1(tmp_path, capsys, region):
     path = write_config(tmp_path, TINY.replace(
         "kind: box\n    half_widths: [0.6, 0.6]", region))
-    dry_code = main(["sweep", path, "--dry-run"])
+    assert main(["sweep", path, "--dry-run"]) == 1
     dry = capsys.readouterr()
-    assert main(["sweep", path, "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "codebook is empty" in err
-    if dry_run_fails:
-        assert dry_code == 1 and dry.err == err and "config ok" not in dry.out
-    else:
-        assert dry_code == 0 and "config ok" in dry.out
+    assert dry.err.startswith("error: ") and "codebook is empty" in dry.err
+    assert "config ok" not in dry.out
+    for workers in ("1", "2"):
+        assert main(["sweep", path, "--out", str(tmp_path / "x"),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == dry.err
+
+
+def test_repeated_method_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, TINY.replace("methods: [ml]", "methods: [ml, ml]"))
+    for argv in (["--dry-run"], ["--out", str(tmp_path / "x")]):
+        assert main(["sweep", path, *argv]) == 1
+        assert "'ml' is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -509,7 +509,7 @@ def ml_search_everywhere(monkeypatch):
 def assert_search_matches_scan(channel, design, rho_db, r, draws, seed):
     """Search and scan agree on `draws` seeded draws of one cell."""
     rho = 10.0 ** (rho_db / 10.0)
-    draw_trial = channel.trial_sampler(design, rho, r,
+    draw_trial = channel.trial_sampler(channel.cell_codebooks(design, rho, r), rho,
                                        lambda t, *sub: trial_rng(seed, t, *sub))
     for trial in range(draws):
         draw = draw_trial(trial)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from latdec import decoders, dmtsim, reduction
+from latdec import channels, decoders, dmtsim, reduction
 from latdec.channels import (
     NoiseModel,
     complex_gaussian,
@@ -34,7 +34,7 @@ from latdec.dmtsim import (
     sweep_cell,
     wilson_interval,
 )
-from latdec.errors import InsufficientData, NearSingularChannel
+from latdec.errors import EmptyCodebook, InsufficientData, NearSingularChannel
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
 
 
@@ -54,6 +54,11 @@ def rayleigh_config(n_ant=1, methods=("ml",), **kw):
                     rho_db=(10.0, 14.0), r=0.0, gate_alpha=1.5)
     defaults.update(kw)
     return SweepConfig(design=design, channel=chan, methods=methods, **defaults)
+
+
+def level_block(cfg, rho_db, *block):
+    """`sweep_cell` on the level's own set-up, `cfg.cell_codebooks(rho_db)`."""
+    return sweep_cell(cfg, cfg.cell_codebooks(rho_db), rho_db, *block)
 
 
 def synthetic_record(rho_db, p, method="ml", errors=100):
@@ -209,8 +214,8 @@ def test_config_counts_accept_numpy_integers():
 
 def test_cell_determinism():
     cfg = rayleigh_config(methods=("ml", "lr_linear"))
-    a = sweep_cell(cfg, 10.0).records()
-    b = sweep_cell(cfg, 10.0).records()
+    a = level_block(cfg, 10.0).records()
+    b = level_block(cfg, 10.0).records()
     assert a == b
 
 
@@ -218,8 +223,8 @@ def test_methods_share_trials_regardless_of_grouping():
     # A method's record must be bit-identical whether it runs alone or
     # alongside others: trial randomness is keyed by (seed, level, rate,
     # trial index) and never by the method set.
-    joint = sweep_cell(rayleigh_config(methods=("ml", "reg_exact")), 10.0).records()
-    [alone] = sweep_cell(rayleigh_config(methods=("ml",)), 10.0).records()
+    joint = level_block(rayleigh_config(methods=("ml", "reg_exact")), 10.0).records()
+    [alone] = level_block(rayleigh_config(methods=("ml",)), 10.0).records()
     ml_joint = [rec for rec in joint if rec.method == "ml"][0]
     assert ml_joint == alone
 
@@ -231,7 +236,7 @@ def test_noiseless_fixed_channel_never_errs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml", "reg_exact"),
                       rho_db=(10.0, 20.0), r=0.0, min_errors=20,
                       max_trials=300, seed=3)
-    recs = sweep_cell(cfg, 10.0).records()
+    recs = level_block(cfg, 10.0).records()
     for rec in recs:
         assert rec.errors == 0
         assert rec.trials == 300          # stopping never triggers
@@ -322,12 +327,12 @@ def test_arq_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml",),
                       rho_db=(6.0, 10.0), r=0.5, min_errors=20,
                       max_trials=400, seed=9)
-    recs = sweep_cell(cfg, 6.0).records()
+    recs = level_block(cfg, 6.0).records()
     assert len(recs) == 1
     rec = recs[0]
     assert rec.trials >= rec.errors
     assert rec.method == "ml"
-    assert recs == sweep_cell(cfg, 6.0).records()     # deterministic
+    assert recs == level_block(cfg, 6.0).records()     # deterministic
 
 
 def test_ofdm_sweep_cell_runs():
@@ -336,7 +341,7 @@ def test_ofdm_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml",),
                       rho_db=(6.0, 10.0), r=0.0, min_errors=20,
                       max_trials=400, seed=10)
-    rec = sweep_cell(cfg, 6.0).records()[0]
+    rec = level_block(cfg, 6.0).records()[0]
     assert rec.trials >= 20 or rec.errors < 20
 
 
@@ -346,7 +351,7 @@ def test_naf_sweep_cell_runs():
     cfg = SweepConfig(design=design, channel=chan, methods=("ml", "lr_linear"),
                       rho_db=(6.0, 10.0), r=0.0, min_errors=20,
                       max_trials=400, seed=12, gate_alpha=1.5)
-    recs = sweep_cell(cfg, 10.0).records()
+    recs = level_block(cfg, 10.0).records()
     assert len(recs) == 2
     for rec in recs:
         assert rec.trials > 0
@@ -459,7 +464,7 @@ def test_sweep_cell_matches_per_method_reference(model):
     key = (dmtsim._key_from_float(rho_db), dmtsim._key_from_float(r))
     outcome = (_reference_arq_outcome if model == "mimo_arq"
                else _reference_plain_outcome)
-    records = sweep_cell(cfg, rho_db).records()
+    records = level_block(cfg, rho_db).records()
     for rec in records:
         counts = {"trials": 0, "errors": 0, "oob": 0, "timeouts": 0}
         while counts["trials"] < cfg.max_trials and counts["errors"] < cfg.min_errors:
@@ -514,7 +519,7 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
                 if hasattr(module, checker):
                     monkeypatch.setattr(module, checker,
                                         counted("scan", getattr(module, checker)))
-    recs = sweep_cell(cfg, 14.0).records()
+    recs = level_block(cfg, 14.0).records()
     assert all(rec.trials == 60 for rec in recs)
     assert calls["gdfe"] == 60 and calls["gate"] == 60
     # The stage's one RegularizedProblem checks its five arrays once.
@@ -550,7 +555,7 @@ def pooled_config(case):
 def whole_cell_records(cfg):
     """Records of one whole-cell `sweep_cell` per level, in grid order:
     the serial reference, which runs no block scan."""
-    return [rec for rho_db in cfg.rho_db for rec in sweep_cell(cfg, rho_db).records()]
+    return [rec for rho_db in cfg.rho_db for rec in level_block(cfg, rho_db).records()]
 
 
 @pytest.fixture(scope="module")
@@ -597,8 +602,8 @@ def scan_every_block(cfg, rho_db, block):
     scan = dmtsim._CellScan(cfg, rho_db)
     budgets = dict.fromkeys(cfg.methods, cfg.min_errors)
     for start in reversed(range(0, cfg.max_trials, block)):
-        scan.receive(sweep_cell(cfg, rho_db, start,
-                                min(start + block, cfg.max_trials), budgets))
+        scan.receive(level_block(cfg, rho_db, start,
+                                 min(start + block, cfg.max_trials), budgets))
     assert scan.closed
     return scan
 
@@ -691,7 +696,7 @@ def test_failures_before_the_stopping_trial_raise_as_serial(
 def test_sweep_cell_lists_failures_and_records_raise_the_first(monkeypatch):
     cfg = differential_config("quasi_static_rayleigh")
     plant_failures(monkeypatch, [(12.0, 40, "naive"), (12.0, 100, None)])
-    tally = sweep_cell(cfg, 12.0)
+    tally = level_block(cfg, 12.0)
     # `naive` stops at its failure, the others run on to the failed draw.
     assert [(trial, method) for trial, method, _ in tally.failures] == [
         (40, "naive"), (100, None)]
@@ -706,9 +711,9 @@ def test_serial_blocks_run_in_trial_order(monkeypatch, serial_records):
     cfg = differential_config("quasi_static_rayleigh")
     blocks = []
 
-    def spy(config, rho_db, start, stop, budgets):
+    def spy(config, rungs, rho_db, start, stop, budgets):
         blocks.append((rho_db, start, stop))
-        return sweep_cell(config, rho_db, start, stop, budgets)
+        return sweep_cell(config, rungs, rho_db, start, stop, budgets)
 
     monkeypatch.setattr(dmtsim, "sweep_cell", spy)
     monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
@@ -739,3 +744,64 @@ def test_serial_failure_ends_the_run_within_a_block(monkeypatch):
     after = calls[calls.index("naive") + 1:]
     assert "naive" not in after and "ml" in after
     assert len(calls) <= dmtsim.BLOCK_TRIALS * len(cfg.methods)
+
+
+def test_repeated_method_is_rejected():
+    # Each trial would decode, and count its error, once per listing.
+    with pytest.raises(ValueError, match="'ml' is listed twice"):
+        rayleigh_config(methods=("ml", "lr_linear", "ml"))
+
+
+def spy_enumeration(monkeypatch, fail_first=False):
+    """Record (dimension, phi) of every `channels.enumerate_codebook` call;
+    with `fail_first` the first call raises EmptyCodebook instead."""
+    built = []
+
+    def spy(design, phi):
+        built.append((design.dimension, phi))
+        if fail_first and len(built) == 1:
+            raise EmptyCodebook("planted at the first set-up")
+        return enumerate_codebook(design, phi)
+
+    monkeypatch.setattr(channels, "enumerate_codebook", spy)
+    return built
+
+
+@pytest.mark.parametrize("model", ["quasi_static_rayleigh", "mimo_arq"])
+def test_every_level_is_set_up_once(monkeypatch, model):
+    # Many blocks per level; each level's rungs (three for the ARQ ladder)
+    # are enumerated once, in this process, whether its blocks run here or
+    # in the pool.
+    cfg = differential_config(model)
+    want = [(d.dimension, book.scale)
+            for rho_db in cfg.rho_db for d, book in cfg.cell_codebooks(rho_db)]
+    assert len(want) == len(cfg.rho_db) * cfg.channel.arq_rounds
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    built = spy_enumeration(monkeypatch)
+    for workers in (1, 2):
+        built.clear()
+        run_sweep(cfg, workers=workers)
+        assert built == want, workers
+
+
+def test_set_up_failure_at_the_lowest_level_runs_no_block(monkeypatch):
+    cfg = differential_config("mimo_arq")
+    [(design, book), *_] = cfg.cell_codebooks(cfg.rho_db[0])
+    blocks = []
+
+    def spy(config, rungs, rho_db, *block):
+        blocks.append(rho_db)
+        return sweep_cell(config, rungs, rho_db, *block)
+
+    # Threads, so that the spy sees the blocks a pool would run.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(dmtsim, "sweep_cell", spy)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    for workers in (1, 2):
+        built = spy_enumeration(monkeypatch, fail_first=True)
+        with pytest.raises(EmptyCodebook, match="planted at the first set-up"):
+            run_sweep(cfg, workers=workers)
+        # No higher level is set up, and no block of any level runs.
+        assert built == [(design.dimension, book.scale)]
+        assert blocks == []
