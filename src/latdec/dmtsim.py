@@ -16,10 +16,10 @@ whose `records` raise the failures it lists.  Each trial has one path:
 the channel layer's trial sampler draws it (ARQ trials through
 `channels.simulate_arq_episode`), `decoders.prepare` builds its channel
 stage, and `decoders.decode` runs each method still running on it.
-Every `run_sweep` sets up each level once, cuts it into blocks, runs them
-here or in worker processes, and scans them in trial order, so that every
-method stops at its min_errors-th error and a failure is raised where a
-serial run meets it.
+`run_sweep` hands out every level's blocks from one loop, serial or
+pooled, sets a level up as its first block goes out, and scans the blocks
+in trial order, so that every method stops at its min_errors-th error and
+a failure is raised where a serial run meets it.
 
 The diversity slope is the least-squares slope of -log10(error rate)
 against log10(rho) over the top qualifying signal levels.
@@ -34,7 +34,8 @@ from typing import ClassVar
 import numpy as np
 
 from .channels import ChannelConfig, trial_rng
-from .decoders import METHOD_NAIVE, METHODS, decode, prepare
+from .decoders import (METHOD_LR_LINEAR, METHOD_LR_SIC, METHOD_NAIVE, METHODS,
+                       decode, prepare)
 from .errors import InsufficientData, LatdecError
 from .lattice import LatticeDesign, scaling_factor
 from .numkernel import cholesky_upper
@@ -111,11 +112,11 @@ class SweepConfig:
             raise ValueError("min_errors must be >= 20")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
-        needs_gate = any(m in ("lr_sic", "lr_linear") for m in self.methods)
+        needs_gate = any(m in (METHOD_LR_SIC, METHOD_LR_LINEAR) for m in self.methods)
         if needs_gate and self.gate_alpha is None:
             raise ValueError("reduction-aided methods need gate_alpha")
-        if self.gate_alpha is not None and not math.isfinite(self.gate_alpha):
-            raise ValueError("gate_alpha must be finite")
+        if self.gate_alpha is not None and not 0.0 < self.gate_alpha < math.inf:
+            raise ValueError("gate_alpha must be positive and finite")
         self.channel.check_design(self.design)
         # Each level's rho, gate threshold and lattice scale must be float64
         # numbers a trial can use, or the sweep would stop at that level.
@@ -273,21 +274,17 @@ class BlockTally:
         return records
 
 
-def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int = 0,
-               stop: int | None = None, budgets: dict | None = None) -> BlockTally:
-    """Trials [start, stop) of one signal level (stop defaults to
-    max_trials) on its `rungs` from `SweepConfig.cell_codebooks`: each
-    trial's draw and channel stage are shared by every method still
-    running, and a method stops once its errors in this block reach its
-    budget.  `budgets` None gives every method the budget min_errors; a
-    method with budget 0 does not run.
+def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
+               stop: int, budgets: dict) -> BlockTally:
+    """Trials [start, stop) of one signal level on its `rungs` from
+    `SweepConfig.cell_codebooks`: each trial's draw and channel stage are
+    shared by every method still running, and a method stops once its
+    errors in this block reach its entry in `budgets`; a method with
+    budget 0 does not run.
 
     A `LatdecError` is not raised but listed in the tally, for
     `BlockTally.records` to raise: a method that fails stops, and a failed
     trial draw ends the block."""
-    stop = config.max_trials if stop is None else stop
-    if budgets is None:
-        budgets = dict.fromkeys(config.methods, config.min_errors)
     tally = BlockTally.empty(config, rho_db, start, stop)
     active = [m for m in config.methods if budgets[m] > 0]
     rho = 10.0 ** (float(rho_db) / 10.0)
@@ -377,10 +374,10 @@ def estimate_diversity_slope(records, min_errors: int = 50,
 
 
 class _CellScan:
-    """One signal level: its set-up `rungs` (None once the cell closes; a
-    failed set-up is its failure at trial 0), the blocks handed out so far,
-    and the blocks scanned in trial order into one whole-cell tally, each
-    method cut at its min_errors-th error, listing the first failure met."""
+    """One signal level: its `rungs` (set up by the first `next_block`,
+    dropped when the cell closes), the blocks handed out so far, and the
+    blocks scanned in trial order into one whole-cell tally, each method cut
+    at its min_errors-th error, listing the first failure met."""
 
     def __init__(self, config: SweepConfig, rho_db: float):
         self.config = config
@@ -388,15 +385,11 @@ class _CellScan:
         self.submitted = 0      # trials [0, submitted) are in blocks;
                                 # the tally holds [0, tally.stop)
         self.waiting = {}       # block start -> BlockTally not yet scanned
-        try:
-            self.rungs = config.cell_codebooks(rho_db)
-        except LatdecError as exc:
-            self.tally.failures.append((0, None, exc))
-            self.rungs = None
+        self.rungs = None
+        self.closed = False
 
-    @property
-    def closed(self) -> bool:
-        return self.rungs is None
+    def close(self) -> None:
+        self.rungs, self.closed = None, True
 
     def running(self, method: str) -> bool:
         return len(self.tally.errors[method]) < self.config.min_errors
@@ -404,10 +397,18 @@ class _CellScan:
     def wants_block(self) -> bool:
         return not self.closed and self.submitted < self.config.max_trials
 
-    def next_block(self) -> tuple:
+    def next_block(self) -> tuple | None:
         """`sweep_cell`'s (rungs, rho_db, start, stop, budgets) for the next
         block: each budget is the errors a method still needs after the
-        scanned trials, an upper bound on what it needs after `start`."""
+        scanned trials, an upper bound on what it needs after `start`.  The
+        first call sets the level up; None if that fails (trial 0's failure)."""
+        if self.rungs is None:
+            try:
+                self.rungs = self.config.cell_codebooks(self.tally.rho_db)
+            except LatdecError as exc:
+                self.tally.failures.append((0, None, exc))
+                self.close()
+                return None
         start = self.submitted
         self.submitted = min(start + BLOCK_TRIALS, self.config.max_trials)
         budgets = {m: self.config.min_errors - len(self.tally.errors[m])
@@ -417,7 +418,8 @@ class _CellScan:
     def receive(self, block: BlockTally) -> None:
         """Scan every block that now joins the scanned prefix; close the
         cell once no method runs past it, or at the first failure the
-        serial run reaches."""
+        serial run reaches.  A closed cell scans no block: its late blocks
+        lie past its stopping trial or above a failed level."""
         self.waiting[block.start] = block
         while not self.closed and self.tally.stop in self.waiting:
             block = self.waiting.pop(self.tally.stop)
@@ -438,73 +440,71 @@ class _CellScan:
             self.tally.stop = block.stop
             if (self.tally.failures or block.stop == self.config.max_trials
                     or not any(map(self.running, self.config.methods))):
-                self.rungs = None
+                self.close()
 
 
-def _run_pooled(config: SweepConfig, cells: list, workers: int) -> None:
-    """Scan every level's blocks of BLOCK_TRIALS trials, run in a pool of
-    at most one process per level with up to BLOCKS_PER_WORKER blocks in
-    flight per process."""
-    # Imported here so that `import latdec` does not load multiprocessing.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    processes = min(workers, len(cells))
-    in_flight = {}  # future -> _CellScan
-    pool = ProcessPoolExecutor(processes)
-    try:
-        while True:
-            open_cells = [cell for cell in cells if cell.wants_block()]
-            while open_cells and len(in_flight) < BLOCKS_PER_WORKER * processes:
-                cell = min(open_cells,
-                           key=lambda c: sum(v is c for v in in_flight.values()))
-                # Blocks go out through the module-level name, so a
-                # rebinding of `sweep_cell` runs in the workers.
-                future = pool.submit(sweep_cell, config, *cell.next_block())
-                in_flight[future] = cell
-                if not cell.wants_block():
-                    open_cells.remove(cell)
-            if not in_flight:
-                break
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                cell = in_flight.pop(future)
-                # A closed level's late blocks lie past its stopping trial
-                # or above a failed level: the serial run never runs them.
-                if not cell.closed:
-                    cell.receive(future.result())
-                    if cell.tally.failures:
-                        # The serial run stops here: no higher level matters.
-                        for higher in cells[cells.index(cell) + 1:]:
-                            higher.rungs = None
-            for future, cell in list(in_flight.items()):
-                if cell.closed and future.cancel():
-                    del in_flight[future]
-    finally:
-        pool.shutdown(cancel_futures=True)
+class _InProcess:
+    """A serial run's pool: a block runs here as it is submitted."""
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures: bool) -> None:
+        pass
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
-    Each level is set up once, in grid order, cut into blocks of
-    BLOCK_TRIALS trials and scanned in trial order; each method is cut at
-    its min_errors-th error or at max_trials.  With `workers` = 1 a level's
-    blocks run here once it is set up, one level's codebooks at a time, and
-    the sweep stops at the first failed level.  With `workers` > 1 a pool
-    (at most one process per level) runs, in any order, the blocks of the
-    levels up to the first failed set-up.  Records, and the failure raised,
-    match: a trial is keyed by (seed, rho, r, trial) alone.  Raises
-    ValueError when `workers` < 1."""
+    One loop hands out every block of BLOCK_TRIALS trials, to the lowest
+    open level with the fewest blocks in flight, and sets a level up as its
+    first block goes out; a level's blocks are scanned in trial order, each
+    method cut at its min_errors-th error or at max_trials.  With `workers`
+    = 1 one block is in flight, run here, holding one level's codebooks at
+    a time; else a pool of at most one process per level runs up to
+    BLOCKS_PER_WORKER blocks per process.  As the serial run stops at the
+    lowest failed level, that level closes every level above it.  Records
+    and the failure raised match: a trial is keyed by (seed, rho, r, trial)
+    alone.  Raises ValueError when `workers` < 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = []
-    for rho_db in config.rho_db:
-        cells.append(cell := _CellScan(config, rho_db))
-        while workers == 1 and cell.wants_block():
-            cell.receive(sweep_cell(config, *cell.next_block()))
-        if cell.tally.failures:
-            break
-    if workers > 1:
-        _run_pooled(config, cells, workers)
+    # Imported here: neither `import latdec` nor a serial run loads multiprocessing.
+    from concurrent import futures
+    cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
+    processes = min(workers, len(cells))
+    pool = _InProcess() if workers == 1 else futures.ProcessPoolExecutor(processes)
+    capacity = 1 if workers == 1 else BLOCKS_PER_WORKER * processes
+    in_flight = {}  # future -> _CellScan
+    try:
+        while True:
+            failed = min((i for i, c in enumerate(cells) if c.tally.failures),
+                         default=len(cells))
+            for cell in cells[failed + 1:]:
+                cell.close()
+            for future, cell in list(in_flight.items()):
+                if cell.closed and future.cancel():
+                    del in_flight[future]
+            open_cells = [cell for cell in cells if cell.wants_block()]
+            if open_cells and len(in_flight) < capacity:
+                cell = min(open_cells,
+                           key=lambda c: sum(v is c for v in in_flight.values()))
+                block = cell.next_block()
+                if block is not None:
+                    # Blocks go out through the module-level name, so a
+                    # rebinding of `sweep_cell` runs in the workers.
+                    in_flight[pool.submit(sweep_cell, config, *block)] = cell
+                del block   # it would hold these rungs through the next set-up
+            elif in_flight:
+                done, _ = futures.wait(in_flight, return_when=futures.FIRST_COMPLETED)
+                for future in done:
+                    in_flight.pop(future).receive(future.result())
+            else:
+                break
+    finally:
+        pool.shutdown(cancel_futures=True)
     records = [rec for cell in cells for rec in cell.tally.records()]
     slopes = {}
     for method in config.methods:

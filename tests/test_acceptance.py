@@ -335,7 +335,8 @@ def test_criterion_07_regularization_benefit():
         seed=SEED,
         gate_alpha=base.gate_alpha,
     )
-    records = sweep_cell(cfg, cfg.cell_codebooks(25.0), 25.0).records()
+    records = sweep_cell(cfg, cfg.cell_codebooks(25.0), 25.0, 0, cfg.max_trials,
+                         dict.fromkeys(cfg.methods, cfg.min_errors)).records()
     naive = [r for r in records if r.method == "naive"][0]
     lr = [r for r in records if r.method == "lr_linear"][0]
     pooled = math.sqrt(binomial_stderr(naive) ** 2 + binomial_stderr(lr) ** 2)

@@ -94,6 +94,9 @@ RANGE_CASES = {
     "taps 0": [(("channel",), {"model": "mimo_ofdm", "nt": 1, "nr": 1,
                                "tones": 1, "taps": 0})],
     "negative d_target": [(("sweep", "gate"), {"d_target": -1.0})],
+    # A nonpositive exponent makes every gate threshold rho^alpha <= 1:
+    # every reduction-aided decode would be a gate timeout.
+    "negative gate alpha": [(("sweep", "gate", "alpha"), -1.0)],
     # The search caps, LLL's delta and the lattice scaling are fixed: each
     # key is unknown, whatever its value.
     "node_budget unknown key": [(("sweep", "node_budget"), 0)],

@@ -3,7 +3,10 @@ paired randomness across methods, outage estimation, reference curves."""
 
 import concurrent.futures
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,9 +59,12 @@ def rayleigh_config(n_ant=1, methods=("ml",), **kw):
     return SweepConfig(design=design, channel=chan, methods=methods, **defaults)
 
 
-def level_block(cfg, rho_db, *block):
-    """`sweep_cell` on the level's own set-up, `cfg.cell_codebooks(rho_db)`."""
-    return sweep_cell(cfg, cfg.cell_codebooks(rho_db), rho_db, *block)
+def level_block(cfg, rho_db, start=0, stop=None, budgets=None):
+    """`sweep_cell` on the level's own set-up, `cfg.cell_codebooks(rho_db)`:
+    by default the whole level, every method with the budget min_errors."""
+    stop = cfg.max_trials if stop is None else stop
+    budgets = dict.fromkeys(cfg.methods, cfg.min_errors) if budgets is None else budgets
+    return sweep_cell(cfg, cfg.cell_codebooks(rho_db), rho_db, start, stop, budgets)
 
 
 def synthetic_record(rho_db, p, method="ml", errors=100):
@@ -805,3 +811,66 @@ def test_set_up_failure_at_the_lowest_level_runs_no_block(monkeypatch):
         # No higher level is set up, and no block of any level runs.
         assert built == [(design.dimension, book.scale)]
         assert blocks == []
+
+
+def test_pooled_run_submits_each_level_before_setting_up_the_next(
+        monkeypatch, serial_records):
+    # The pool starts on level 0 while the levels above are still set up:
+    # each level's first block goes out after its own set-up and before the
+    # next level's.
+    cfg = differential_config("quasi_static_rayleigh")
+    built = spy_enumeration(monkeypatch)
+    first_blocks = {}   # level -> enumerations done when its first block went out
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, config, rungs, rho_db, *block):
+            first_blocks.setdefault(rho_db, len(built))
+            return super().submit(fn, config, rungs, rho_db, *block)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert run_sweep(cfg, workers=2).records == serial_records("quasi_static_rayleigh")
+    assert first_blocks == {rho_db: level + 1 for level, rho_db in enumerate(cfg.rho_db)}
+
+
+def test_set_up_failure_at_the_second_level_raises_as_serial(monkeypatch):
+    cfg = differential_config("quasi_static_rayleigh", rho_db=(12.0, 16.0, 20.0))
+    [(design, book)] = cfg.cell_codebooks(12.0)
+    set_up = SweepConfig.cell_codebooks
+
+    def planted(config, rho_db):
+        if rho_db == 16.0:
+            raise EmptyCodebook("planted at the 16.0 dB set-up")
+        return set_up(config, rho_db)
+
+    monkeypatch.setattr(SweepConfig, "cell_codebooks", planted)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
+    for workers in (1, 2):
+        built = spy_enumeration(monkeypatch)
+        with pytest.raises(EmptyCodebook, match="planted at the 16.0 dB set-up"):
+            run_sweep(cfg, workers=workers)
+        # The level below is set up; the 20 dB level above never is.
+        assert built == [(design.dimension, book.scale)], workers
+
+
+def test_serial_sweep_does_not_load_multiprocessing():
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import latdec",
+        "design = latdec.LatticeDesign(",
+        "    generator=np.eye(2), region=latdec.ShapingRegion.box(np.full(2, 0.6)),",
+        "    coding_duration=1, dither=np.full(2, 0.5))",
+        "channel = latdec.ChannelConfig(model='quasi_static_rayleigh', nt=1, nr=1)",
+        "cfg = latdec.SweepConfig(design=design, channel=channel, methods=('ml',),",
+        "                         rho_db=(10.0, 14.0), r=0.0, min_errors=20,",
+        "                         max_trials=300, seed=11)",
+        "assert len(latdec.run_sweep(cfg).records) == 2",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))",
+    ])
+    src = str(Path(dmtsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
