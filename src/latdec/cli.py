@@ -58,27 +58,20 @@ def write_results_csv(path: str, records) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_results_json(path: str, records) -> None:
+def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"records": [record_to_dict(rec) for rec in records]},
-                  fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def write_results_json(path: str, records) -> None:
+    _write_json(path, {"records": [record_to_dict(rec) for rec in records]})
 
 
 def write_slopes_json(path: str, slopes: dict) -> None:
-    payload = {}
-    for method, est in slopes.items():
-        if est is None:
-            payload[method] = None
-        else:
-            payload[method] = {
-                "d_hat": est.d_hat, "stderr": est.stderr,
-                "n_points": est.n_points,
-                "rho_db_used": list(est.rho_db_used),
-            }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"slopes": payload}, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"slopes": {
+        method: None if est is None else dataclasses.asdict(est)
+        for method, est in slopes.items()}})
 
 
 def _unwritable(path: str) -> str | None:

@@ -299,14 +299,6 @@ def _babai_backsub(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
 def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
                    slack: float = 0.0, accept=None) -> list:
     """Exact closest-vector search on an upper-triangular system; returns
@@ -349,7 +341,7 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
             partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
             center = partial[i] / r[i, i]
             z[i] = min(max(round_half_away_from_zero(center), lo[i]), hi[i])
-            step[i] = _sign(center - z[i]) or 1.0
+            step[i] = 1.0 if center >= z[i] else -1.0
         else:
             if not cost < radius:
                 # Every further sibling at this level costs at least as much.
@@ -362,11 +354,11 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
                     best = cost
                     radius = best + slack
             z[i] += step[i]
-            step[i] = -step[i] - _sign(step[i])
+            step[i] = -step[i] - math.copysign(1.0, step[i])
             if not lo[i] <= z[i] <= hi[i]:
                 # This side has left the box: take the other side's next child.
                 z[i] += step[i]
-                step[i] = -step[i] - _sign(step[i])
+                step[i] = -step[i] - math.copysign(1.0, step[i])
         nodes += 1
         if nodes > node_cap:
             raise EnumerationOverflow(f"sphere search exceeded {node_cap} nodes")

@@ -63,7 +63,7 @@ class ShapingRegion:
             if self.half_widths is None or self.radius is not None:
                 raise ValueError("box region takes half_widths and no radius")
             hw = as_vector(self.half_widths, "half_widths")
-            if hw.size == 0 or np.any(hw <= 0.0):
+            if np.any(hw <= 0.0):
                 raise ValueError("box half-widths must be positive")
             object.__setattr__(self, "half_widths", hw)
         elif self.kind == "ball":
@@ -213,17 +213,12 @@ def _candidate_box(design: LatticeDesign, phi: float) -> tuple[np.ndarray, np.nd
 def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
     """Yield (chunk of integer vectors) covering the box [lo, hi], in
     odometer order, without materializing more than ~2^18 rows at once."""
-    sizes = (hi - lo + 1).astype(np.int64)
+    sizes = hi - lo + 1
     total = int(np.prod(sizes))
-    n = lo.shape[0]
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
     chunk = 1 << 18
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        z = lo[None, :] + (idx[:, None] // strides[None, :]) % sizes[None, :]
-        yield z
+        yield lo + np.stack(np.unravel_index(idx, sizes), axis=1)
 
 
 def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:

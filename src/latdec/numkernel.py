@@ -10,11 +10,12 @@ the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
 caller symmetrizes the Gram matrix it forms just before the call.
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
-The kernels coerce with np.asarray and scan nothing: NaN/Inf entries are
-rejected (by `as_matrix`/`as_vector`) only where arrays enter the program,
-in the config objects (`LatticeDesign`, `ShapingRegion`, `ChannelConfig`,
-`SweepConfig`) and the decoder entry points (`prepare` and the
-`RegularizedProblem` constructor).  Every floor is written as
+The kernels coerce with np.asarray and scan nothing: empty arrays and
+NaN/Inf entries are rejected (by `as_matrix`/`as_vector`) only where
+arrays enter the program, in the config objects (`LatticeDesign`,
+`ShapingRegion`, `ChannelConfig`, `SweepConfig`) and the decoder entry
+points (`prepare` and the `RegularizedProblem` constructor), so no
+kernel meets an empty array.  Every floor is written as
 `not (value >= floor)`, so a NaN produced inside the program fails it.
 """
 
@@ -39,21 +40,21 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array (copy only if needed)."""
+    """Coerce to a finite, nonempty 2-D float64 array (copy only if needed)."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"{name} must be 2-D and nonempty, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf")
     return m
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
+    """Coerce to a finite, nonempty 1-D float64 array."""
     v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be 1-D and nonempty, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains NaN or Inf")
     return v
 
@@ -67,8 +68,6 @@ def cholesky_upper(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
     try:
         u = np.linalg.cholesky(a).T
     except np.linalg.LinAlgError as exc:
@@ -88,9 +87,6 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     Raises RankDeficient when the smallest |R_ii| is below 1e-12 * ||M||_F.
     """
     m = np.asarray(m, dtype=np.float64)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((rows, 0)), np.zeros((0, 0))
     q, r = np.linalg.qr(m)
     # Fix signs so every diagonal entry of R is positive.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
@@ -112,8 +108,6 @@ def condition_number_2norm(m) -> float:
 
     Returns +inf when sigma_min underflows (below 1e-300)."""
     sv = singular_values(m)
-    if sv.size == 0:
-        return 1.0
     smin = float(sv[-1])
     smax = float(sv[0])
     if smin < 1e-300:
@@ -127,7 +121,7 @@ def _triangular_system(t, b, name: str) -> tuple[np.ndarray, np.ndarray]:
     |T_ii| < 1e-14."""
     t = np.asarray(t, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if t.shape[0] and not (float(np.min(np.abs(np.diag(t)))) >= 1e-14):
+    if not (float(np.min(np.abs(np.diag(t)))) >= 1e-14):
         raise SingularTriangular(f"|{name}_ii| below 1e-14")
     return t, b
 

@@ -63,7 +63,6 @@ class ReducedBasis:
     q: np.ndarray              # (n, n) orthogonal factor of the reduced basis
     r: np.ndarray              # (n, n) upper-triangular factor, positive diagonal
     iterations: int            # swap steps performed
-    size_reductions: int       # nonzero size-reduction steps
 
 
 @dataclass
@@ -124,10 +123,8 @@ def lll_reduce(m, delta: float = 0.75,
     qc = q.T.tolist()
     zc = [[int(i == j) for i in range(n)] for j in range(n)]
     swaps = 0
-    size_reds = 0
 
     def size_reduce(k: int, j: int):
-        nonlocal size_reds
         rk, rj = rc[k], rc[j]
         x = rk[j] / rj[j]
         # lattice.round_half_away_from_zero, on one Python float.
@@ -141,7 +138,6 @@ def lll_reduce(m, delta: float = 0.75,
             rk[i] -= c * rj[i]
         ci = int(c)
         zc[k] = [a - ci * b for a, b in zip(zk, zj)]
-        size_reds += 1
 
     k = 1
     while k < n:
@@ -175,8 +171,7 @@ def lll_reduce(m, delta: float = 0.75,
             k += 1
     z = np.array(zc, dtype=np.int64).T.copy()
     return ReducedBasis(reduced=m @ z, unimodular=z, q=np.array(qc).T.copy(),
-                        r=np.array(rc).T.copy(), iterations=swaps,
-                        size_reductions=size_reds)
+                        r=np.array(rc).T.copy(), iterations=swaps)
 
 
 def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:
@@ -243,7 +238,7 @@ def gated_reduce(m, rho: float, alpha: float, delta: float = 0.75) -> GateOutcom
     if kappa > threshold:
         return GateOutcome(basis=None, timed_out=True, kappa=kappa,
                            threshold=threshold)
-    cap = iteration_bound_for_kappa(max(threshold, 1.0), m.shape[1])
+    cap = iteration_bound_for_kappa(threshold, m.shape[1])
     try:
         basis = lll_reduce(m, delta=delta, max_swaps=cap)
     except IterationOverflow:

@@ -36,7 +36,7 @@ def _random_problem(rng, n: int, m: int | None = None) -> RegularizedProblem:
     return RegularizedProblem(y=y, h=h, t_reg=t, scaled_generator=g)
 
 
-def _suite_metric_identity(poison: bool, checks: int = 2000) -> dict:
+def _suite_metric_identity(poison: bool, checks: int) -> str | None:
     rng = np.random.default_rng(411)
     for i in range(checks):
         n = int(rng.integers(1, 9))
@@ -51,15 +51,11 @@ def _suite_metric_identity(poison: bool, checks: int = 2000) -> dict:
         try:
             regularized_metric(prob, x)
         except MetricMismatch:
-            return {"passed": False,
-                    "detail": f"metric forms disagreed at check {i}",
-                    "checks": checks}
-    return {"passed": True,
-            "detail": f"both metric forms agreed to 1e-8 over {checks} draws",
-            "checks": checks}
+            return f"metric forms disagreed at check {i}"
+    return None
 
 
-def _suite_reduction(poison: bool, checks: int = 200) -> dict:
+def _suite_reduction(poison: bool, checks: int) -> str | None:
     rng = np.random.default_rng(622)
     for i in range(checks):
         n = int(rng.integers(2, 9))
@@ -71,26 +67,19 @@ def _suite_reduction(poison: bool, checks: int = 200) -> dict:
         if poison and i == checks // 2:
             z[0, 0] = int(z[0, 0]) + 1
         if abs(integer_det(z)) != 1:
-            return {"passed": False,
-                    "detail": f"|det Z| != 1 at check {i}", "checks": checks}
+            return f"|det Z| != 1 at check {i}"
         ok, why = is_lll_reduced(red.reduced)
         if not ok:
-            return {"passed": False,
-                    "detail": f"output not reduced at check {i}: {why}",
-                    "checks": checks}
+            return f"output not reduced at check {i}: {why}"
         if red.iterations > iteration_bound(m):
-            return {"passed": False,
-                    "detail": f"swap count above closed-form cap at check {i}",
-                    "checks": checks}
+            return f"swap count above closed-form cap at check {i}"
         recon = m @ z
         if float(np.max(np.abs(recon - red.reduced))) > 1e-8 * (1.0 + float(np.max(np.abs(m)))):
-            return {"passed": False,
-                    "detail": f"reduced != M Z at check {i}", "checks": checks}
-    return {"passed": True, "detail": f"{checks} reductions within bound",
-            "checks": checks}
+            return f"reduced != M Z at check {i}"
+    return None
 
 
-def _suite_approx_ratio(poison: bool, checks: int = 400) -> dict:
+def _suite_approx_ratio(poison: bool, checks: int) -> str | None:
     rng = np.random.default_rng(833)
     for i in range(checks):
         n = int(rng.integers(2, 5))
@@ -106,15 +95,12 @@ def _suite_approx_ratio(poison: bool, checks: int = 400) -> dict:
         if poison and i == checks // 2:
             r_sic = cap_sic * 2.0
         if r_sic > cap_sic or r_lin > cap_lin:
-            return {"passed": False,
-                    "detail": f"ratio cap violated at check {i}: "
-                              f"sic={r_sic:.3g} lin={r_lin:.3g}",
-                    "checks": checks}
-    return {"passed": True, "detail": f"ratio caps held over {checks} draws",
-            "checks": checks}
+            return (f"ratio cap violated at check {i}: "
+                    f"sic={r_sic:.3g} lin={r_lin:.3g}")
+    return None
 
 
-def _suite_exact_oracle(poison: bool, checks: int = 200) -> dict:
+def _suite_exact_oracle(poison: bool, checks: int) -> str | None:
     rng = np.random.default_rng(944)
     grid = None
     grid_n = None
@@ -135,19 +121,19 @@ def _suite_exact_oracle(poison: bool, checks: int = 200) -> dict:
         if poison and i == checks // 2:
             got = best + 1.0
         if got > best + 1e-9 * (1.0 + best):
-            return {"passed": False,
-                    "detail": f"sphere search beat by grid scan at check {i}",
-                    "checks": checks}
-    return {"passed": True,
-            "detail": f"sphere search matched grid scans over {checks} draws",
-            "checks": checks}
+            return f"sphere search beat by grid scan at check {i}"
+    return None
 
 
+#: name -> (suite, check count, detail when every check passes).  A suite
+#: returns the detail of its first failed check, or None.
 SUITES = {
-    "metric-identity": _suite_metric_identity,
-    "reduction-bound": _suite_reduction,
-    "approx-ratio": _suite_approx_ratio,
-    "exact-oracle": _suite_exact_oracle,
+    "metric-identity": (_suite_metric_identity, 2000,
+                        "both metric forms agreed to 1e-8 over {} draws"),
+    "reduction-bound": (_suite_reduction, 200, "{} reductions within bound"),
+    "approx-ratio": (_suite_approx_ratio, 400, "ratio caps held over {} draws"),
+    "exact-oracle": (_suite_exact_oracle, 200,
+                     "sphere search matched grid scans over {} draws"),
 }
 
 
@@ -165,7 +151,9 @@ def run_suites(names=None, poison: str | None = None) -> list[dict]:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        res = SUITES[name](name == poison)
-        res["suite"] = name
-        results.append(res)
+        suite, checks, passed_detail = SUITES[name]
+        failure = suite(name == poison, checks)
+        results.append({"passed": failure is None,
+                        "detail": failure or passed_detail.format(checks),
+                        "checks": checks, "suite": name})
     return results

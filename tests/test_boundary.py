@@ -1,7 +1,7 @@
-"""Non-finite inputs are rejected where they enter the program: in the
-config objects built from experiment files and at the decoder entry points
-(`prepare` and the `RegularizedProblem` constructor).  The kernels below
-them scan nothing."""
+"""Non-finite and empty inputs are rejected where they enter the program:
+in the config objects built from experiment files and at the decoder entry
+points (`prepare` and the `RegularizedProblem` constructor).  The kernels
+below them scan nothing."""
 
 import copy
 
@@ -55,6 +55,23 @@ ENTRY_POINTS = {
 def test_non_finite_input_rejected_where_it_enters(entry, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         ENTRY_POINTS[entry](bad)
+
+
+# Size-0 arrays are refused where they enter, like non-finite ones: an
+# empty generator used to pass and then fail inside the enumeration's sort,
+# and an empty fixed channel in the first trial's noise draw.
+EMPTY_INPUTS = {
+    "LatticeDesign.generator": lambda: LatticeDesign(
+        generator=np.zeros((0, 0)), region=ShapingRegion.ball(1.0)),
+    "ChannelConfig.h_real": lambda: ChannelConfig(model="fixed",
+                                                  h_real=np.zeros((0, 2))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EMPTY_INPUTS))
+def test_empty_input_rejected_where_it_enters(entry):
+    with pytest.raises(ValueError, match="nonempty"):
+        EMPTY_INPUTS[entry]()
 
 
 DOC = {
@@ -121,6 +138,7 @@ RANGE_CASES = {
         (("channel",), {"model": "naf_relay", "nt": 3, "nr": 5})],
     "fixed with taps": [(("channel",), {"model": "fixed", "taps": 5,
                                         "h_real": [[1.0, 0.0], [0.0, 1.0]]})],
+    "fixed with an empty row": [(("channel",), {"model": "fixed", "h_real": [[]]})],
     # Fewer channel outputs than inputs: the unregularized decoder's
     # effective channel is singular on every draw, so the sweep used to
     # pass the dry run and then fail numerically on the first trial.

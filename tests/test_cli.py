@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output files, byte-stable reruns."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -160,6 +161,40 @@ def test_validate_poison_fails(capsys):
     assert code == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
+
+
+# `latdec validate` stdout -> first 16 hex digits of its sha256, for all
+# suites green and for each suite run alone and poisoned: the verdicts' key
+# order, check counts and detail texts, pinned.
+VALIDATE_STDOUT = {
+    "all green": "21679429a9462ba2",
+    "metric-identity": "2ca1234f23558d83",
+    "reduction-bound": "abdfaea84061bdb5",
+    "approx-ratio": "c3b25e5bc5881531",
+    "exact-oracle": "45e131f97b062d74",
+}
+
+
+@pytest.mark.parametrize("run", sorted(VALIDATE_STDOUT))
+def test_validate_stdout_is_pinned(run, capsys):
+    green = run == "all green"
+    argv = ["validate"] if green else ["validate", "--suite", run, "--poison", run]
+    assert main(argv) == (0 if green else 4)
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:16] == VALIDATE_STDOUT[run]
+
+
+def test_slopes_json_bytes(tmp_path):
+    path = tmp_path / "slopes.json"
+    est = dmtsim.SlopeEstimate(d_hat=2.0 / 3.0, stderr=0.125, n_points=3,
+                               rho_db_used=(20.0, 25.0, 30.0))
+    cli.write_slopes_json(str(path), {"ml": est, "lr_linear": None})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "slopes": {\n    "ml": {\n'
+        '      "d_hat": 0.6666666666666666,\n      "stderr": 0.125,\n'
+        '      "n_points": 3,\n'
+        '      "rho_db_used": [\n        20.0,\n        25.0,\n        30.0\n      ]\n'
+        '    },\n    "lr_linear": null\n  }\n}\n')
 
 
 def test_dmt_reference_output(capsys):

@@ -176,3 +176,49 @@ def test_design_validation():
     design = square_design(3, dither=None)
     assert design.dimension == 3
     assert np.array_equal(design.dither_or_zero(), np.zeros(3))
+
+
+def _stride_odometer_reference(lo, hi):
+    """The enumeration's former hand-rolled odometer, kept as the
+    differential reference for `_iter_integer_box`: each row's digits are
+    its flat index divided by the per-axis strides, modulo the axis sizes."""
+    sizes = (hi - lo + 1).astype(np.int64)
+    total = int(np.prod(sizes))
+    n = lo.shape[0]
+    strides = np.ones(n, dtype=np.int64)
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield lo[None, :] + (idx[:, None] // strides[None, :]) % sizes[None, :]
+
+
+def _assert_same_chunks(lo, hi):
+    got = list(lattice._iter_integer_box(lo, hi))
+    want = list(_stride_odometer_reference(lo, hi))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_box_matches_stride_odometer(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        lo = rng.integers(-4, 3, size=n)
+        hi = lo + rng.integers(0, 5, size=n)
+        chunks = _assert_same_chunks(lo, hi)
+        assert sum(len(c) for c in chunks) == np.prod(hi - lo + 1)
+    # An empty axis (hi = lo - 1) leaves no candidate at all.
+    hi = lo.copy()
+    hi[n // 2] = lo[n // 2] - 1
+    assert _assert_same_chunks(lo, hi) == []
+
+
+def test_integer_box_spans_chunks_in_odometer_order():
+    lo = np.array([-10, -10, -10, -14], dtype=np.int64)
+    hi = -lo                        # 21^3 * 29 = 268569 rows > 2^18
+    chunks = _assert_same_chunks(lo, hi)
+    assert len(chunks) == 2 and len(chunks[0]) == 1 << 18
