@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
                       scaling_factor)
-from .numkernel import as_matrix
+from .numkernel import as_integer, as_matrix, as_real
 
 __all__ = [
     "ChannelConfig",
@@ -69,6 +69,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian_unit", "self_interference"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("sigma_e", "scale"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not (0.0 <= self.sigma_e < math.inf and 0.0 <= self.scale < math.inf):
             raise ValueError("sigma_e and scale must be nonnegative and finite")
 
@@ -309,7 +311,7 @@ class ChannelConfig:
     arq_x_thresh: float | None = None
 
     def __post_init__(self):
-        if self.model not in CHANNEL_MODELS:
+        if not isinstance(self.model, str) or self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}, "
                              f"expected one of {sorted(CHANNEL_MODELS)}")
         reads = CHANNEL_MODELS[self.model] + ("model", "noise")
@@ -318,18 +320,17 @@ class ChannelConfig:
             if f.name not in reads and (value is not None if f.default is None
                                         else value != f.default):
                 raise ValueError(f"the {self.model} model does not read {f.name}")
-        counts = (self.nt, self.nr, self.tones, self.taps, self.arq_rounds)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   and v >= 1 for v in counts):
-            raise ValueError("nt, nr, tones, taps and arq_rounds must be integers >= 1")
-        self.nt, self.nr, self.tones, self.taps, self.arq_rounds = map(int, counts)
+        self.nt, self.nr, self.tones, self.taps, self.arq_rounds = (
+            as_integer(getattr(self, name), name, 1)
+            for name in ("nt", "nr", "tones", "taps", "arq_rounds"))
         if self.model == "fixed":
             if self.h_real is None:
                 raise ValueError("fixed channel requires h_real")
             self.h_real = as_matrix(self.h_real, "h_real")
-        if self.model == "mimo_arq" and (
-                self.arq_x_thresh is None or not math.isfinite(self.arq_x_thresh)):
-            raise ValueError("ARQ channel requires a finite x_thresh (no default)")
+        if self.model == "mimo_arq":
+            self.arq_x_thresh = as_real(self.arq_x_thresh, "arq_x_thresh")
+            if not math.isfinite(self.arq_x_thresh):
+                raise ValueError("ARQ channel requires a finite x_thresh (no default)")
 
     def real_dims(self, t: int) -> tuple[int, int]:
         """Real (output, input) dimensions of one draw over a t-use
@@ -352,6 +353,9 @@ class ChannelConfig:
             raise ValueError("ARQ sweeps support box shaping regions only")
         if self.model == "mimo_ofdm":
             self._uses_per_tone(t)
+        if self.model == "naf_relay" and t != 2:
+            raise ValueError(f"the NAF relay frame is 2 channel uses, "
+                             f"coding_duration is {t}")
         dims = self.real_dims(t)[1]
         if dims != design.dimension:
             raise ValueError(f"channel gives {dims} input dims, "

@@ -38,7 +38,7 @@ from .decoders import (METHOD_LR_LINEAR, METHOD_LR_SIC, METHOD_NAIVE, METHODS,
                        decode, prepare)
 from .errors import InsufficientData, LatdecError
 from .lattice import LatticeDesign, scaling_factor
-from .numkernel import cholesky_upper
+from .numkernel import as_integer, as_real, cholesky_upper
 
 __all__ = [
     "SweepConfig",
@@ -93,7 +93,7 @@ class SweepConfig:
                 raise ValueError(f"method {m!r} is listed twice")
         if not self.methods:
             raise ValueError("need at least one method")
-        grid = tuple(float(v) for v in self.rho_db)
+        grid = tuple(as_real(v, "rho_db") for v in self.rho_db)
         if not all(math.isfinite(v) for v in grid):
             raise ValueError("rho_db values must be finite")
         if len(grid) < 2:
@@ -101,22 +101,19 @@ class SweepConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho_db grid must be strictly increasing")
         self.rho_db = grid
+        self.r = as_real(self.r, "r")
         if not (0.0 <= self.r < math.inf):
             raise ValueError("r must be nonnegative and finite")
-        for name in ("min_errors", "max_trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-            setattr(self, name, int(value))
-        if self.min_errors < 20:
-            raise ValueError("min_errors must be >= 20")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
+        self.min_errors = as_integer(self.min_errors, "min_errors", 20)
+        self.max_trials = as_integer(self.max_trials, "max_trials", 1)
+        self.seed = as_integer(self.seed, "seed")
         needs_gate = any(m in (METHOD_LR_SIC, METHOD_LR_LINEAR) for m in self.methods)
         if needs_gate and self.gate_alpha is None:
             raise ValueError("reduction-aided methods need gate_alpha")
-        if self.gate_alpha is not None and not 0.0 < self.gate_alpha < math.inf:
-            raise ValueError("gate_alpha must be positive and finite")
+        if self.gate_alpha is not None:
+            self.gate_alpha = as_real(self.gate_alpha, "gate_alpha")
+            if not 0.0 < self.gate_alpha < math.inf:
+                raise ValueError("gate_alpha must be positive and finite")
         self.channel.check_design(self.design)
         # Each level's rho, gate threshold and lattice scale must be float64
         # numbers a trial can use, or the sweep would stop at that level.

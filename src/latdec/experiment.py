@@ -4,30 +4,29 @@ Three sections: `design` (generator, shaping region, coding duration,
 dither), `channel` (fading model, dimensions, noise, ARQ parameters), and
 `sweep` (signal grid, rate, methods, stopping rule, seed, gate).
 
-Each section is read through one table mapping every allowed key to its
-reader.  This layer checks only what is specific to the YAML form: that
-sections are mappings, that no key is unknown and no required key is
-missing (both named with their dotted path), and that every value has its
-type (a bool is not a number).  It also resolves `dither: "random"`, the
-seed precedence (--seed, then the file, then 0), the gate's "exactly one
-of alpha or d_target" and the `arq` mapping onto the channel's ARQ
-fields.  Every value check, default and allowed-value list lives in the
-config object a section builds (`ShapingRegion`, `LatticeDesign`,
-`NoiseModel`, `ChannelConfig`, `SweepConfig`); absent keys are not
-passed, and the objects' errors come back as `SchemaError` with the
-section's path.  Everything is validated
+This layer checks only the file's structure: that sections are mappings
+and list values are lists, that no key is unknown and no required key is
+missing (both named with their dotted path), and that the gate is given
+exactly one way.  It also resolves the seed precedence (--seed, then the
+file, then 0; the file's seed is checked even when --seed replaces it),
+`dither: "random"` and the `arq` mapping onto the channel's ARQ fields.
+Every leaf value is passed unchanged to the config object its section
+builds (`ShapingRegion`, `LatticeDesign`, `NoiseModel`, `ChannelConfig`,
+`SweepConfig`), which checks its type and range for files and library
+callers alike; absent keys are not passed, and the objects' errors come
+back as `SchemaError` with the section's path.  Everything is validated
 before any computation starts.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import yaml
 
 from .channels import ChannelConfig, NoiseModel, trial_rng
 from .dmtsim import SweepConfig
 from .errors import LatdecError, SchemaError
 from .lattice import LatticeDesign, ShapingRegion, random_dither
+from .numkernel import as_integer, as_matrix
 from .reduction import gate_exponent_default
 
 __all__ = ["load_experiment", "parse_experiment"]
@@ -49,71 +48,29 @@ def _section(node, path: str, table: dict, required=()) -> dict:
     return {key: table[key](value, f"{path}.{key}") for key, value in node.items()}
 
 
-def _build(cls, path: str, **kwargs):
-    """cls(**kwargs), with its deliberate errors reported at `path`."""
+def _build(cls, path: str, *args, **kwargs):
+    """cls(*args, **kwargs), with its deliberate errors reported at `path`."""
     try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
     except (ValueError, LatdecError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _typed(kind, name: str):
-    """Reader accepting instances of `kind` only (never a bool)."""
-    def read(value, path: str):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise SchemaError(f"{path}: expected {name}")
-        return value
-    return read
+def _leaf(value, path: str):
+    """A value the config object that receives it checks."""
+    return value
 
 
-_integer = _typed(int, "an integer")
-_string = _typed(str, "a string")
-_real = _typed((int, float), "a number")
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    return value
 
 
-def _number(value, path: str) -> float:
-    return float(_real(value, path))
-
-
-def _array(ndim: int):
-    """Reader of a nonempty list (ndim 1) or list of rows (ndim 2) of numbers."""
-    def read(value, path: str) -> np.ndarray:
-        if not isinstance(value, list) or not value or (
-                ndim == 2 and not all(isinstance(row, list) for row in value)):
-            raise SchemaError(f"{path}: expected a nonempty list of "
-                              + ("rows" if ndim == 2 else "numbers"))
-        try:
-            a = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: not numeric ({exc})") from exc
-        if a.ndim != ndim:
-            raise SchemaError(f"{path}: expected " + (
-                "rows of equal length" if ndim == 2 else "a flat list"))
-        return a
-    return read
-
-
-_vector, _matrix = _array(1), _array(2)
-
-
-def _list(item):
-    """Reader of a list whose entries `item` reads; returns a tuple."""
-    def read(value, path: str) -> tuple:
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected a list")
-        return tuple(item(v, path) for v in value)
-    return read
-
-
-def _dither(value, path: str):
-    # None and "random" pass through; "random" needs the seed and generator.
-    return value if value is None or value == "random" else _vector(value, path)
-
-
-_REGION = {"kind": _string, "half_widths": _vector, "radius": _number}
-_NOISE = {"kind": _string, "sigma_e": _number, "scale": _number}
-_ARQ = {"rounds": _integer, "x_thresh": _number}
-_GATE = {"alpha": _number, "d_target": _number}
+_REGION = dict.fromkeys(("kind", "half_widths", "radius"), _leaf)
+_NOISE = dict.fromkeys(("kind", "sigma_e", "scale"), _leaf)
+_ARQ = dict.fromkeys(("rounds", "x_thresh"), _leaf)
+_GATE = dict.fromkeys(("alpha", "d_target"), _leaf)
 
 
 def _region(node, path: str) -> ShapingRegion:
@@ -137,16 +94,15 @@ def _gate(node, path: str) -> dict:
     if ("alpha" in gate) == ("d_target" in gate):
         raise SchemaError(f"{path}: give exactly one of alpha or d_target")
     return {"gate_alpha": gate["alpha"] if "alpha" in gate else _build(
-        gate_exponent_default, f"{path}.d_target", d_target=gate["d_target"])}
+        gate_exponent_default, f"{path}.d_target", gate["d_target"])}
 
 
-_DESIGN = {"generator": _matrix, "region": _region, "coding_duration": _integer,
-           "dither": _dither}
-_CHANNEL = {"model": _string, "nt": _integer, "nr": _integer, "tones": _integer,
-            "taps": _integer, "h_real": _matrix, "noise": _noise, "arq": _arq}
-_SWEEP = {"rho_db": _list(_number), "r": _number, "methods": _list(_string),
-          "min_errors": _integer, "max_trials": _integer, "seed": _integer,
-          "gate": _gate}
+_DESIGN = {"generator": _leaf, "region": _region, "coding_duration": _leaf,
+           "dither": _leaf}
+_CHANNEL = {"model": _leaf, "nt": _leaf, "nr": _leaf, "tones": _leaf,
+            "taps": _leaf, "h_real": _leaf, "noise": _noise, "arq": _arq}
+_SWEEP = {"rho_db": _list, "r": _leaf, "methods": _list, "min_errors": _leaf,
+          "max_trials": _leaf, "seed": _leaf, "gate": _gate}
 _TOP = ("design", "channel", "sweep")
 
 
@@ -156,17 +112,17 @@ def parse_experiment(doc, seed_override: int | None = None,
 
     Seed precedence: `seed_override` (the CLI's --seed), then the file's
     `sweep.seed`, then 0."""
-    doc = _section(doc, source, dict.fromkeys(_TOP, lambda v, p: v), _TOP)
+    doc = _section(doc, source, dict.fromkeys(_TOP, _leaf), _TOP)
     sweep = _section(doc["sweep"], "sweep", _SWEEP, ("rho_db", "r", "methods"))
     sweep.update(sweep.pop("gate", {}))
-    if seed_override is not None:
-        sweep["seed"] = int(seed_override)
-    sweep.setdefault("seed", 0)
+    seed = _build(as_integer, "sweep.seed", sweep.get("seed", 0), "seed")
+    sweep["seed"] = seed if seed_override is None else int(seed_override)
 
     design = _section(doc["design"], "design", _DESIGN, ("generator", "region"))
-    if isinstance(design.get("dither"), str):
+    if design.get("dither") == "random":
         # One dither per experiment, derived from the experiment seed.
-        design["dither"] = random_dither(design["generator"], 1.0,
+        generator = _build(as_matrix, "design", design["generator"], "generator")
+        design["dither"] = random_dither(generator, 1.0,
                                          trial_rng(sweep["seed"], 0xD17, 0))
     channel = _section(doc["channel"], "channel", _CHANNEL, ("model",))
     channel.update({f"arq_{k}": v for k, v in channel.pop("arq", {}).items()})

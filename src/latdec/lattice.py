@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyCodebook
-from .numkernel import as_matrix, as_vector, qr_decompose
+from .numkernel import as_integer, as_matrix, as_real, as_vector, qr_decompose
 
 __all__ = [
     "ShapingRegion",
@@ -69,19 +69,21 @@ class ShapingRegion:
         elif self.kind == "ball":
             if self.half_widths is not None:
                 raise ValueError("ball region takes no half_widths")
-            if self.radius is None or not (self.radius > 0.0) or not math.isfinite(self.radius):
+            radius = as_real(self.radius, "radius")
+            if not 0.0 < radius < math.inf:
                 raise ValueError("ball radius must be positive and finite")
+            object.__setattr__(self, "radius", radius)
         else:
             raise ValueError(f"unknown region kind {self.kind!r}, "
                              "expected 'box' or 'ball'")
 
     @classmethod
     def box(cls, half_widths) -> "ShapingRegion":
-        return cls(kind="box", half_widths=np.asarray(half_widths, dtype=np.float64))
+        return cls(kind="box", half_widths=half_widths)
 
     @classmethod
     def ball(cls, radius: float) -> "ShapingRegion":
-        return cls(kind="ball", radius=float(radius))
+        return cls(kind="ball", radius=radius)
 
     def contains(self, x):
         """Membership of one point (a bool) or of each row of an (N, n) stack."""
@@ -117,10 +119,7 @@ class LatticeDesign:
             raise ValueError(f"generator must be square, got {g.shape}")
         qr_decompose(g)  # raises RankDeficient when singular
         self.generator = g
-        t = self.coding_duration
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-            raise ValueError("coding_duration must be an integer >= 1")
-        self.coding_duration = int(t)
+        self.coding_duration = as_integer(self.coding_duration, "coding_duration", 1)
         if self.dither is not None:
             u = as_vector(self.dither, "dither")
             if u.shape[0] != n:
@@ -254,5 +253,5 @@ def random_dither(generator, phi: float, rng) -> np.ndarray:
     """Dither drawn uniformly over the fundamental cell of the scaled
     lattice (draw once per experiment, never per trial)."""
     g = np.asarray(generator, dtype=np.float64)
-    frac = rng.random(g.shape[0])
+    frac = rng.random(g.shape[1])
     return phi * (g @ frac)

@@ -10,12 +10,13 @@ the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
 caller symmetrizes the Gram matrix it forms just before the call.
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
-The kernels coerce with np.asarray and scan nothing: empty arrays and
-NaN/Inf entries are rejected (by `as_matrix`/`as_vector`) only where
-arrays enter the program, in the config objects (`LatticeDesign`,
-`ShapingRegion`, `ChannelConfig`, `SweepConfig`) and the decoder entry
-points (`prepare` and the `RegularizedProblem` constructor), so no
-kernel meets an empty array.  Every floor is written as
+The kernels coerce with np.asarray and scan nothing.  The input coercers
+`as_real`/`as_integer` (never a bool as a number) and `as_matrix`/
+`as_vector` (numeric, finite, nonempty, of the right shape) raise
+ValueError, and run only where values enter the program: in the config
+objects (`ShapingRegion`, `LatticeDesign`, `NoiseModel`, `ChannelConfig`,
+`SweepConfig`) and the decoder entry points (`prepare` and the
+`RegularizedProblem` constructor), so no kernel meets an empty array.  Every floor is written as
 `not (value >= floor)`, so a NaN produced inside the program fails it.
 """
 
@@ -28,6 +29,8 @@ import numpy as np
 from .errors import NotPositiveDefinite, RankDeficient, SingularTriangular
 
 __all__ = [
+    "as_real",
+    "as_integer",
     "as_matrix",
     "as_vector",
     "cholesky_upper",
@@ -39,24 +42,46 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite, nonempty 2-D float64 array (copy only if needed)."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"{name} must be 2-D and nonempty, got shape {m.shape}")
+def as_real(x, name: str) -> float:
+    """An int or float, numpy ones too (never a bool), as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} leaves the float64 range") from None
+
+
+def as_integer(x, name: str, minimum: int | None = None) -> int:
+    """An int or numpy integer (never a bool) as an int, at least `minimum`."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {x}")
+    return int(x)
+
+
+def _as_array(a, ndim: int, name: str) -> np.ndarray:
+    """The body of `as_matrix` (ndim 2) and `as_vector` (ndim 1)."""
+    try:
+        m = np.asarray(a, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} is not numeric ({exc})") from None
+    if m.ndim != ndim or m.size == 0:
+        raise ValueError(f"{name} must be {ndim}-D and nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf")
     return m
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite, nonempty 2-D float64 array (copy only if needed)."""
+    return _as_array(a, 2, name)
+
+
 def as_vector(a, name: str = "vector") -> np.ndarray:
     """Coerce to a finite, nonempty 1-D float64 array."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be 1-D and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return v
+    return _as_array(a, 1, name)
 
 
 def cholesky_upper(a) -> np.ndarray:

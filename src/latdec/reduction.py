@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationOverflow
-from .numkernel import condition_number_2norm, qr_decompose
+from .numkernel import as_real, condition_number_2norm, qr_decompose
 
 __all__ = [
     "ReducedBasis",
@@ -217,6 +217,7 @@ def gate_exponent_default(d_target: float) -> float:
     """Default gate exponent for a target diversity slope: the smallest
     exponent that keeps the gate harmless, (d_target + 1)/2, plus a 0.5
     safety margin."""
+    d_target = as_real(d_target, "d_target")
     if d_target < 0.0:
         raise ValueError("d_target must be nonnegative")
     return (d_target + 1.0) / 2.0 + 0.5

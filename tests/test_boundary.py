@@ -1,9 +1,10 @@
-"""Non-finite and empty inputs are rejected where they enter the program:
-in the config objects built from experiment files and at the decoder entry
-points (`prepare` and the `RegularizedProblem` constructor).  The kernels
-below them scan nothing."""
+"""Non-finite, empty and mistyped inputs are rejected where they enter the
+program: in the config objects built from experiment files or by library
+callers, and at the decoder entry points (`prepare` and the
+`RegularizedProblem` constructor).  The kernels below them scan nothing."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ import yaml
 
 from latdec.cli import main
 from latdec.decoders import RegularizedProblem, prepare
-from latdec.dmtsim import ChannelConfig
+from latdec.channels import NoiseModel
+from latdec.dmtsim import ChannelConfig, SweepConfig
 from latdec.errors import SchemaError
 from latdec.experiment import parse_experiment
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook
+from latdec.reduction import gate_exponent_default
 
 DESIGN = LatticeDesign(generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]),
                        dither=np.array([0.5, 0.5]))
@@ -103,6 +106,10 @@ FILE_CASES = {
 }
 
 
+RELAY_DESIGN = {"generator": np.eye(4).tolist(),
+                "region": {"kind": "box", "half_widths": [0.6] * 4},
+                "dither": [0.5] * 4}
+
 # Finite values out of range: each used to escape as a traceback or pass
 # the dry run and fail once the sweep started.
 RANGE_CASES = {
@@ -126,6 +133,8 @@ RANGE_CASES = {
                                  (("sweep", "gate"), {"alpha": 120.0})],
     "phi underflows": [(("sweep", "rho_db"), [26.0, 30.0]), (("sweep", "r"), 400.0)],
     "singular generator": [(("design", "generator"), [[1.0, 1.0], [1.0, 1.0]])],
+    "non-square generator, random dither": [(("design", "generator"), [[1.0, 0.0]]),
+                                            (("design", "dither"), "random")],
     # A parameter the model does not read: each used to pass the dry run
     # and then silently run a different channel.
     "rayleigh with tones and taps": [
@@ -139,6 +148,14 @@ RANGE_CASES = {
     "fixed with taps": [(("channel",), {"model": "fixed", "taps": 5,
                                         "h_real": [[1.0, 0.0], [0.0, 1.0]]})],
     "fixed with an empty row": [(("channel",), {"model": "fixed", "h_real": [[]]})],
+    # The NAF frame is two channel uses: a relay design of any other
+    # duration used to pass the dry run and run at a different rate.
+    "relay frame of one use": [(("design",), RELAY_DESIGN | {"coding_duration": 1}),
+                               (("channel",), {"model": "naf_relay"})],
+    "relay frame of three uses": [(("design",), RELAY_DESIGN | {"coding_duration": 3}),
+                                  (("channel",), {"model": "naf_relay"})],
+    # An integer too large for a float64 used to escape as an OverflowError.
+    "r beyond float64": [(("sweep", "r"), 10**400)],
     # Fewer channel outputs than inputs: the unregularized decoder's
     # effective channel is singular on every draw, so the sweep used to
     # pass the dry run and then fail numerically on the first trial.
@@ -158,16 +175,24 @@ TYPE_CASES = {
     "methods nested list": [(("sweep", "methods"), [["ml"]])],
     "nt float": [(("channel", "nt"), 1.0)],
     "region kind list": [(("design", "region", "kind"), ["box"])],
+    "generator empty row, random dither": [(("design", "generator"), [[]]),
+                                           (("design", "dither"), "random")],
 }
 
 
-def _assert_schema_error(edits, tmp_path, capsys):
-    doc = copy.deepcopy(DOC)
+def _edited(doc, edits):
+    """A copy of `doc` with each (path, value) edit applied."""
+    doc = copy.deepcopy(doc)
     for path, value in edits:
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def _assert_schema_error(edits, tmp_path, capsys):
+    doc = _edited(DOC, edits)
     with pytest.raises(SchemaError):
         parse_experiment(doc)
     config = tmp_path / "exp.yaml"
@@ -189,3 +214,88 @@ def test_out_of_range_experiment_file_is_a_schema_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(TYPE_CASES))
 def test_mistyped_experiment_file_is_a_schema_error(case, tmp_path, capsys):
     _assert_schema_error(TYPE_CASES[case], tmp_path, capsys)
+
+
+def _sweep(**kw):
+    return SweepConfig(**{"design": DESIGN, "methods": ("ml",), "rho_db": (8.0, 12.0),
+                          "channel": ChannelConfig(model="quasi_static_rayleigh"),
+                          "r": 0.0} | kw)
+
+
+# Library callers get the type checks experiment files get: each call
+# used to run with a bool as a number or raise a TypeError.
+LIBRARY_CASES = {
+    "SweepConfig r bool": lambda: _sweep(r=True),
+    "SweepConfig gate_alpha bool": lambda: _sweep(gate_alpha=True),
+    "SweepConfig rho_db bool": lambda: _sweep(rho_db=(True, 20)),
+    "SweepConfig r string": lambda: _sweep(r="0.5"),
+    "NoiseModel scale bool": lambda: NoiseModel(scale=True),
+    "NoiseModel sigma_e string": lambda: NoiseModel(sigma_e="x"),
+    "ShapingRegion radius bool": lambda: ShapingRegion(kind="ball", radius=True),
+    "ShapingRegion radius string": lambda: ShapingRegion(kind="ball", radius="1"),
+    "ShapingRegion.ball bool": lambda: ShapingRegion.ball(True),
+    "ShapingRegion.ball string": lambda: ShapingRegion.ball("1"),
+    "ChannelConfig x_thresh bool": lambda: ChannelConfig(
+        model="mimo_arq", arq_rounds=2, arq_x_thresh=True),
+    "ChannelConfig x_thresh string": lambda: ChannelConfig(
+        model="mimo_arq", arq_rounds=2, arq_x_thresh="2"),
+    "ChannelConfig model list": lambda: ChannelConfig(model=["a"]),
+    "gate_exponent_default string": lambda: gate_exponent_default("1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_CASES))
+def test_mistyped_library_call_is_a_value_error(case):
+    with pytest.raises(ValueError):
+        LIBRARY_CASES[case]()
+
+
+# Four documents between them reach every section and key but the OFDM
+# counts; every leaf of each is replaced by every value below.
+CORPUS_DOCS = [
+    # box region, self-interference noise, d_target gate
+    DOC | {"channel": {"model": "quasi_static_rayleigh", "nt": 1, "nr": 1,
+                       "noise": {"kind": "self_interference", "sigma_e": 0.3,
+                                 "scale": 1.0}},
+           "design": DOC["design"] | {"coding_duration": 1},
+           "sweep": DOC["sweep"] | {"methods": ["ml", "lr_linear"],
+                                    "gate": {"d_target": 1.0}}},
+    {"design": {"generator": [[1.0, 0.0], [0.0, 1.0]],
+                "region": {"kind": "box", "half_widths": [0.6, 0.6]}},
+     "channel": {"model": "mimo_arq", "arq": {"rounds": 2, "x_thresh": 1.0}},
+     "sweep": {"rho_db": [18.0, 24.0], "r": 0.5, "methods": ["lr_sic"],
+               "gate": {"alpha": 1.5}}},
+    {"design": {"generator": [[1.0, 0.0], [0.0, 1.0]],
+                "region": {"kind": "ball", "radius": 0.8}, "dither": "random"},
+     "channel": {"model": "quasi_static_rayleigh"},
+     "sweep": {"rho_db": [8.0, 12.0], "r": 0.0, "methods": ["ml"]}},
+    {"design": {"generator": [[1.0]], "region": {"kind": "box", "half_widths": [0.6]}},
+     "channel": {"model": "fixed", "h_real": [[2.0]]},
+     "sweep": {"rho_db": [4.0, 8.0], "r": 0.0, "methods": ["ml"]}},
+]
+
+CORPUS_VALUES = [None, True, False, 0, 1, -1, 2, 1.5, -0.5, math.nan, math.inf,
+                 "x", "random", "1", [], [1], [1.0, 2.0], [[1.0]], [[]], [{}],
+                 [[{}]], [["a"]], [True, 1.0], {}, {"a": 1},
+                 [[1.0, 0.0], [0.0]], 10**30]
+
+
+def _leaf_paths(node, path=()):
+    """Paths of every mapping value, every list and every list item."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaf_paths(value, path + (key,))
+
+
+def test_no_malformed_value_escapes_the_schema():
+    for doc in CORPUS_DOCS:
+        assert isinstance(parse_experiment(doc), SweepConfig)
+    for doc in (_edited(doc, [(path, value)]) for doc in CORPUS_DOCS
+                for path in _leaf_paths(doc) for value in CORPUS_VALUES):
+        for seed_override in (None, 5):
+            try:
+                assert isinstance(parse_experiment(doc, seed_override), SweepConfig)
+            except SchemaError:
+                pass
