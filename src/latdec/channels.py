@@ -84,29 +84,30 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _box_muller(rng, count: int, var: float) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one Gaussian draw: count Box-Muller pairs (c, s) of
+    N(0, var), from u1, then u2, as radius sqrt(-2 var log u1) at angle 2 pi u2."""
+    u1 = 1.0 - rng.random(count)   # (0, 1]: keeps the log finite
+    u2 = rng.random(count)
+    rad = np.sqrt(-2.0 * var * np.log(u1))
+    return rad * np.cos(2.0 * np.pi * u2), rad * np.sin(2.0 * np.pi * u2)
+
+
 def standard_normal(rng, size: int) -> np.ndarray:
-    """size i.i.d. N(0, 1) samples via Box-Muller."""
+    """size i.i.d. N(0, 1) samples: each pair's cosine, then its sine."""
     if size < 0:
         raise ValueError("size must be nonnegative")
-    pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(pairs)   # (0, 1]: keeps the log finite
-    u2 = rng.random(pairs)
-    rad = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * pairs)
-    out[0::2] = rad * np.cos(2.0 * np.pi * u2)
-    out[1::2] = rad * np.sin(2.0 * np.pi * u2)
+    c, s = _box_muller(rng, (size + 1) // 2, 1.0)
+    out = np.empty(2 * c.shape[0])
+    out[0::2], out[1::2] = c, s
     return out[:size]
 
 
 def complex_gaussian(rng, shape) -> np.ndarray:
     """Circular complex Gaussians, unit variance per entry (so the real
     and imaginary parts each carry variance 1/2)."""
-    count = int(np.prod(shape))
-    u1 = 1.0 - rng.random(count)
-    u2 = rng.random(count)
-    rad = np.sqrt(-np.log(u1))     # variance 1/2 per quadrature
-    z = rad * np.cos(2.0 * np.pi * u2) + 1j * rad * np.sin(2.0 * np.pi * u2)
-    return z.reshape(shape)
+    c, s = _box_muller(rng, int(np.prod(shape)), 0.5)
+    return (c + 1j * s).reshape(shape)
 
 
 def embed_complex(hc, t: int, rho: float) -> np.ndarray:
@@ -314,6 +315,8 @@ class ChannelConfig:
         if not isinstance(self.model, str) or self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}, "
                              f"expected one of {sorted(CHANNEL_MODELS)}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
         reads = CHANNEL_MODELS[self.model] + ("model", "noise")
         for f in fields(self):
             value = getattr(self, f.name)

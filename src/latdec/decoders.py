@@ -44,6 +44,7 @@ from .lattice import (
     LatticeDesign,
     lattice_points,
     round_half_away_from_zero,
+    round_half_away_from_zero_scalar,
 )
 from .numkernel import (
     as_matrix,
@@ -111,7 +112,8 @@ class RegularizedProblem:
     the scaled lattice generator (phi G) with optional dither.
 
     The constructor is where decode inputs enter: it checks every array
-    for NaN/Inf and shape once, and nothing downstream checks again.
+    for NaN/Inf and shape once, and nothing downstream checks again.  It
+    stores a zero dither when given none.
     `prepared()` fills in the triangular form on first use."""
 
     y: np.ndarray
@@ -140,29 +142,28 @@ class RegularizedProblem:
                              f"{n} x {n}, got {self.scaled_generator.shape}")
         if self.t_reg.shape != (n, n):
             raise ValueError("T must be n x n")
-        if self.dither is not None:
-            self.dither = as_vector(self.dither, "dither")
-            if self.dither.shape[0] != n:
-                raise ValueError("dither length does not match")
+        self.dither = (np.zeros(n) if self.dither is None
+                       else as_vector(self.dither, "dither"))
+        if self.dither.shape[0] != n:
+            raise ValueError("dither length does not match")
 
     @property
     def n(self) -> int:
         return self.h.shape[1]
 
     def dither_or_zero(self) -> np.ndarray:
-        if self.dither is None:
-            return np.zeros(self.n)
+        """The dither, under the name `perfbench/test_checks.py` reads."""
         return self.dither
 
     def point(self, z: np.ndarray) -> np.ndarray:
         """The lattice point phi G z + u of integer coordinates z."""
-        return lattice_points(self.scaled_generator, self.dither_or_zero(), z)
+        return lattice_points(self.scaled_generator, self.dither, z)
 
     def prepared(self) -> "RegularizedProblem":
         """Factor the triangular form once (b, yprime, gamma, basis); returns self."""
         if self.b is None:
             b, f = mmse_gdfe_filters(self.h, self.t_reg)
-            y_eff = self.y - self.h @ self.dither_or_zero()
+            y_eff = self.y - self.h @ self.dither
             self.yprime = f @ y_eff
             # Gamma is nonnegative in exact arithmetic; clamp roundoff.
             self.gamma = max(float(y_eff @ y_eff) - float(self.yprime @ self.yprime), 0.0)
@@ -224,7 +225,7 @@ def regularized_metric(problem: RegularizedProblem, xhat) -> float:
     """Evaluate xi(xhat) both directly and through the triangular form and
     check they agree to 1e-8 relative (they are algebraically identical)."""
     xhat = as_vector(xhat, "xhat")
-    u = problem.dither_or_zero()
+    u = problem.dither
     resid = problem.y - problem.h @ xhat
     xlat = xhat - u
     direct = float(resid @ resid) + float(xlat @ problem.t_reg @ xlat)
@@ -266,7 +267,7 @@ def _ml_search(stage: ChannelStage) -> DecodeOutcome:
     rank-deficient one, is scanned."""
     problem, book = stage.problem, stage.codebook
     m, n = problem.h.shape
-    a, u = problem.scaled_generator, problem.dither_or_zero()
+    a, u = problem.scaled_generator, problem.dither
     region = stage.design.region
     target = problem.y - problem.h @ u
     leaves = []
@@ -295,7 +296,7 @@ def _babai_backsub(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
     z = np.zeros(n)
     for i in range(n - 1, -1, -1):
         c = (ytil[i] - r[i, i + 1:] @ z[i + 1:]) / r[i, i]
-        z[i] = round_half_away_from_zero(c)
+        z[i] = round_half_away_from_zero_scalar(c)
     return z
 
 
@@ -340,7 +341,7 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
             dist_above[i] = cost
             partial[i] = ytil[i] - r[i, i + 1:] @ z[i + 1:]
             center = partial[i] / r[i, i]
-            z[i] = min(max(round_half_away_from_zero(center), lo[i]), hi[i])
+            z[i] = min(max(round_half_away_from_zero_scalar(center), lo[i]), hi[i])
             step[i] = 1.0 if center >= z[i] else -1.0
         else:
             if not cost < radius:
@@ -401,7 +402,7 @@ def naive_lattice_decode(problem: RegularizedProblem) -> LatticeDecodeResult:
     m, n = hg.shape
     if m < n or singular_values(hg)[-1] < 1e-10:
         raise NearSingularChannel("sigma_min(H phi G) below 1e-10")
-    [(z, _)] = _closest_point(hg, problem.y - problem.h @ problem.dither_or_zero())
+    [(z, _)] = _closest_point(hg, problem.y - problem.h @ problem.dither)
     point = problem.point(z)
     resid = problem.y - problem.h @ point
     return LatticeDecodeResult(coords=z, point=point, metric=float(resid @ resid))

@@ -85,7 +85,10 @@ class SweepConfig:
     gate_delta: ClassVar[float] = 0.75
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
+        for name, cls in (("design", LatticeDesign), ("channel", ChannelConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        self.methods = _as_tuple(self.methods, "methods")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -93,7 +96,7 @@ class SweepConfig:
                 raise ValueError(f"method {m!r} is listed twice")
         if not self.methods:
             raise ValueError("need at least one method")
-        grid = tuple(as_real(v, "rho_db") for v in self.rho_db)
+        grid = tuple(as_real(v, "rho_db") for v in _as_tuple(self.rho_db, "rho_db"))
         if not all(math.isfinite(v) for v in grid):
             raise ValueError("rho_db values must be finite")
         if len(grid) < 2:
@@ -210,6 +213,13 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     if errors == trials:
         hi = 1.0
     return lo, hi
+
+
+def _as_tuple(items, name: str) -> tuple:
+    """An iterable as a tuple; a string is refused, not read as its characters."""
+    if isinstance(items, (str, bytes)) or not np.iterable(items):
+        raise ValueError(f"{name} must be a list, got {items!r}")
+    return tuple(items)
 
 
 def _float_or_inf(fn, *args) -> float:
@@ -440,19 +450,6 @@ class _CellScan:
                 self.close()
 
 
-class _InProcess:
-    """A serial run's pool: a block runs here as it is submitted."""
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures: bool) -> None:
-        pass
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (rho, method) cell and fit one slope per method.
 
@@ -460,21 +457,23 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     open level with the fewest blocks in flight, and sets a level up as its
     first block goes out; a level's blocks are scanned in trial order, each
     method cut at its min_errors-th error or at max_trials.  With `workers`
-    = 1 one block is in flight, run here, holding one level's codebooks at
-    a time; else a pool of at most one process per level runs up to
-    BLOCKS_PER_WORKER blocks per process.  As the serial run stops at the
-    lowest failed level, that level closes every level above it.  Records
-    and the failure raised match: a trial is keyed by (seed, rho, r, trial)
-    alone.  Raises ValueError when `workers` < 1."""
+    = 1 the loop calls `sweep_cell` on each block as it goes out, so no
+    block is in flight and one level's codebooks are held at a time; else a
+    pool of at most one process per level runs up to BLOCKS_PER_WORKER
+    blocks per process.  As the serial run stops at the lowest failed
+    level, that level closes every level above it.  Records and the failure
+    raised match: a trial is keyed by (seed, rho, r, trial) alone.  Raises
+    ValueError when `workers` < 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # Imported here: neither `import latdec` nor a serial run loads multiprocessing.
-    from concurrent import futures
     cells = [_CellScan(config, rho_db) for rho_db in config.rho_db]
-    processes = min(workers, len(cells))
-    pool = _InProcess() if workers == 1 else futures.ProcessPoolExecutor(processes)
-    capacity = 1 if workers == 1 else BLOCKS_PER_WORKER * processes
-    in_flight = {}  # future -> _CellScan
+    processes, pool = min(workers, len(cells)), None
+    if workers > 1:
+        # Imported here: neither `import latdec` nor a serial run loads
+        # concurrent.futures or multiprocessing.
+        from concurrent import futures
+        pool = futures.ProcessPoolExecutor(processes)
+    in_flight = {}  # future -> _CellScan; always empty in a serial run
     try:
         while True:
             failed = min((i for i, c in enumerate(cells) if c.tally.failures),
@@ -485,13 +484,17 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                 if cell.closed and future.cancel():
                     del in_flight[future]
             open_cells = [cell for cell in cells if cell.wants_block()]
-            if open_cells and len(in_flight) < capacity:
+            if open_cells and len(in_flight) < BLOCKS_PER_WORKER * processes:
                 cell = min(open_cells,
                            key=lambda c: sum(v is c for v in in_flight.values()))
                 block = cell.next_block()
-                if block is not None:
-                    # Blocks go out through the module-level name, so a
-                    # rebinding of `sweep_cell` runs in the workers.
+                if block is None:   # the level's set-up failed
+                    continue
+                # Blocks run through the module-level name, so a rebinding
+                # of `sweep_cell` runs in the workers too.
+                if pool is None:
+                    cell.receive(sweep_cell(config, *block))
+                else:
                     in_flight[pool.submit(sweep_cell, config, *block)] = cell
                 del block   # it would hold these rungs through the next set-up
             elif in_flight:
@@ -501,7 +504,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
             else:
                 break
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     records = [rec for cell in cells for rec in cell.tally.records()]
     slopes = {}
     for method in config.methods:
@@ -516,30 +520,20 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
 def dmt_reference_breakpoints(nt: int, nr: int, taps: int | None = None):
     """Corner points (k, d) of the reference diversity-multiplexing curve:
-    flat fading gives ((nr-k)(nt-k)); `taps` selects the ISI variant
-    ((taps*nmax - k)(nmin - k))."""
+    ((taps*nmax - k)(nmin - k)) for the ISI variant with `taps` taps, and
+    flat fading, ((nr-k)(nt-k)), is its one-tap case."""
     if nt < 1 or nr < 1:
         raise ValueError("nt and nr must be >= 1")
-    nmin = min(nt, nr)
-    pts = []
-    for k in range(nmin + 1):
-        if taps is None:
-            pts.append((k, float((nr - k) * (nt - k))))
-        else:
-            if taps < 1:
-                raise ValueError("taps must be >= 1")
-            pts.append((k, float((taps * max(nt, nr) - k) * (nmin - k))))
-    return pts
+    if taps is not None and taps < 1:
+        raise ValueError("taps must be >= 1")
+    nmin, nmax = min(nt, nr), (1 if taps is None else taps) * max(nt, nr)
+    return [(k, float((nmax - k) * (nmin - k))) for k in range(nmin + 1)]
 
 
 def dmt_reference_value(r: float, nt: int, nr: int,
                         taps: int | None = None) -> float:
     """Piecewise-linear reference curve evaluated at multiplexing rate r."""
-    pts = dmt_reference_breakpoints(nt, nr, taps)
-    xs = np.array([p[0] for p in pts], dtype=np.float64)
-    ys = np.array([p[1] for p in pts], dtype=np.float64)
+    xs, ys = np.array(dmt_reference_breakpoints(nt, nr, taps), dtype=np.float64).T
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    if r >= xs[-1]:
-        return 0.0
-    return float(np.interp(r, xs, ys))
+    return float(np.interp(r, xs, ys))   # 0 from the last breakpoint, nmin, on

@@ -116,7 +116,8 @@ def parse_experiment(doc, seed_override: int | None = None,
     sweep = _section(doc["sweep"], "sweep", _SWEEP, ("rho_db", "r", "methods"))
     sweep.update(sweep.pop("gate", {}))
     seed = _build(as_integer, "sweep.seed", sweep.get("seed", 0), "seed")
-    sweep["seed"] = seed if seed_override is None else int(seed_override)
+    sweep["seed"] = seed if seed_override is None else _build(
+        as_integer, "seed_override", seed_override, "seed")
 
     design = _section(doc["design"], "design", _DESIGN, ("generator", "region"))
     if design.get("dither") == "random":

@@ -22,6 +22,7 @@ __all__ = [
     "LatticeDesign",
     "Codebook",
     "round_half_away_from_zero",
+    "round_half_away_from_zero_scalar",
     "scaling_factor",
     "lattice_points",
     "enumerate_codebook",
@@ -39,10 +40,17 @@ def round_half_away_from_zero(x):
     """Round to nearest integer, ties away from zero (1.5 -> 2, -1.5 -> -2).
 
     This is the single rounding rule used everywhere a real coordinate is
-    quantized to the integer grid, so replays are bit-deterministic.
+    quantized to the integer grid, so replays are bit-deterministic; the
+    array form here and the scalar form below are its two spellings.
     """
     x = np.asarray(x, dtype=np.float64)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+def round_half_away_from_zero_scalar(x: float) -> float:
+    """`round_half_away_from_zero` of one finite float, with no numpy call:
+    the form of LLL's size reduction and the decoders' per-node searches."""
+    return math.copysign(math.floor(abs(x) + 0.5), x)
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,8 @@ class LatticeDesign:
     dither: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.region, ShapingRegion):
+            raise ValueError(f"region must be a ShapingRegion, got {self.region!r}")
         g = as_matrix(self.generator, "generator")
         n, k = g.shape
         if n != k:

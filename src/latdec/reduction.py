@@ -2,8 +2,9 @@
 
 The reducer is floating-point LLL run on the triangular factor of the
 basis (the R-domain formulation of MMSE-SQRD LLL): one QR factors the
-input, size reduction subtracts columns of R, and each swap is repaired by
-one 2x2 reflection of two rows of R and two columns of Q.  After the QR,
+input, size reduction subtracts rounded multiples of columns of R (the
+scalar half-away-from-zero rule of `lattice`), and each swap is repaired
+by one 2x2 reflection of two rows of R and two columns of Q.  After the QR,
 the loop runs on Python floats and ints, so on these small triangles it
 pays no per-scalar numpy dispatch, and its arithmetic does not depend on
 which OpenBLAS kernel the host selects.  The unimodular transform Z is
@@ -15,6 +16,9 @@ logarithmic in the condition number) backs both the pathology guard and
 the run-time gate: bases whose condition number exceeds rho^alpha are
 refused outright, which is what keeps worst-case decode complexity
 polynomially bounded in the signal level.
+
+`is_lll_reduced` checks a basis on a QR of its own, LAPACK's R from
+`np.linalg.qr`, never on the reducer's factors.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationOverflow
+from .lattice import round_half_away_from_zero_scalar
 from .numkernel import as_real, condition_number_2norm, qr_decompose
 
 __all__ = [
@@ -75,24 +80,6 @@ class GateOutcome:
     threshold: float
 
 
-def _gso(b: np.ndarray):
-    """Modified Gram-Schmidt coefficients mu and squared norms of the
-    orthogonalized columns (the reducedness checker's own computation,
-    independent of the reducer's QR)."""
-    n = b.shape[1]
-    mu = np.zeros((n, n))
-    bstar = np.zeros_like(b)
-    bsq = np.zeros(n)
-    for i in range(n):
-        v = b[:, i].copy()
-        for j in range(i):
-            mu[i, j] = (v @ bstar[:, j]) / bsq[j]
-            v -= mu[i, j] * bstar[:, j]
-        bstar[:, i] = v
-        bsq[i] = float(v @ v)
-    return mu, bsq
-
-
 def lll_reduce(m, delta: float = 0.75,
                max_swaps: int | None = None) -> ReducedBasis:
     """LLL-reduce the columns of a full-rank matrix.
@@ -126,9 +113,7 @@ def lll_reduce(m, delta: float = 0.75,
 
     def size_reduce(k: int, j: int):
         rk, rj = rc[k], rc[j]
-        x = rk[j] / rj[j]
-        # lattice.round_half_away_from_zero, on one Python float.
-        c = math.copysign(math.floor(abs(x) + 0.5), x)
+        c = round_half_away_from_zero_scalar(rk[j] / rj[j])
         if c == 0.0:
             return
         zk, zj = zc[k], zc[j]
@@ -177,19 +162,25 @@ def lll_reduce(m, delta: float = 0.75,
 def is_lll_reduced(m, delta: float = 0.75) -> tuple[bool, str | None]:
     """Check size reduction and the exchange condition on the columns of M.
 
+    Reads mu and the squared Gram-Schmidt norms off LAPACK's R of M:
+    mu_ij = R_ji / R_jj and ||b*_i||^2 = R_ii^2, whatever the signs of R's
+    diagonal.
+
     Returns (True, None) or (False, description of the first violation)."""
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[1]
     if not (0.25 < delta < 1.0):
         raise ValueError("delta must lie in (1/4, 1)")
-    mu, bsq = _gso(m)
+    r = np.linalg.qr(m, mode="r")
+    mu = r / np.diag(r)[:, None]   # mu[j, i]: column i on b*_j
+    bsq = np.diag(r) ** 2
     for i in range(n):
         for j in range(i):
-            if abs(mu[i, j]) > 0.5 + _CHECK_SLACK:
-                return False, f"size reduction violated at (i={i}, j={j}): |mu|={abs(mu[i, j]):.6g}"
+            if abs(mu[j, i]) > 0.5 + _CHECK_SLACK:
+                return False, f"size reduction violated at (i={i}, j={j}): |mu|={abs(mu[j, i]):.6g}"
     for k in range(1, n):
         lhs = delta * bsq[k - 1]
-        rhs = bsq[k] + mu[k, k - 1] ** 2 * bsq[k - 1]
+        rhs = bsq[k] + mu[k - 1, k] ** 2 * bsq[k - 1]
         if lhs > rhs + _CHECK_SLACK * bsq[k - 1] + _SWAP_SLACK:
             return False, f"exchange condition violated at k={k}"
     return True, None
@@ -236,16 +227,14 @@ def gated_reduce(m, rho: float, alpha: float, delta: float = 0.75) -> GateOutcom
         raise ValueError("rho must be positive")
     kappa = condition_number_2norm(m)
     threshold = float(rho**alpha)
-    if kappa > threshold:
-        return GateOutcome(basis=None, timed_out=True, kappa=kappa,
-                           threshold=threshold)
-    cap = iteration_bound_for_kappa(threshold, m.shape[1])
-    try:
-        basis = lll_reduce(m, delta=delta, max_swaps=cap)
-    except IterationOverflow:
-        return GateOutcome(basis=None, timed_out=True, kappa=kappa,
-                           threshold=threshold)
-    return GateOutcome(basis=basis, timed_out=False, kappa=kappa,
+    basis = None
+    if not kappa > threshold:
+        try:
+            basis = lll_reduce(m, delta=delta, max_swaps=iteration_bound_for_kappa(
+                threshold, m.shape[1]))
+        except IterationOverflow:
+            pass
+    return GateOutcome(basis=basis, timed_out=basis is None, kappa=kappa,
                        threshold=threshold)
 
 

@@ -241,6 +241,15 @@ LIBRARY_CASES = {
         model="mimo_arq", arq_rounds=2, arq_x_thresh="2"),
     "ChannelConfig model list": lambda: ChannelConfig(model=["a"]),
     "gate_exponent_default string": lambda: gate_exponent_default("1"),
+    # A nested config object of the wrong type: each used to be accepted or
+    # raise AttributeError, the noise at the sweep's first trial.
+    "ChannelConfig noise string": lambda: ChannelConfig(
+        model="quasi_static_rayleigh", noise="x"),
+    "LatticeDesign region string": lambda: LatticeDesign(
+        generator=np.eye(2), region="box"),
+    "SweepConfig design string": lambda: _sweep(design="x"),
+    "SweepConfig channel string": lambda: _sweep(channel="x"),
+    "SweepConfig rho_db number": lambda: _sweep(rho_db=5),
 }
 
 
@@ -248,6 +257,25 @@ LIBRARY_CASES = {
 def test_mistyped_library_call_is_a_value_error(case):
     with pytest.raises(ValueError):
         LIBRARY_CASES[case]()
+
+
+def test_bare_string_is_not_a_method_list():
+    # Not read as the methods 'm' and 'l'.
+    with pytest.raises(ValueError, match="methods must be a list, got 'ml'"):
+        _sweep(methods="ml")
+    assert _sweep(methods=["ml"]).methods == ("ml",)
+
+
+@pytest.mark.parametrize("seed", ["x", "5", True, 1.5, [5]])
+def test_seed_override_is_checked_as_an_integer(seed):
+    # "x" used to raise a bare ValueError from int(), True to run seed 1.
+    with pytest.raises(SchemaError, match="seed_override"):
+        parse_experiment(DOC, seed_override=seed)
+
+
+def test_seed_override_takes_any_integer():
+    for seed in (5, np.int64(5), -3):
+        assert parse_experiment(DOC, seed_override=seed).seed == int(seed)
 
 
 # Four documents between them reach every section and key but the OFDM

@@ -62,7 +62,7 @@ def brute_force_regularized(problem, radius=4):
     """Oracle: scan all integer coordinates in a cube and minimize the
     direct objective ||y - H x||^2 + (x - u)^T T (x - u)."""
     n = problem.n
-    u = problem.dither_or_zero()
+    u = problem.dither
     best, best_z = math.inf, None
     for z in itertools.product(range(-radius, radius + 1), repeat=n):
         x = problem.scaled_generator @ np.array(z, dtype=np.float64) + u
@@ -99,7 +99,7 @@ def test_metric_identity_two_routes():
         x = rng.standard_normal(n)
         val = regularized_metric(prob, x)
         # Independent recomputation of the direct form.
-        u = prob.dither_or_zero()
+        u = prob.dither
         r = prob.y - prob.h @ x
         want = float(r @ r) + float((x - u) @ prob.t_reg @ (x - u))
         assert val == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -226,6 +226,8 @@ def test_dither_equivariance_bitwise():
                                scaled_generator=np.eye(n), dither=u)
         b = RegularizedProblem(y=y - h @ u, h=h, t_reg=np.eye(n),
                                scaled_generator=np.eye(n), dither=None)
+        # No dither is stored as the zero dither.
+        assert np.array_equal(b.dither, np.zeros(n)) and b.dither_or_zero() is b.dither
         ra = sphere_decode_regularized(a)
         rb = sphere_decode_regularized(b)
         assert np.array_equal(ra.coords, rb.coords)

@@ -753,6 +753,26 @@ def test_serial_failure_ends_the_run_within_a_block(monkeypatch):
     assert len(calls) <= dmtsim.BLOCK_TRIALS * len(cfg.methods)
 
 
+class PlantedBug(Exception):
+    """A fault that is not a `LatdecError`: no sweep may catch or reword it."""
+
+
+def test_unexpected_exception_leaves_the_sweep_unchanged(monkeypatch):
+    # Planted in each trial's channel stage, inside `sweep_cell`: the serial
+    # run raises it from its own frame, the pool from a worker.
+    cfg = differential_config("quasi_static_rayleigh")
+
+    def broken_prepare(*args, **kwargs):
+        raise PlantedBug("planted: the stage is broken")
+
+    monkeypatch.setattr(dmtsim, "prepare", broken_prepare)
+    for workers in (1, 2):
+        with pytest.raises(PlantedBug) as raised:
+            run_sweep(cfg, workers=workers)
+        assert type(raised.value) is PlantedBug, workers
+        assert str(raised.value) == "planted: the stage is broken", workers
+
+
 def test_repeated_method_is_rejected():
     # Each trial would decode, and count its error, once per listing.
     with pytest.raises(ValueError, match="'ml' is listed twice"):
@@ -865,8 +885,13 @@ def test_serial_sweep_does_not_load_multiprocessing():
         "cfg = latdec.SweepConfig(design=design, channel=channel, methods=('ml',),",
         "                         rho_db=(10.0, 14.0), r=0.0, min_errors=20,",
         "                         max_trials=300, seed=11)",
+        "import threading",
+        "started = []",
+        "start = threading.Thread.start",
+        "threading.Thread.start = lambda self: (started.append(self), start(self))[1]",
         "assert len(latdec.run_sweep(cfg).records) == 2",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')), started)",
     ])
     src = str(Path(dmtsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -874,4 +899,5 @@ def test_serial_sweep_does_not_load_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    # No module of either package is loaded, and no thread is started.
+    assert proc.stdout.strip() == "[] []"

@@ -14,6 +14,7 @@ from latdec.lattice import (
     lattice_points,
     random_dither,
     round_half_away_from_zero,
+    round_half_away_from_zero_scalar,
     scaling_factor,
 )
 
@@ -36,6 +37,26 @@ def test_round_half_away_from_zero_table():
     for x, want in cases:
         got = round_half_away_from_zero(np.array([x]))[0]
         assert got == want, f"round({x}) = {got}, want {want}"
+
+
+def test_scalar_rounding_matches_the_array_rule_bit_for_bit():
+    rng = np.random.default_rng(2310)
+    # Random values at every scale from 1e-3 to 1e18, every multiple of
+    # 1/2 in [-50, 50) (the ties among them) and its two neighbours, both
+    # zeros, the doubles near 2^52 and 2^53, and extreme magnitudes.
+    ties = np.arange(-100, 100) / 2.0
+    edges = [0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+             2.0**52 - 0.5, -(2.0**52 - 0.5), 2.0**52 + 0.5, 2.0**53 - 1.0,
+             2.0**53, 2.0**53 + 2.0, 1e300, -1e300, np.finfo(float).max,
+             np.finfo(float).tiny, -np.finfo(float).tiny, 5e-324]
+    x = np.concatenate([
+        rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-3.0, 18.0, 1_000_000),
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), edges])
+    want = round_half_away_from_zero(x)
+    got = np.array([round_half_away_from_zero_scalar(v) for v in x.tolist()])
+    assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+    assert all(type(round_half_away_from_zero_scalar(v)) is float
+               for v in (0.5, np.float64(-2.5), -0.0))
 
 
 def test_scaling_factor_values():

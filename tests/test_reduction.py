@@ -132,6 +132,67 @@ def test_lll_delta_range():
         lll_reduce(np.eye(2), delta=1.0)
 
 
+def _gso(b):
+    """Modified Gram-Schmidt coefficients mu and squared norms of the
+    orthogonalized columns, as `reduction` computed them before its
+    checker read LAPACK's QR."""
+    n = b.shape[1]
+    mu = np.zeros((n, n))
+    bstar = np.zeros_like(b)
+    bsq = np.zeros(n)
+    for i in range(n):
+        v = b[:, i].copy()
+        for j in range(i):
+            mu[i, j] = (v @ bstar[:, j]) / bsq[j]
+            v -= mu[i, j] * bstar[:, j]
+        bstar[:, i] = v
+        bsq[i] = float(v @ v)
+    return mu, bsq
+
+
+def _gso_is_lll_reduced(m, delta=0.75):
+    """`is_lll_reduced` on the Gram-Schmidt loop: the differential
+    reference for the QR form."""
+    n = m.shape[1]
+    mu, bsq = _gso(m)
+    for i in range(n):
+        for j in range(i):
+            if abs(mu[i, j]) > 0.5 + 1e-9:
+                return False, f"size reduction violated at (i={i}, j={j})"
+    for k in range(1, n):
+        lhs = delta * bsq[k - 1]
+        rhs = bsq[k] + mu[k, k - 1] ** 2 * bsq[k - 1]
+        if lhs > rhs + 1e-9 * bsq[k - 1] + 1e-12:
+            return False, f"exchange condition violated at k={k}"
+    return True, None
+
+
+def test_reducedness_check_matches_gram_schmidt_reference():
+    # Raw bases (rarely reduced), their LLL outputs (reduced), and those
+    # outputs with two adjacent columns exchanged or a column size-reduced
+    # only partly; every violation must be found at the same place.
+    rng = np.random.default_rng(2311)
+    verdicts = []
+    for trial in range(400):
+        n = int(rng.integers(2, 9))
+        m = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+        reduced = lll_reduce(m).reduced
+        swapped = reduced.copy()
+        k = int(rng.integers(1, n))
+        swapped[:, [k - 1, k]] = swapped[:, [k, k - 1]]
+        sheared = reduced.copy()
+        sheared[:, k] += rng.uniform(0.6, 3.0) * reduced[:, k - 1]
+        for b in (m, reduced, swapped, sheared):
+            want = _gso_is_lll_reduced(b)
+            got = is_lll_reduced(b)
+            assert got[0] == want[0], (trial, got, want)
+            if not got[0]:
+                assert got[1].startswith(want[1]), (trial, got, want)
+            verdicts.append(got[0])
+    assert len(verdicts) >= 1000
+    assert 400 <= sum(verdicts) < len(verdicts) - 400
+
+
 def test_is_lll_reduced_flags_violation():
     # Columns (1,0) and (0.9, 1e-3): mu = 0.9 > 1/2 -> size violation.
     bad = np.array([[1.0, 0.9], [0.0, 1e-3]])
