@@ -211,11 +211,6 @@ class TrialDraw:
     codebook: Codebook
     message: int
 
-    def decoded_by(self, outcome) -> bool:
-        """True iff a decode outcome is the transmitted codeword."""
-        return outcome.is_codeword and np.array_equal(
-            outcome.coords, self.codebook.coords[self.message])
-
 
 def _arq_fragments(design: LatticeDesign, rounds: int) -> list:
     """Fragment designs for rounds 1..L by block-tiling the base design.

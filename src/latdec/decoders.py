@@ -25,20 +25,24 @@ search; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
 lattices", IEEE T-IT 2002), and hands the few codewords near the best to
 `ml_decode`, whose tie rule then returns the scan's codeword.
 
-A received block goes through `prepare` once, which builds the channel
-stage every method shares, and through `decode(stage, method=...)` once
-per method: the one method dispatch.
+Every method decodes a `ChannelStage`, the channel stage of one received
+vector shared by the methods, through `decode(stage, method=...)`: the
+one method dispatch.  A sweep block's stages are the lanes of one
+`BlockStage`, which forms the GDFE, the condition gate and LLL of all its
+lanes at once on (B, n, n) stacks, bit for bit as each lane's own
+`RegularizedProblem.prepared()` and `gated_reduce` would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationOverflow, MetricMismatch, NearSingularChannel, RankDeficient
+from .errors import (EnumerationOverflow, LatdecError, MetricMismatch, NearSingularChannel,
+                     RankDeficient)
 from .lattice import (
     Codebook,
     LatticeDesign,
@@ -55,7 +59,7 @@ from .numkernel import (
     solve_lower_triangular,
     solve_upper_triangular,
 )
-from .reduction import GateOutcome, ReducedBasis, gated_reduce
+from .reduction import GateOutcome, ReducedBasis, gated_reduce, gated_reduce_stack
 
 __all__ = [
     "METHOD_ML",
@@ -76,7 +80,7 @@ __all__ = [
     "lr_aided_linear",
     "approximation_ratio",
     "ChannelStage",
-    "prepare",
+    "BlockStage",
     "decode",
 ]
 
@@ -87,6 +91,20 @@ METHOD_LR_SIC = "lr_sic"
 METHOD_LR_LINEAR = "lr_linear"
 METHODS = (METHOD_ML, METHOD_NAIVE, METHOD_REG_EXACT, METHOD_LR_SIC,
            METHOD_LR_LINEAR)
+
+#: The methods that read a stage's gated reduction, and with `reg_exact`
+#: the ones that read its GDFE triangular form: what `decode` reads and
+#: `BlockStage.build` forms.
+_REDUCTION_AIDED = (METHOD_LR_SIC, METHOD_LR_LINEAR)
+_READS_TRIANGULAR_FORM = (METHOD_REG_EXACT,) + _REDUCTION_AIDED
+
+#: A rung of a `BlockStage` goes through the lockstep LLL when it has at
+#: least this many lanes per basis dimension, and lane by lane through
+#: `gated_reduce` when it has fewer: below that, numpy's per-call cost
+#: makes the lockstep loop the slower (stack against list loop on MMSE
+#: bases at rho = 20 dB, one BLAS thread on a 2-core x86-64 VM: even near
+#: 7, 30, 75 and 100 lanes for n = 2, 4, 8 and 12).
+_LOCKSTEP_LANES_PER_DIM = 8
 
 #: Metric ties below this absolute gap are broken lexicographically.
 TIE_TOLERANCE = 1e-12
@@ -162,14 +180,38 @@ class RegularizedProblem:
     def prepared(self) -> "RegularizedProblem":
         """Factor the triangular form once (b, yprime, gamma, basis); returns self."""
         if self.b is None:
-            b, f = mmse_gdfe_filters(self.h, self.t_reg)
-            y_eff = self.y - self.h @ self.dither
-            self.yprime = f @ y_eff
-            # Gamma is nonnegative in exact arithmetic; clamp roundoff.
-            self.gamma = max(float(y_eff @ y_eff) - float(self.yprime @ self.yprime), 0.0)
-            self.basis = b @ self.scaled_generator
-            self.b = b
+            self.b, self.yprime, gamma, self.basis = _triangular_form(
+                self.y, self.h, self.t_reg, self.scaled_generator, self.dither)
+            self.gamma = float(gamma)
         return self
+
+    @classmethod
+    def _from_checked(cls, **values) -> "RegularizedProblem":
+        """A problem on arrays already checked (a `BlockStage` lane): every
+        field must be given by name, the triangular form's too (None and
+        0.0 where it is not formed yet), and no check runs."""
+        problem = object.__new__(cls)
+        for f in fields(cls):
+            setattr(problem, f.name, values[f.name])
+        return problem
+
+
+def _triangular_form(y, h, t_reg, scaled_generator, dither) -> tuple:
+    """(B, y', Gamma, basis) of a problem, or the stacks of them for stacks
+    (..., m) of y and (..., m, n) of H; each lane of a stack gets the bits
+    it gets alone (matrix-vector products as stacked matmuls, never
+    `einsum`)."""
+    b, f = mmse_gdfe_filters(h, t_reg)
+    y_eff = y - h @ dither
+    yprime = (f @ y_eff[..., None])[..., 0]
+    gamma = _squared_norm(y_eff) - _squared_norm(yprime)
+    # Gamma is nonnegative in exact arithmetic; clamp roundoff.
+    return b, yprime, np.where(0.0 > gamma, 0.0, gamma), b @ scaled_generator
+
+
+def _squared_norm(v: np.ndarray) -> np.ndarray:
+    """v . v, or that of each vector of a stack, as a (1, m) @ (m, 1) matmul."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -210,15 +252,16 @@ class DecodeOutcome:
 
 def mmse_gdfe_filters(h, t_reg) -> tuple[np.ndarray, np.ndarray]:
     """Factor H^T H + T = B^T B and form the forward filter F = B^-T H^T;
-    returns (B, F).
+    returns (B, F), or their stacks for a stack (..., m, n) of H.
 
     T must be symmetric positive definite; B's diagonal is positive."""
     h = np.asarray(h, dtype=np.float64)
-    gram = h.T @ h + t_reg
+    ht = np.swapaxes(h, -1, -2)
+    gram = ht @ h + t_reg
     # Symmetrize against roundoff before factoring.
-    gram = 0.5 * (gram + gram.T)
+    gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
     b = cholesky_upper(gram)
-    return b, solve_lower_triangular(b.T, h.T)
+    return b, solve_lower_triangular(np.swapaxes(b, -1, -2), ht)
 
 
 def regularized_metric(problem: RegularizedProblem, xhat) -> float:
@@ -455,6 +498,7 @@ class ChannelStage:
     problem's phi, and which ML decodes over), the one regularized problem
     (which factors its GDFE filters on first use) and the gated reduction
     of its basis, built at most once and only for methods that need it.
+    A `BlockStage` lane comes with both already built, from the stacks.
 
     The gate refuses a basis whose condition number exceeds
     rho^gate_alpha; LLL runs at delta = 3/4, the value its swap cap
@@ -476,23 +520,94 @@ class ChannelStage:
         return gated_reduce(self.problem.prepared().basis, self.rho, self.gate_alpha)
 
 
-def prepare(y, h, design: LatticeDesign, codebook: Codebook,
-            rho: float | None = None, gate_alpha: float | None = None) -> ChannelStage:
-    """Channel stage of one received block sent from `codebook`, the
-    design's codebook, whose scale is the lattice's phi for every method.
+class BlockStage:
+    """The channel stage of a block of received vectors, built once on
+    stacks and shared by every method that decodes them.
 
-    The penalty is the identity.  The reduction-aided methods need `rho`
-    and the gate exponent `gate_alpha`.  The stage's one
-    `RegularizedProblem` is built here, and building it is the one check
-    of y and H."""
-    problem = RegularizedProblem(y=y, h=h, t_reg=np.eye(design.dimension),
-                                 scaled_generator=codebook.scale * design.generator,
-                                 dither=design.dither)
-    return ChannelStage(problem, design, codebook, rho=rho, gate_alpha=gate_alpha)
+    `add` writes each lane's (y, H) into its rung's preallocated stacks,
+    so lanes are grouped by rung (an ARQ episode by its stopping round).
+    `build(methods)` checks each rung's stacks once for NaN/Inf, then
+    forms on (B, n, n) arrays what the methods read: the GDFE of all its
+    lanes if one reads the triangular form, and their condition gate and
+    lockstep LLL if one is reduction-aided (which needs `rho` and
+    `gate_alpha`; a rung of fewer than 8 n lanes is left to the per-lane
+    `gated_reduce`).  `lane(i)` is lane i's `ChannelStage`, views into the
+    stacks, which `decode` reads as it reads a stage built alone: each
+    lane's arrays equal, bit for bit, what `RegularizedProblem.prepared()`
+    and `gated_reduce` give it.  A rung whose stacked GDFE or gate raises
+    a `LatdecError` (any one lane failing a floor does) leaves its lanes
+    to that per-lane path, which then builds each on first use and raises
+    there, for each method that reads it."""
+
+    def __init__(self, rungs: list, size: int, rho: float | None = None,
+                 gate_alpha: float | None = None):
+        self.rungs, self.rho, self.gate_alpha = rungs, rho, gate_alpha
+        self.size = size   # lanes the stacks hold
+        self.lanes = 0     # lanes written
+        self._where = np.zeros((size, 2), dtype=np.intp)  # lane -> (rung, slot)
+        self._stacks = [None] * len(rungs)   # rung -> [y stack, H stack, lanes]
+        self._fixed = [(np.eye(d.dimension), book.scale * d.generator,
+                        np.zeros(d.dimension) if d.dither is None else d.dither)
+                       for d, book in rungs]  # rung -> (T, phi G, u)
+        self._forms = [None] * len(rungs)    # rung -> stacked (B, y', Gamma, basis)
+        self._gates = [None] * len(rungs)    # rung -> GateStack
+
+    def add(self, y, h, codebook: Codebook) -> None:
+        """Write the next lane, sent from `codebook` (one of the rungs')."""
+        rung = next(i for i, (_, book) in enumerate(self.rungs) if book is codebook)
+        if self._stacks[rung] is None:
+            self._stacks[rung] = [np.empty((self.size,) + np.shape(y)),
+                                  np.empty((self.size,) + np.shape(h)), 0]
+        stack = self._stacks[rung]
+        slot = stack[2]
+        stack[0][slot], stack[1][slot] = y, h
+        stack[2] = slot + 1
+        self._where[self.lanes] = rung, slot
+        self.lanes += 1
+
+    def build(self, methods) -> None:
+        """Check the lanes, then form what `methods` read."""
+        gdfe = any(m in _READS_TRIANGULAR_FORM for m in methods)
+        reduce = (any(m in _REDUCTION_AIDED for m in methods)
+                  and self.rho is not None and self.gate_alpha is not None)
+        stacks = [(rung, stack[0][:stack[2]], stack[1][:stack[2]])
+                  for rung, stack in enumerate(self._stacks) if stack is not None]
+        if not all(np.isfinite(ys).all() and np.isfinite(hs).all() for _, ys, hs in stacks):
+            for i in range(self.lanes):   # the first bad lane raises, as it would alone
+                RegularizedProblem(*self._lane_arrays(i))
+        for rung, ys, hs in stacks if gdfe or reduce else ():
+            try:
+                self._forms[rung] = _triangular_form(ys, hs, *self._fixed[rung])
+                if reduce and len(hs) >= _LOCKSTEP_LANES_PER_DIM * hs.shape[-1]:
+                    self._gates[rung] = gated_reduce_stack(self._forms[rung][3],
+                                                           self.rho, self.gate_alpha)
+            except LatdecError:
+                pass   # left to the per-lane path
+
+    def _lane_arrays(self, i: int) -> tuple:
+        rung, slot = self._where[i]
+        ys, hs, _ = self._stacks[rung]
+        return (ys[slot], hs[slot]) + self._fixed[rung]
+
+    def lane(self, i: int) -> ChannelStage:
+        """Lane i's channel stage, built now from views into the stacks."""
+        rung, slot = self._where[i]
+        y, h, t_reg, scaled_generator, dither = self._lane_arrays(i)
+        form = self._forms[rung]
+        b, yprime, gamma, basis = (None, None, 0.0, None) if form is None else (
+            form[0][slot], form[1][slot], float(form[2][slot]), form[3][slot])
+        problem = RegularizedProblem._from_checked(
+            y=y, h=h, t_reg=t_reg, scaled_generator=scaled_generator, dither=dither,
+            b=b, yprime=yprime, gamma=gamma, basis=basis)
+        design, book = self.rungs[rung]
+        stage = ChannelStage(problem, design, book, rho=self.rho, gate_alpha=self.gate_alpha)
+        if self._gates[rung] is not None:
+            stage.reduction = self._gates[rung].outcome(slot)
+        return stage
 
 
 def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
-    """Decode a prepared block with `method`.
+    """Decode a block's channel stage with `method`.
 
     A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
     are classified against the shaping region, here and nowhere else."""
@@ -505,7 +620,7 @@ def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
         search = (naive_lattice_decode if method == METHOD_NAIVE
                   else sphere_decode_regularized)
         return _classify(stage.design, search(problem))
-    if method in (METHOD_LR_SIC, METHOD_LR_LINEAR):
+    if method in _REDUCTION_AIDED:
         outcome = stage.reduction
         if outcome.timed_out:
             return DecodeOutcome.timeout()

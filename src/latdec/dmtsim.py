@@ -12,10 +12,12 @@ scheduled.
 
 `SweepConfig.cell_codebooks` sets up a level, for the sweep and the dry
 run alike; `sweep_cell` runs a block of its trials into a `BlockTally`,
-whose `records` raise the failures it lists.  Each trial has one path:
-the channel layer's trial sampler draws it (ARQ trials through
-`channels.simulate_arq_episode`), `decoders.prepare` builds its channel
-stage, and `decoders.decode` runs each method still running on it.
+whose `records` raise the failures it lists.  Each block has one path:
+the channel layer's trial sampler draws each trial from its own stream
+(ARQ trials through `channels.simulate_arq_episode`) into one
+`decoders.BlockStage`, which builds the block's channel stage once, on
+stacked arrays, and `decoders.decode` runs each method still running on
+each trial's lane of it, in trial order.
 `run_sweep` hands out every level's blocks from one loop, serial or
 pooled, sets a level up as its first block goes out, and scans the blocks
 in trial order, so that every method stops at its min_errors-th error and
@@ -35,7 +37,7 @@ import numpy as np
 
 from .channels import ChannelConfig, trial_rng
 from .decoders import (METHOD_LR_LINEAR, METHOD_LR_SIC, METHOD_NAIVE, METHODS,
-                       decode, prepare)
+                       BlockStage, decode)
 from .errors import InsufficientData, LatdecError
 from .lattice import LatticeDesign, scaling_factor
 from .numkernel import as_integer, as_real, cholesky_upper
@@ -284,14 +286,20 @@ class BlockTally:
 def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
                stop: int, budgets: dict) -> BlockTally:
     """Trials [start, stop) of one signal level on its `rungs` from
-    `SweepConfig.cell_codebooks`: each trial's draw and channel stage are
-    shared by every method still running, and a method stops once its
-    errors in this block reach its entry in `budgets`; a method with
-    budget 0 does not run.
+    `SweepConfig.cell_codebooks`, BLOCK_TRIALS at a time (a sweep's block
+    is one such run).  Each trial of a run is drawn from its own stream
+    into one `BlockStage`, whose channel stage, built once for the run, is
+    shared by every method still running; the methods then decode the
+    trials in order, lane by lane, and a method stops once its errors in
+    this block reach its entry in `budgets`; a method with budget 0 does
+    not run.  The stage forms the GDFE only if a method that reads it runs,
+    and the gated LLL only if a reduction-aided one does.  A run is drawn
+    whole before it is decoded, so its trials past the last method's
+    stopping trial are drawn and staged for nothing.
 
     A `LatdecError` is not raised but listed in the tally, for
     `BlockTally.records` to raise: a method that fails stops, and a failed
-    trial draw ends the block."""
+    trial draw ends the block after the trials before it."""
     tally = BlockTally.empty(config, rho_db, start, stop)
     active = [m for m in config.methods if budgets[m] > 0]
     rho = 10.0 ** (float(rho_db) / 10.0)
@@ -301,28 +309,41 @@ def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
         return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
 
     draw_trial = config.channel.trial_sampler(rungs, rho, stream)
-    try:
-        for trial in range(start, stop):
+    failed_draw = None
+    for first in range(start, stop, BLOCK_TRIALS):
+        if not active or failed_draw is not None:
+            break
+        stage = BlockStage(rungs, min(BLOCK_TRIALS, stop - first), rho=rho,
+                           gate_alpha=config.gate_alpha)
+        messages = []
+        try:
+            for trial in range(first, first + stage.size):
+                draw = draw_trial(trial)
+                stage.add(draw.y, draw.h, draw.codebook)
+                messages.append(draw.message)
+        except LatdecError as exc:
+            failed_draw = (trial, None, exc)
+        stage.build(active)
+        for trial, message in enumerate(messages, start=first):
             if not active:
                 break
-            draw = draw_trial(trial)
-            stage = prepare(draw.y, draw.h, draw.design, draw.codebook,
-                            rho=rho, gate_alpha=config.gate_alpha)
+            lane = stage.lane(trial - first)
+            sent = lane.codebook.coords[message]
             for method in tuple(active):
                 try:
-                    outcome = decode(stage, method=method)
+                    outcome = decode(lane, method=method)
                 except LatdecError as exc:
                     tally.failures.append((trial, method, exc))
                     active.remove(method)
                     continue
                 tally.trials[method] += 1
-                if not draw.decoded_by(outcome):
+                if not (outcome.is_codeword and np.array_equal(outcome.coords, sent)):
                     errors = tally.errors[method]
                     errors.append((trial, outcome.kind))
                     if len(errors) >= budgets[method]:
                         active.remove(method)
-    except LatdecError as exc:
-        tally.failures.append((trial, None, exc))
+    if failed_draw is not None and active:
+        tally.failures.append(failed_draw)
     return tally
 
 

@@ -10,18 +10,24 @@ the LAPACK output: a pivot floor (NotPositiveDefinite), an |R_ii| floor
 caller symmetrizes the Gram matrix it forms just before the call.
 
 Conventions: a "matrix" is a 2-D float64 ndarray, a "vector" is 1-D.
+Cholesky, QR, the singular values and the triangular solves also take
+stacks (..., n, n), factored matrix by matrix with the LAPACK routine a
+lone matrix gets, so each matrix of a stack gets the bits it gets alone;
+a stack fails a floor if any of its matrices does.
 The kernels coerce with np.asarray and scan nothing.  The input coercers
 `as_real`/`as_integer` (never a bool as a number) and `as_matrix`/
 `as_vector` (numeric, finite, nonempty, of the right shape) raise
 ValueError, and run only where values enter the program: in the config
 objects (`ShapingRegion`, `LatticeDesign`, `NoiseModel`, `ChannelConfig`,
-`SweepConfig`) and the decoder entry points (`prepare` and the
-`RegularizedProblem` constructor), so no kernel meets an empty array.  Every floor is written as
+`SweepConfig`) and the decoder entry points (the `RegularizedProblem`
+constructor; a sweep block's `BlockStage.build` scans its stacks for
+NaN/Inf once), so no kernel meets an empty array.  Every floor is written as
 `not (value >= floor)`, so a NaN produced inside the program fails it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,45 +92,77 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 def cholesky_upper(a) -> np.ndarray:
     """Factor a symmetric positive definite A as U^T U with U upper
-    triangular and positive diagonal.  Only the lower triangle of A is read.
+    triangular and positive diagonal; A may be a stack (..., n, n), factored
+    matrix by matrix.  Only the lower triangle of A is read.
 
     Raises NotPositiveDefinite if any pivot U_ii^2 falls below
-    1e-14 * trace(A)/n.
+    1e-14 * trace(A)/n (in a stack, if any matrix's does).
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
+    n = a.shape[-1]
     try:
-        u = np.linalg.cholesky(a).T
+        u = np.swapaxes(np.linalg.cholesky(a), -1, -2)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"A is not positive definite: {exc}") from None
     # Pivot floor guards against nearly semidefinite inputs.
-    floor = 1e-14 * float(np.trace(a)) / n
-    pivot = float(np.min(np.diag(u))) ** 2
-    if not (pivot >= floor):
-        raise NotPositiveDefinite(f"pivot {pivot:.3e} below floor {floor:.3e}")
+    floor = 1e-14 * np.trace(a, axis1=-2, axis2=-1) / n
+    pivot = np.min(_diagonal(u), axis=-1) ** 2
+    failed = np.flatnonzero(~(pivot >= floor))
+    if failed.size:
+        i = failed[0]
+        raise NotPositiveDefinite(f"pivot {np.ravel(pivot)[i]:.3e} below floor "
+                                  f"{np.ravel(floor)[i]:.3e}")
     return u
 
 
 def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of M (rows >= cols, full column rank): M = Q R with
-    orthonormal columns in Q and a positive diagonal on upper-triangular R.
+    """Thin QR of M (rows >= cols, full column rank), or of each matrix of
+    a stack (..., rows, cols): M = Q R with orthonormal columns in Q and a
+    positive diagonal on upper-triangular R.
 
-    Raises RankDeficient when the smallest |R_ii| is below 1e-12 * ||M||_F.
+    A square upper triangle with a positive diagonal (a stack of them) is
+    returned as (I, M) with no LAPACK call: Householder QR leaves each of
+    its columns as it is (tau = 0), so that is LAPACK's result too, bit for
+    bit, down to the signed zeros below the diagonals.
+
+    Raises RankDeficient when the smallest |R_ii| is below 1e-12 * ||M||_F
+    (in a stack, for any matrix).
     """
     m = np.asarray(m, dtype=np.float64)
-    q, r = np.linalg.qr(m)
-    # Fix signs so every diagonal entry of R is positive.
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q *= signs
-    r *= signs[:, None]
-    floor = 1e-12 * math.sqrt(float(np.sum(m * m)))
-    if not (float(np.min(np.abs(np.diag(r)))) >= floor):
+    rows, n = m.shape[-2:]
+    lower = _strictly_lower(n)
+    if rows == n and (_diagonal(m) > 0.0).all() and not m[..., lower].any():
+        # dorg2r scales the (zero) reflector below each diagonal by -tau = -0.0.
+        q = np.where(lower, -0.0 * m, np.eye(n))
+        r = np.where(lower, 0.0, m)
+    else:
+        q, r = np.linalg.qr(m)
+        # Fix signs so every diagonal entry of R is positive.
+        signs = np.where(_diagonal(r) < 0.0, -1.0, 1.0)
+        q *= signs[..., None, :]
+        r *= signs[..., :, None]
+    floor = 1e-12 * np.sqrt((m * m).sum(axis=(-2, -1)))
+    if not (np.abs(_diagonal(r)).min(axis=-1) >= floor).all():
         raise RankDeficient("smallest |R_ii| below 1e-12 * ||M||_F")
     return q, r
 
 
+@functools.cache
+def _strictly_lower(n: int) -> np.ndarray:
+    """The mask of the entries below an n x n diagonal (read only)."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """The diagonal of a matrix, or of each matrix of a stack."""
+    return m.diagonal(0, -2, -1)
+
+
 def singular_values(m) -> np.ndarray:
-    """All singular values of a square M, descending."""
+    """All singular values of a square M (of each matrix of a stack),
+    descending."""
     return np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
 
 
@@ -142,17 +180,18 @@ def condition_number_2norm(m) -> float:
 
 def _triangular_system(t, b, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Coerce a triangular T and a right-hand side b (a vector, or a
-    matrix of column right-hand sides); raise SingularTriangular when any
-    |T_ii| < 1e-14."""
+    matrix of column right-hand sides), or stacks (..., n, n) and
+    (..., n, k) of them; raise SingularTriangular when any |T_ii| < 1e-14."""
     t = np.asarray(t, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if not (float(np.min(np.abs(np.diag(t)))) >= 1e-14):
+    if not (float(np.min(np.abs(_diagonal(t)))) >= 1e-14):
         raise SingularTriangular(f"|{name}_ii| below 1e-14")
     return t, b
 
 
 def solve_upper_triangular(u, b) -> np.ndarray:
-    """Solve U x = b with U upper triangular; b may hold several columns.
+    """Solve U x = b with U upper triangular; b may hold several columns,
+    and U and b may be stacks (..., n, n) and (..., n, k).
 
     LAPACK's LU of an upper triangle pivots nowhere and eliminates
     nothing, so the solve is plain back substitution.  Raises
@@ -161,9 +200,11 @@ def solve_upper_triangular(u, b) -> np.ndarray:
 
 
 def solve_lower_triangular(l, b) -> np.ndarray:
-    """Solve L x = b with L lower triangular; b may hold several columns.
+    """Solve L x = b with L lower triangular; b may hold several columns,
+    and L and b may be stacks (..., n, n) and (..., n, k).
 
     Reversing the order of rows and columns turns L into an upper
     triangle, so the solve is plain forward substitution."""
     l, b = _triangular_system(l, b, "L")
-    return np.linalg.solve(l[::-1, ::-1], b[::-1])[::-1]
+    rows = np.s_[::-1] if b.ndim == 1 else np.s_[..., ::-1, :]
+    return np.linalg.solve(l[..., ::-1, ::-1], b[rows])[rows]

@@ -1,7 +1,8 @@
 """Non-finite, empty and mistyped inputs are rejected where they enter the
 program: in the config objects built from experiment files or by library
-callers, and at the decoder entry points (`prepare` and the
-`RegularizedProblem` constructor).  The kernels below them scan nothing."""
+callers, and at the decoder entry points (the `RegularizedProblem`
+constructor, which the per-trial reference `prepare` runs, and a sweep
+block's `BlockStage.build`).  The kernels below them scan nothing."""
 
 import copy
 import math
@@ -11,13 +12,14 @@ import pytest
 import yaml
 
 from latdec.cli import main
-from latdec.decoders import RegularizedProblem, prepare
+from latdec.decoders import BlockStage, RegularizedProblem
 from latdec.channels import NoiseModel
 from latdec.dmtsim import ChannelConfig, SweepConfig
 from latdec.errors import SchemaError
 from latdec.experiment import parse_experiment
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook
 from latdec.reduction import gate_exponent_default
+from per_trial import prepare
 
 DESIGN = LatticeDesign(generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]),
                        dither=np.array([0.5, 0.5]))
@@ -36,11 +38,21 @@ def _problem(y=None, h=None):
                               t_reg=np.eye(2), scaled_generator=np.eye(2))
 
 
+def _block(y=None, h=None):
+    """A two-lane block whose second lane holds the bad entry."""
+    stage = BlockStage([(DESIGN, BOOK)], 2)
+    stage.add(np.ones(2), np.eye(2), BOOK)
+    stage.add(np.ones(2) if y is None else y, np.eye(2) if h is None else h, BOOK)
+    stage.build(())
+
+
 # Each entry builds one object or runs one entry point with a single bad
 # entry in one of its inputs.
 ENTRY_POINTS = {
     "prepare.y": lambda bad: prepare(_with(bad, (2,), 1), np.eye(2), DESIGN, BOOK),
     "prepare.H": lambda bad: prepare(np.ones(2), _with(bad, (2, 2), (1, 0)), DESIGN, BOOK),
+    "BlockStage.y": lambda bad: _block(y=_with(bad, (2,), 1)),
+    "BlockStage.H": lambda bad: _block(h=_with(bad, (2, 2), (0, 1))),
     "RegularizedProblem.y": lambda bad: _problem(y=_with(bad, (2,), 0)),
     "RegularizedProblem.H": lambda bad: _problem(h=_with(bad, (2, 2), (1, 1))),
     "LatticeDesign.generator": lambda bad: LatticeDesign(

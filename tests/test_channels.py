@@ -22,8 +22,9 @@ from latdec.channels import (
     standard_normal,
     trial_rng,
 )
-from latdec.decoders import decode, prepare
+from latdec.decoders import decode
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
+from per_trial import prepare
 
 
 def square_design(n, t=1, half_width=0.6):
@@ -345,7 +346,7 @@ def test_arq_episode_noiseless_strong_channel():
                                   trial_rng(42, 0), noise=quiet)
     # ln(1 + 100 * 9) = 6.80 >= 1.0 * ln 100 = 4.61: ack in round 1.
     assert acks == [True]
-    assert draw.decoded_by(out)
+    assert out.is_codeword and np.array_equal(out.coords, draw.codebook.coords[draw.message])
     assert out.kind == "codeword"
 
 
@@ -359,7 +360,7 @@ def test_arq_episode_noiseless_weak_channel_uses_final_round():
     # always decodes, and without noise it decodes correctly.
     assert acks == [False, True]
     assert draw.design is rungs[1][0]
-    assert draw.decoded_by(out)
+    assert out.is_codeword and np.array_equal(out.coords, draw.codebook.coords[draw.message])
 
 
 def test_arq_episode_randomness_is_keyed():

@@ -23,7 +23,6 @@ from latdec.decoders import (
     ml_decode,
     mmse_gdfe_filters,
     naive_lattice_decode,
-    prepare,
     regularized_metric,
     sphere_decode_regularized,
 )
@@ -36,6 +35,7 @@ from latdec.lattice import (
     enumerate_codebook,
 )
 from latdec.reduction import lll_reduce
+from per_trial import prepare
 
 ROOT = Path(__file__).resolve().parent.parent
 

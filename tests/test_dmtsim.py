@@ -23,7 +23,7 @@ from latdec.channels import (
     simulate_arq_episode,
     trial_rng,
 )
-from latdec.decoders import decode, prepare
+from latdec.decoders import decode
 from latdec.dmtsim import (
     ChannelConfig,
     ErrorRateRecord,
@@ -37,8 +37,11 @@ from latdec.dmtsim import (
     sweep_cell,
     wilson_interval,
 )
-from latdec.errors import EmptyCodebook, InsufficientData, NearSingularChannel
-from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
+from latdec.errors import (EmptyCodebook, InsufficientData, LatdecError, NearSingularChannel,
+                           NotPositiveDefinite, RankDeficient)
+from latdec.lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
+                            scaling_factor)
+from per_trial import prepare
 
 
 def square_design(n, t=1):
@@ -454,7 +457,8 @@ def _reference_arq_outcome(cfg, rho, key, trial, method):
                                    trial_rng(cfg.seed, 0, *key, trial, 1), chan.noise)
     out = decode(prepare(draw.y, draw.h, draw.design, draw.codebook, rho=rho,
                          gate_alpha=cfg.gate_alpha), method=method)
-    return not draw.decoded_by(out), out.kind
+    sent = draw.codebook.coords[draw.message]
+    return not (out.is_codeword and np.array_equal(out.coords, sent)), out.kind
 
 
 @pytest.mark.parametrize("model", sorted(DIFFERENTIAL_CASES))
@@ -485,7 +489,10 @@ def test_sweep_cell_matches_per_method_reference(model):
 
 
 def test_channel_stage_runs_once_per_trial(monkeypatch):
-    calls = {"gdfe": 0, "gate": 0, "scan": 0}
+    # A block's channel stage is built once, on stacks: one GDFE and one
+    # gate of all its lanes; no lane is factored, gated or scanned alone.
+    stacked = {"gdfe": [], "gate": []}
+    calls = {"lane_gate": 0, "scan": 0}
     factored, reduced = [], []
 
     def counted(name, fn):
@@ -500,20 +507,26 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
             return fn(m)
         return wrapper
 
-    counted_gate = counted("gate", decoders.gated_reduce)
+    def gdfe_spy(h, t_reg):
+        stacked["gdfe"].append(np.shape(h))
+        return mmse_gdfe_filters(h, t_reg)
 
-    def gate_spy(*args, **kwargs):
-        outcome = counted_gate(*args, **kwargs)
-        # A basis LLL leaves unchanged is the one the sphere search factors.
-        basis = outcome.basis
-        if basis is not None and not np.array_equal(basis.unimodular,
-                                                    np.eye(len(basis.unimodular))):
-            reduced.append(basis.reduced)
-        return outcome
+    def gate_spy(m, *args, **kwargs):
+        stacked["gate"].append(np.shape(m))
+        gates = gated_reduce_stack(m, *args, **kwargs)
+        for lane in range(len(m)):
+            # A basis LLL leaves unchanged is the one the sphere search factors.
+            basis = gates.outcome(lane).basis
+            if basis is not None and not np.array_equal(basis.unimodular,
+                                                        np.eye(len(basis.unimodular))):
+                reduced.append(basis.reduced)
+        return gates
 
-    monkeypatch.setattr(decoders, "mmse_gdfe_filters",
-                        counted("gdfe", decoders.mmse_gdfe_filters))
-    monkeypatch.setattr(decoders, "gated_reduce", gate_spy)
+    mmse_gdfe_filters, gated_reduce_stack = (decoders.mmse_gdfe_filters,
+                                             decoders.gated_reduce_stack)
+    monkeypatch.setattr(decoders, "mmse_gdfe_filters", gdfe_spy)
+    monkeypatch.setattr(decoders, "gated_reduce_stack", gate_spy)
+    monkeypatch.setattr(decoders, "gated_reduce", counted("lane_gate", decoders.gated_reduce))
     for module in (decoders, reduction):
         monkeypatch.setattr(module, "qr_decompose", qr_spy(module.qr_decompose))
     cfg = rayleigh_config(n_ant=2, methods=decoders.METHODS,
@@ -528,14 +541,146 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
                                         counted("scan", getattr(module, checker)))
     recs = level_block(cfg, 14.0).records()
     assert all(rec.trials == 60 for rec in recs)
-    assert calls["gdfe"] == 60 and calls["gate"] == 60
-    # The stage's one RegularizedProblem checks its five arrays once.
-    assert calls["scan"] <= 5 * 60
-    # One QR each for the regularized and the naive sphere search and one
-    # inside LLL; the detectors read the reducer's factors and never factor
-    # a reduced basis.
-    assert reduced and len(factored) <= 3 * 60
+    assert stacked == {"gdfe": [(60, 4, 4)], "gate": [(60, 4, 4)]}
+    assert calls["lane_gate"] == 0
+    # `BlockStage.build` checks the block's stacks; no lane scans again.
+    assert calls["scan"] == 0
+    # One QR each for the regularized and the naive sphere search, and one
+    # of the block's stack inside LLL; the detectors read the reducer's
+    # factors and never factor a reduced basis.
+    assert reduced and len(factored) <= 2 * 60 + 1
     assert not any(np.array_equal(m, basis) for m in factored for basis in reduced)
+
+
+# Every DIFFERENTIAL_CASES model, plus the 8x8 ARQ rungs: two rounds of the
+# 2x2 design, which round 1 both ACKs and NACKs at this level.
+STAGE_CASES = dict(DIFFERENTIAL_CASES, arq_8x8=(
+    ChannelConfig(model="mimo_arq", nt=2, nr=2, arq_rounds=2, arq_x_thresh=2.0),
+    square_design(4), 15.0, 1.0, 1.0))
+
+
+def stage_lanes(case, lanes, seed=5):
+    """The case's first `lanes` draws at its level, written into one
+    `BlockStage` and built for every method, with the draws."""
+    chan, design, rho_db, r, alpha = STAGE_CASES[case]
+    cfg = SweepConfig(design=design, channel=chan, methods=ALL_METHODS,
+                      rho_db=(rho_db, rho_db + 4.0), r=r, seed=seed, gate_alpha=alpha)
+    rho = 10.0 ** (rho_db / 10.0)
+    rungs = cfg.cell_codebooks(rho_db)
+    draw = chan.trial_sampler(rungs, rho,
+                              lambda trial, *sub: trial_rng(seed, 0, 1, 2, trial, *sub))
+    draws = [draw(trial) for trial in range(lanes)]
+    stage = decoders.BlockStage(rungs, lanes, rho=rho, gate_alpha=alpha)
+    for d in draws:
+        stage.add(d.y, d.h, d.codebook)
+    stage.build(ALL_METHODS)
+    return stage, draws, rho, alpha
+
+
+def assert_lane_is_the_per_trial_stage(lane, ref):
+    """A lane's triangular form and gated reduction equal, bit for bit,
+    what `prepared()` and `gated_reduce` give the per-trial stage."""
+    got, want = lane.problem, ref.problem.prepared()
+    for field in ("b", "yprime", "basis"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.gamma == want.gamma
+    got, want = lane.reduction, ref.reduction
+    assert (got.kappa, got.threshold, got.timed_out) == (
+        want.kappa, want.threshold, want.timed_out)
+    if not want.timed_out:
+        for field in ("r", "q", "unimodular", "reduced"):
+            assert np.array_equal(getattr(got.basis, field), getattr(want.basis, field)), field
+        assert got.basis.iterations == want.basis.iterations
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_block_stage_matches_the_per_trial_stage(case):
+    # 700 lanes per case, 4200 bases in all through the lockstep LLL, each
+    # against the list loop of `gated_reduce` on the same basis.
+    stage, draws, rho, alpha = stage_lanes(case, 700)
+    refused = 0
+    for i, d in enumerate(draws):
+        ref = prepare(d.y, d.h, d.design, d.codebook, rho=rho, gate_alpha=alpha)
+        assert_lane_is_the_per_trial_stage(stage.lane(i), ref)
+        refused += ref.reduction.timed_out
+    if case == "quasi_static_rayleigh":   # its low gate exponent refuses some
+        assert refused > 0
+
+
+def test_block_stage_refuses_at_the_swap_cap_as_the_list_loop(monkeypatch):
+    # A cap of one swap refuses every basis that needs two, in both loops.
+    monkeypatch.setattr(reduction, "iteration_bound_for_kappa", lambda kappa, n: 1)
+    stage, draws, rho, alpha = stage_lanes("arq_8x8", 300)
+    refused = 0
+    for i, d in enumerate(draws):
+        ref = prepare(d.y, d.h, d.design, d.codebook, rho=rho, gate_alpha=alpha)
+        assert_lane_is_the_per_trial_stage(stage.lane(i), ref)
+        refused += ref.reduction.timed_out and ref.reduction.kappa <= ref.reduction.threshold
+    assert refused > 0
+
+
+def test_a_rung_short_of_8n_lanes_is_reduced_lane_by_lane(monkeypatch):
+    # 100 ARQ draws put 47 lanes on the 4x4 rung and 53 on the 8x8 one,
+    # short of its 64: only the first goes through the lockstep loop, and
+    # the other's lanes are gated and reduced one by one on first use.
+    stacked, single = [], []
+    gated_reduce_stack, gated_reduce = decoders.gated_reduce_stack, decoders.gated_reduce
+    monkeypatch.setattr(decoders, "gated_reduce_stack",
+                        lambda m, *args: stacked.append(m.shape) or gated_reduce_stack(m, *args))
+    monkeypatch.setattr(decoders, "gated_reduce",
+                        lambda m, *args: single.append(m.shape) or gated_reduce(m, *args))
+    stage, draws, rho, alpha = stage_lanes("arq_8x8", 100)
+    for i, d in enumerate(draws):
+        ref = prepare(d.y, d.h, d.design, d.codebook, rho=rho, gate_alpha=alpha)
+        assert_lane_is_the_per_trial_stage(stage.lane(i), ref)
+    # Each per-trial reference gates its own basis too.
+    assert stacked == [(47, 4, 4)]
+    assert single.count((8, 8)) == 2 * 53 and len(single) == 100 + 53
+
+
+def outcome_or_failure(stage, method):
+    """What decoding a stage gives: the outcome's kind, coordinates and
+    metric, or the failure's type and message."""
+    try:
+        out = decode(stage, method=method)
+    except LatdecError as exc:
+        return type(exc), str(exc)
+    return out.kind, None if out.coords is None else tuple(out.coords), out.metric
+
+
+def test_a_lane_whose_stage_fails_fails_as_it_does_alone(monkeypatch):
+    # Lane 1's channel is singular and huge, so its Cholesky pivot falls
+    # below the floor and its rung's stacked GDFE raises; lane 3's
+    # generator axis of 2e-12 puts its basis under the QR floor (but not
+    # its kappa over the threshold), so its rung's stacked gate raises.
+    # Each rung is then left to the per-lane path: each method that reads
+    # the failed part raises there, as the per-trial stage does, and the
+    # other lanes decode.  (The block's rungs are short of 8 n lanes, so
+    # the stacked gate is forced on.)
+    monkeypatch.setattr(decoders, "_LOCKSTEP_LANES_PER_DIM", 0)
+    design = square_design(2)
+    book = enumerate_codebook(design, 1.0)
+    thin = LatticeDesign(generator=np.diag([1.0, 2e-12]), region=ShapingRegion.ball(1.0))
+    thin_book = Codebook(points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                         coords=np.array([[0, 0], [1, 0]]), scale=1.0)
+    lanes = [(np.array([0.4, 0.6]), np.eye(2), design, book),
+             (np.array([1e9, 1e9]), np.full((2, 2), 1e9), design, book),
+             (np.array([0.1, 0.2]), np.array([[1.0, 0.9], [0.2, 0.3]]), design, book),
+             (np.array([0.9, 0.1]), np.diag([30.0, 0.1]), thin, thin_book)]
+    stage = decoders.BlockStage([(design, book), (thin, thin_book)], len(lanes),
+                                rho=100.0, gate_alpha=7.0)
+    for y, h, _, b in lanes:
+        stage.add(y, h, b)
+    stage.build(ALL_METHODS)
+    seen = set()
+    for i, (y, h, d, b) in enumerate(lanes):
+        # (`reg_exact`'s unbounded search on the thin basis would run to its node cap.)
+        for method in ("ml", "lr_sic", "lr_linear") if d is thin else ALL_METHODS:
+            want = outcome_or_failure(prepare(y, h, d, b, rho=100.0, gate_alpha=7.0), method)
+            assert outcome_or_failure(stage.lane(i), method) == want, (i, method)
+            seen.add((i, want[0]))
+    assert {(1, NotPositiveDefinite), (3, RankDeficient), (1, "codeword")} <= seen
+    assert (3, "codeword") in seen or (3, "out_of_codebook") in seen
 
 
 def differential_config(model, **kw):
@@ -627,31 +772,42 @@ def test_scan_of_speculative_blocks_matches_serial(model, serial_records):
 
 def plant_failures(monkeypatch, plants):
     """Raise NearSingularChannel at each (rho_db, trial, method) of
-    `plants`: in that method's detector, or for method None in the
-    trial's channel stage.  Forked pool workers inherit the patch."""
+    `plants`: in that method's detector on the trial's lane, or for method
+    None in the trial's draw.  Forked pool workers inherit the patch."""
     keys = {(dmtsim._key_from_float(rho_db), trial): (rho_db, method)
             for rho_db, trial, method in plants}
     current = {}
 
     def keyed_rng(*key):
-        current["plant"] = keys.get((key[2], key[4]))
+        plant = current["draw"] = keys.get((key[2], key[4]))
+        if plant is not None and plant[1] is None:
+            raise NearSingularChannel(f"planted at {plant[0]} dB, method None")
         return trial_rng(*key)
 
-    def planted(method):
-        if current["plant"] is not None and current["plant"][1] == method:
-            raise NearSingularChannel(f"planted at {current['plant'][0]} dB, "
-                                      f"method {method}")
+    class PlantedStage(decoders.BlockStage):
+        """Lane i is the block's i-th draw: its plant is noted when the
+        draw is added and looked up when the lane is decoded."""
 
-    def planted_prepare(*args, **kwargs):
-        planted(None)
-        return decoders.prepare(*args, **kwargs)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.plants = []
+
+        def add(self, *args):
+            super().add(*args)
+            self.plants.append(current["draw"])
+
+        def lane(self, i):
+            current["plant"] = self.plants[i]
+            return super().lane(i)
 
     def planted_decode(stage, *, method):
-        planted(method)
+        plant = current["plant"]
+        if plant is not None and plant[1] == method:
+            raise NearSingularChannel(f"planted at {plant[0]} dB, method {method}")
         return decoders.decode(stage, method=method)
 
     monkeypatch.setattr(dmtsim, "trial_rng", keyed_rng)
-    monkeypatch.setattr(dmtsim, "prepare", planted_prepare)
+    monkeypatch.setattr(dmtsim, "BlockStage", PlantedStage)
     monkeypatch.setattr(dmtsim, "decode", planted_decode)
 
 
@@ -758,14 +914,15 @@ class PlantedBug(Exception):
 
 
 def test_unexpected_exception_leaves_the_sweep_unchanged(monkeypatch):
-    # Planted in each trial's channel stage, inside `sweep_cell`: the serial
+    # Planted in each block's channel stage, inside `sweep_cell`: the serial
     # run raises it from its own frame, the pool from a worker.
     cfg = differential_config("quasi_static_rayleigh")
 
-    def broken_prepare(*args, **kwargs):
-        raise PlantedBug("planted: the stage is broken")
+    class BrokenStage(decoders.BlockStage):
+        def build(self, methods):
+            raise PlantedBug("planted: the stage is broken")
 
-    monkeypatch.setattr(dmtsim, "prepare", broken_prepare)
+    monkeypatch.setattr(dmtsim, "BlockStage", BrokenStage)
     for workers in (1, 2):
         with pytest.raises(PlantedBug) as raised:
             run_sweep(cfg, workers=workers)

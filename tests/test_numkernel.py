@@ -93,6 +93,57 @@ def test_qr_matches_numpy():
         assert np.allclose(signs[:, None] * r_ref, r, rtol=1e-9, atol=1e-10)
 
 
+def _lapack_qr(a):
+    """np.linalg.qr with the positive-diagonal sign fix."""
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
+
+
+def test_qr_of_an_upper_triangle_is_lapacks_without_the_call():
+    # (I, M) for a square upper triangle with a positive diagonal is what
+    # LAPACK returns, to the last bit (the -0.0 below Q's diagonal and any
+    # -0.0 of M below its diagonal, which R reads as +0.0, included); a
+    # general matrix still goes to LAPACK.  Stacks match their matrices.
+    rng = np.random.default_rng(505)
+    for n in (1, 2, 3, 4, 6, 8, 16):
+        stack = np.triu(rng.standard_normal((60, n, n)))
+        diag = np.arange(n)
+        stack[:, diag, diag] = np.abs(stack[:, diag, diag]) + 1e-3
+        stack[::3][:, np.tril_indices(n, -1)[0], np.tril_indices(n, -1)[1]] = -0.0
+        general = rng.standard_normal((60, n, n))
+        for batch in (stack, general):
+            qs, rs = qr_decompose(batch)
+            for a, q_lane, r_lane in zip(batch, qs, rs):
+                q, r = qr_decompose(a)
+                q_ref, r_ref = _lapack_qr(a)
+                for got in ((q, r), (q_lane, r_lane)):
+                    assert got[0].tobytes() == q_ref.tobytes()
+                    assert got[1].tobytes() == r_ref.tobytes()
+
+
+def test_stacked_kernels_match_their_matrices():
+    rng = np.random.default_rng(606)
+    for n in (2, 4, 8):
+        a = np.array([random_spd(rng, n) for _ in range(50)])
+        u = cholesky_upper(a)
+        b = rng.standard_normal((50, n, 3))
+        low = np.swapaxes(u, -1, -2)
+        x_up, x_low = solve_upper_triangular(u, b), solve_lower_triangular(low, b)
+        sv = singular_values(a)
+        for i in range(50):
+            assert np.array_equal(u[i], cholesky_upper(a[i]))
+            assert np.array_equal(x_up[i], solve_upper_triangular(u[i], b[i]))
+            assert np.array_equal(x_low[i], solve_lower_triangular(low[i], b[i]))
+            assert np.array_equal(sv[i], singular_values(a[i]))
+    # One failing matrix fails the stack.
+    a[7] = np.array([[1.0, 2.0], [2.0, 1.0]]).repeat(4, 0).repeat(4, 1)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_upper(a)
+    with pytest.raises(RankDeficient):
+        qr_decompose(np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]]))
+
+
 def test_qr_rank_deficient():
     a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(RankDeficient):

@@ -54,7 +54,10 @@ def test_tracer_install_and_uninstall_restore_every_binding(tmp_path):
     ids=lambda c: c.model)
 def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
     # Each recorded decode is one traced `decoders.decode` span of its
-    # method, and each ARQ trial one traced `channels.simulate_arq_episode`.
+    # method, and each ARQ trial of a block run one traced
+    # `channels.simulate_arq_episode`: a block draws all its trials before
+    # it decodes any, so a level draws up to the end of the block that
+    # holds its last recorded trial.
     design = latdec.LatticeDesign(generator=np.eye(2),
                                   region=latdec.ShapingRegion.box([0.6, 0.6]),
                                   dither=np.full(2, 0.5))
@@ -72,7 +75,9 @@ def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
     for method in config.methods:
         decodes = sum(rec.trials for rec in records if rec.method == method)
         assert decodes > 0 and spans[f"decoders.decode.{method}"] == decodes
-    trials = sum(max(rec.trials for rec in records if rec.rho_db == rho_db)
-                 for rho_db in config.rho_db)
-    episodes = trials if channel.model == "mimo_arq" else 0
+    block = latdec.dmtsim.BLOCK_TRIALS
+    last = [max(rec.trials for rec in records if rec.rho_db == rho_db)
+            for rho_db in config.rho_db]
+    drawn = sum(min(config.max_trials, -(-t // block) * block) for t in last)
+    episodes = drawn if channel.model == "mimo_arq" else 0
     assert spans["channels.simulate_arq_episode"] == episodes

@@ -14,11 +14,13 @@ from latdec.numkernel import qr_decompose
 from latdec.reduction import (
     gate_exponent_default,
     gated_reduce,
+    gated_reduce_stack,
     integer_det,
     is_lll_reduced,
     iteration_bound,
     iteration_bound_for_kappa,
     lll_reduce,
+    lll_reduce_stack,
 )
 
 
@@ -363,3 +365,67 @@ def test_lll_reference_refuses_as_the_list_loop():
             reduce(m)
         with pytest.raises(IterationOverflow, match="budget 0"):
             reduce(np.array([[1.0, 0.99], [0.0, 0.01]]), max_swaps=0)
+
+
+def _lockstep_against_list_loop(bases, max_swaps):
+    """`lll_reduce_stack` of a stack equals `lll_reduce` of each basis bit
+    for bit, and refuses exactly the bases the list loop refuses."""
+    stack = lll_reduce_stack(np.array(bases), max_swaps)
+    refused = 0
+    for i, m in enumerate(bases):
+        try:
+            res = lll_reduce(m, max_swaps=max_swaps)
+        except IterationOverflow:
+            assert stack.refused[i] and stack.lane(i) is None, f"basis {i}"
+            refused += 1
+            continue
+        lane = stack.lane(i)
+        assert lane is not None and lane.iterations == res.iterations, f"basis {i}"
+        for field in ("r", "q", "unimodular", "reduced"):
+            assert np.array_equal(getattr(lane, field), getattr(res, field)), (i, field)
+        assert lane.unimodular.dtype == np.int64
+    return refused
+
+
+def test_lll_lockstep_matches_the_list_loop():
+    # Every shape of the differential bases as one stack, at the default
+    # cap and at caps of one swap and of none, which refuse many.
+    by_shape = {}
+    for m in _differential_bases():
+        by_shape.setdefault(m.shape, []).append(m)
+    refused = {}
+    for shape, bases in by_shape.items():
+        cap = 10 * max(iteration_bound(m) for m in bases)
+        for max_swaps in (cap, 1, 0):
+            refused[max_swaps] = (refused.get(max_swaps, 0)
+                                  + _lockstep_against_list_loop(bases, max_swaps))
+    assert refused[max(refused)] == 0 and refused[1] > 0 and refused[0] > refused[1]
+
+
+def test_lll_lockstep_refuses_at_the_2_53_guard_lane_by_lane():
+    bases = [np.array([[1.0, 1e8, 0.0], [0.0, 1.0, 1e9], [0.0, 0.0, 1.0]]),
+             np.array([[1.0, 1e6, 0.0], [0.0, 1.0, 1e6], [0.0, 0.0, 1.0]]),
+             np.array([[2.0, 0.3, 5.1], [0.0, 1.0, 0.7], [0.0, 0.0, 0.4]])]
+    assert _lockstep_against_list_loop(bases, 100) == 1
+    stack = lll_reduce_stack(np.array(bases), 100)
+    assert list(stack.refused) == [True, False, False]
+    assert stack.lane(1).unimodular[0, 2] == 10**12
+
+
+def test_gated_reduce_stack_matches_gated_reduce():
+    bases = [b for b in _differential_bases() if b.shape == (4, 4)]
+    gates = gated_reduce_stack(np.array(bases), rho=10.0, alpha=1.0)
+    timed_out = 0
+    for i, m in enumerate(bases):
+        want, got = gated_reduce(m, rho=10.0, alpha=1.0), gates.outcome(i)
+        assert (got.kappa, got.threshold, got.timed_out) == (
+            want.kappa, want.threshold, want.timed_out)
+        if not want.timed_out:
+            assert np.array_equal(got.basis.reduced, want.basis.reduced)
+            assert np.array_equal(got.basis.unimodular, want.basis.unimodular)
+        timed_out += want.timed_out
+    assert 0 < timed_out < len(bases)
+    # A threshold of 1 refuses every basis, so the lockstep loop gets none.
+    gates = gated_reduce_stack(np.array(bases), rho=1.0, alpha=1.0)
+    assert gates.reduction.refused.size == 0
+    assert all(gates.outcome(i).timed_out for i in range(len(bases)))
