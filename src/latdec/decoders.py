@@ -27,10 +27,17 @@ lattices", IEEE T-IT 2002), and hands the few codewords near the best to
 
 Every method decodes a `ChannelStage`, the channel stage of one received
 vector shared by the methods, through `decode(stage, method=...)`: the
-one method dispatch.  A sweep block's stages are the lanes of one
-`BlockStage`, which forms the GDFE, the condition gate and LLL of all its
-lanes at once on (B, n, n) stacks, bit for bit as each lane's own
-`RegularizedProblem.prepared()` and `gated_reduce` would.
+one method dispatch, the library path and the reference of the stacked
+one.  A sweep block's stages are the lanes of one `BlockStage`, which
+forms the GDFE, the condition gate and LLL of all its lanes at once on
+(B, n, n) stacks, bit for bit as each lane's own
+`RegularizedProblem.prepared()` and `gated_reduce` would, and
+`decode(block, method=..., budget=...)` decodes the whole block for one
+method up to its budget-th error: the ML scan, the nearest-plane and
+rounding detectors and `reg_exact`'s QR run on the (B, n) stacks, each
+lane's outcome the one its own stage gives, bit for bit.  The stacked
+detectors decode every lane of a rung, so lanes past the method's
+stopping lane may be decoded for nothing; they are not counted.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .numkernel import (
     solve_lower_triangular,
     solve_upper_triangular,
 )
-from .reduction import GateOutcome, ReducedBasis, gated_reduce, gated_reduce_stack
+from .reduction import GateOutcome, GateStack, ReducedBasis, gated_reduce, gated_reduce_stack
 
 __all__ = [
     "METHOD_ML",
@@ -81,6 +88,7 @@ __all__ = [
     "approximation_ratio",
     "ChannelStage",
     "BlockStage",
+    "BlockOutcome",
     "decode",
 ]
 
@@ -203,10 +211,16 @@ def _triangular_form(y, h, t_reg, scaled_generator, dither) -> tuple:
     `einsum`)."""
     b, f = mmse_gdfe_filters(h, t_reg)
     y_eff = y - h @ dither
-    yprime = (f @ y_eff[..., None])[..., 0]
+    yprime = _matvec(f, y_eff)
     gamma = _squared_norm(y_eff) - _squared_norm(yprime)
     # Gamma is nonnegative in exact arithmetic; clamp roundoff.
     return b, yprime, np.where(0.0 > gamma, 0.0, gamma), b @ scaled_generator
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v, or that of each matrix and vector of stacks (..., m, n) and
+    (..., n), as a stacked matmul: each lane rounds as it would alone."""
+    return (a @ v[..., None])[..., 0]
 
 
 def _squared_norm(v: np.ndarray) -> np.ndarray:
@@ -334,13 +348,26 @@ def _ml_search(stage: ChannelStage) -> DecodeOutcome:
 
 
 def _babai_backsub(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
-    """Nearest-plane integer coordinates by rounded back-substitution."""
-    n = r.shape[0]
-    z = np.zeros(n)
+    """Nearest-plane integer coordinates by rounded back-substitution, of
+    one triangular system or of each of a stack (..., n, n), (..., n).
+    Each row's dot product is a (1, k) @ (k, 1) matmul, which BLAS rounds
+    as it rounds a lone one."""
+    n = r.shape[-1]
+    z = np.zeros(ytil.shape)
     for i in range(n - 1, -1, -1):
-        c = (ytil[i] - r[i, i + 1:] @ z[i + 1:]) / r[i, i]
-        z[i] = round_half_away_from_zero_scalar(c)
+        dot = (r[..., i:i + 1, i + 1:] @ z[..., i + 1:, None])[..., 0, 0]
+        z[..., i] = round_half_away_from_zero((ytil[..., i] - dot) / r[..., i, i])
     return z
+
+
+def _rounded_solve(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
+    """The real solution of R c = ytil rounded coordinatewise (ties away
+    from zero), for one system or each of a stack (..., n, n), (..., n)."""
+    return round_half_away_from_zero(solve_upper_triangular(r, ytil[..., None])[..., 0])
+
+
+#: The reduction-aided detectors, each on one reduced triangle or a stack.
+_DETECTORS = {METHOD_LR_SIC: _babai_backsub, METHOD_LR_LINEAR: _rounded_solve}
 
 
 def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
@@ -393,10 +420,12 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
                 if i == n:
                     break
             elif accept is None or accept(z):
-                leaves.append((z.copy(), cost))
                 if cost < best:
+                    # Drop the leaves the lower best puts past the slack.
                     best = cost
                     radius = best + slack
+                    leaves = [leaf for leaf in leaves if leaf[1] <= radius]
+                leaves.append((z.copy(), cost))
             z[i] += step[i]
             step[i] = -step[i] - math.copysign(1.0, step[i])
             if not lo[i] <= z[i] <= hi[i]:
@@ -410,7 +439,7 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
         cost = dist_above[i] + diff * diff
         if not lo[i] <= z[i] <= hi[i]:
             cost = math.inf    # both sides of this level have left the box
-    return [(zl.astype(np.int64), c) for zl, c in leaves if c <= best + slack]
+    return [(zl.astype(np.int64), c) for zl, c in leaves]
 
 
 def _closest_point(basis: np.ndarray, target: np.ndarray, box=None,
@@ -466,8 +495,8 @@ def lr_aided_linear(problem: RegularizedProblem,
     coordinate (ties away from zero), map back through the unimodular
     transform.  The metric is within a factor 1 + 2n (9/2)^(n/2) of the
     exact regularized minimum."""
-    c_real = solve_upper_triangular(reduced.r, reduced.q.T @ problem.prepared().yprime)
-    return _map_back(problem, reduced, round_half_away_from_zero(c_real))
+    c = _rounded_solve(reduced.r, reduced.q.T @ problem.prepared().yprime)
+    return _map_back(problem, reduced, c)
 
 
 def _map_back(problem: RegularizedProblem, reduced: ReducedBasis,
@@ -520,23 +549,47 @@ class ChannelStage:
         return gated_reduce(self.problem.prepared().basis, self.rho, self.gate_alpha)
 
 
+@dataclass(eq=False)
+class _RungStack:
+    """The lanes of one rung of a `BlockStage`: the rung's design and
+    codebook, the (T, phi G, u) its lanes share, their stacks (preallocated
+    for the whole block), the lane of the block each slot holds, and what
+    `build` forms of them."""
+
+    design: LatticeDesign
+    book: Codebook
+    fixed: tuple                 # (T, phi G, u)
+    y: np.ndarray                # (size, m) received vectors
+    h: np.ndarray                # (size, m, n) channels
+    sent: np.ndarray             # (size, n) coordinates of the sent codewords
+    lanes: list = field(default_factory=list)   # slot -> lane
+    form: tuple | None = None    # stacked (B, y', Gamma, basis)
+    gates: GateStack | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.lanes)
+
+
 class BlockStage:
     """The channel stage of a block of received vectors, built once on
     stacks and shared by every method that decodes them.
 
-    `add` writes each lane's (y, H) into its rung's preallocated stacks,
-    so lanes are grouped by rung (an ARQ episode by its stopping round).
-    `build(methods)` checks each rung's stacks once for NaN/Inf, then
-    forms on (B, n, n) arrays what the methods read: the GDFE of all its
-    lanes if one reads the triangular form, and their condition gate and
-    lockstep LLL if one is reduction-aided (which needs `rho` and
-    `gate_alpha`; a rung of fewer than 8 n lanes is left to the per-lane
-    `gated_reduce`).  `lane(i)` is lane i's `ChannelStage`, views into the
-    stacks, which `decode` reads as it reads a stage built alone: each
-    lane's arrays equal, bit for bit, what `RegularizedProblem.prepared()`
-    and `gated_reduce` give it.  A rung whose stacked GDFE or gate raises
-    a `LatdecError` (any one lane failing a floor does) leaves its lanes
-    to that per-lane path, which then builds each on first use and raises
+    `add` writes each lane's (y, H) and the coordinates of its sent
+    codeword into its rung's preallocated stacks, so lanes are grouped by
+    rung (an ARQ episode by its stopping round).  `build(methods)` checks
+    each rung's stacks once for NaN/Inf, then forms on (B, n, n) arrays
+    what the methods read: the GDFE of all its lanes if one reads the
+    triangular form, and their condition gate and lockstep LLL if one is
+    reduction-aided (which needs `rho` and `gate_alpha`; a rung of fewer
+    than 8 n lanes is left to the per-lane `gated_reduce`).  `decode(block,
+    method=..., budget=...)` then decodes the whole block for one method.
+    `lane(i)` is lane i's `ChannelStage`, views into the stacks, which
+    `decode` reads as it reads a stage built alone: each lane's arrays
+    equal, bit for bit, what `RegularizedProblem.prepared()` and
+    `gated_reduce` give it.  A rung whose stacked GDFE or gate raises a
+    `LatdecError` (any one lane failing a floor does) leaves its lanes to
+    that per-lane path, which then builds each on first use and raises
     there, for each method that reads it."""
 
     def __init__(self, rungs: list, size: int, rho: float | None = None,
@@ -545,72 +598,121 @@ class BlockStage:
         self.size = size   # lanes the stacks hold
         self.lanes = 0     # lanes written
         self._where = np.zeros((size, 2), dtype=np.intp)  # lane -> (rung, slot)
-        self._stacks = [None] * len(rungs)   # rung -> [y stack, H stack, lanes]
-        self._fixed = [(np.eye(d.dimension), book.scale * d.generator,
-                        np.zeros(d.dimension) if d.dither is None else d.dither)
-                       for d, book in rungs]  # rung -> (T, phi G, u)
-        self._forms = [None] * len(rungs)    # rung -> stacked (B, y', Gamma, basis)
-        self._gates = [None] * len(rungs)    # rung -> GateStack
+        self._stacks = [None] * len(rungs)   # rung -> _RungStack, once it has a lane
 
-    def add(self, y, h, codebook: Codebook) -> None:
-        """Write the next lane, sent from `codebook` (one of the rungs')."""
+    def add(self, y, h, codebook: Codebook, message: int) -> None:
+        """Write the next lane, codeword `message` of `codebook` (one of
+        the rungs') sent over channel `h` and received as `y`."""
         rung = next(i for i, (_, book) in enumerate(self.rungs) if book is codebook)
         if self._stacks[rung] is None:
-            self._stacks[rung] = [np.empty((self.size,) + np.shape(y)),
-                                  np.empty((self.size,) + np.shape(h)), 0]
+            design = self.rungs[rung][0]
+            n = design.dimension
+            self._stacks[rung] = _RungStack(
+                design=design, book=codebook,
+                fixed=(np.eye(n), codebook.scale * design.generator,
+                       np.zeros(n) if design.dither is None else design.dither),
+                y=np.empty((self.size,) + np.shape(y)), h=np.empty((self.size,) + np.shape(h)),
+                sent=np.empty((self.size, n), dtype=np.int64))
         stack = self._stacks[rung]
-        slot = stack[2]
-        stack[0][slot], stack[1][slot] = y, h
-        stack[2] = slot + 1
+        slot = stack.count
+        stack.y[slot], stack.h[slot] = y, h
+        stack.sent[slot] = codebook.coords[message]
+        stack.lanes.append(self.lanes)
         self._where[self.lanes] = rung, slot
         self.lanes += 1
+
+    def _filled(self) -> list:
+        """The rungs' stacks that hold lanes."""
+        return [stack for stack in self._stacks if stack is not None]
 
     def build(self, methods) -> None:
         """Check the lanes, then form what `methods` read."""
         gdfe = any(m in _READS_TRIANGULAR_FORM for m in methods)
         reduce = (any(m in _REDUCTION_AIDED for m in methods)
                   and self.rho is not None and self.gate_alpha is not None)
-        stacks = [(rung, stack[0][:stack[2]], stack[1][:stack[2]])
-                  for rung, stack in enumerate(self._stacks) if stack is not None]
-        if not all(np.isfinite(ys).all() and np.isfinite(hs).all() for _, ys, hs in stacks):
+        stacks = self._filled()
+        if not all(np.isfinite(s.y[:s.count]).all() and np.isfinite(s.h[:s.count]).all()
+                   for s in stacks):
             for i in range(self.lanes):   # the first bad lane raises, as it would alone
                 RegularizedProblem(*self._lane_arrays(i))
-        for rung, ys, hs in stacks if gdfe or reduce else ():
+        for stack in stacks if gdfe or reduce else ():
+            hs = stack.h[:stack.count]
             try:
-                self._forms[rung] = _triangular_form(ys, hs, *self._fixed[rung])
+                stack.form = _triangular_form(stack.y[:stack.count], hs, *stack.fixed)
                 if reduce and len(hs) >= _LOCKSTEP_LANES_PER_DIM * hs.shape[-1]:
-                    self._gates[rung] = gated_reduce_stack(self._forms[rung][3],
-                                                           self.rho, self.gate_alpha)
+                    stack.gates = gated_reduce_stack(stack.form[3], self.rho, self.gate_alpha)
             except LatdecError:
                 pass   # left to the per-lane path
 
     def _lane_arrays(self, i: int) -> tuple:
         rung, slot = self._where[i]
-        ys, hs, _ = self._stacks[rung]
-        return (ys[slot], hs[slot]) + self._fixed[rung]
+        stack = self._stacks[rung]
+        return (stack.y[slot], stack.h[slot]) + stack.fixed
 
     def lane(self, i: int) -> ChannelStage:
         """Lane i's channel stage, built now from views into the stacks."""
         rung, slot = self._where[i]
+        stack = self._stacks[rung]
         y, h, t_reg, scaled_generator, dither = self._lane_arrays(i)
-        form = self._forms[rung]
+        form = stack.form
         b, yprime, gamma, basis = (None, None, 0.0, None) if form is None else (
             form[0][slot], form[1][slot], float(form[2][slot]), form[3][slot])
         problem = RegularizedProblem._from_checked(
             y=y, h=h, t_reg=t_reg, scaled_generator=scaled_generator, dither=dither,
             b=b, yprime=yprime, gamma=gamma, basis=basis)
-        design, book = self.rungs[rung]
-        stage = ChannelStage(problem, design, book, rho=self.rho, gate_alpha=self.gate_alpha)
-        if self._gates[rung] is not None:
-            stage.reduction = self._gates[rung].outcome(slot)
-        return stage
+        lane = ChannelStage(problem, stack.design, stack.book, rho=self.rho,
+                            gate_alpha=self.gate_alpha)
+        if stack.gates is not None:
+            lane.reduction = stack.gates.outcome(slot)
+        return lane
 
 
-def decode(stage: ChannelStage, *, method: str) -> DecodeOutcome:
-    """Decode a block's channel stage with `method`.
+@dataclass
+class BlockOutcome:
+    """One method's decode of a `BlockStage`: the lanes it decoded (the
+    first `decoded`, in trial order), the (lane, outcome kind) of each
+    error among them, and the failure that stopped it, (lane, LatdecError),
+    or None."""
 
-    A gate refusal surfaces as a timeout outcome; lattice-decoder outputs
-    are classified against the shaping region, here and nowhere else."""
+    decoded: int
+    errors: list
+    failure: tuple | None
+
+
+#: A lane's outcome code in a block decode: right, or the kind of its error.
+_KINDS = (None, "codeword", "out_of_codebook", "timeout")
+_RIGHT, _WRONG, _OUTSIDE, _TIMEOUT = range(len(_KINDS))
+
+
+def decode(stage, *, method: str,
+           budget: int | None = None) -> DecodeOutcome | BlockOutcome:
+    """Decode with `method` one `ChannelStage`, or a whole built `BlockStage`.
+
+    A stage gives its `DecodeOutcome`: a gate refusal surfaces as a
+    timeout outcome, and lattice-decoder outputs are classified against
+    the shaping region, here and, for a block's stacks, in
+    `_classified_codes`, nowhere else.
+
+    A block gives a `BlockOutcome`: its lanes decoded in trial order up to
+    the `budget`-th error (None: every lane), or up to the first
+    `LatdecError`, and its errors, each lane's outcome compared with the
+    codeword sent.  Each lane's outcome is the one its `ChannelStage`
+    gives, bit for bit, but the detectors run on the rungs' stacks: the ML
+    scan of a codebook of at most `ML_SCAN_MAX_POINTS` points, the
+    reduction-aided detectors of a rung with a gate stack (both on every
+    lane of the rung, past the stopping lane too), and `reg_exact`'s QR and
+    rotation of the target, whose search then runs lane by lane.  `naive`,
+    larger codebooks' ML, and every rung whose stacks lack what the method
+    reads or whose stacked detector raises a `LatdecError` are decoded lane
+    by lane through the stage path, which raises each lane's own failure."""
+    if isinstance(stage, BlockStage):
+        return _decode_block(stage, method, budget)
+    if budget is not None:
+        raise ValueError("a budget applies to a BlockStage")
+    return _decode_lane(stage, method)
+
+
+def _decode_lane(stage: ChannelStage, method: str) -> DecodeOutcome:
     problem = stage.problem
     if method == METHOD_ML:
         if stage.codebook.size <= ML_SCAN_MAX_POINTS:
@@ -633,3 +735,142 @@ def _classify(design: LatticeDesign, res: LatticeDecodeResult) -> DecodeOutcome:
     if design.region.contains(res.point):
         return DecodeOutcome.codeword(res.point, res.coords, res.metric)
     return DecodeOutcome.out_of_codebook(res.point, res.coords, res.metric)
+
+
+def _decode_block(block: BlockStage, method: str, budget: int | None) -> BlockOutcome:
+    """`decode` of a block: each rung's outcome codes from its stacks, or
+    a decoder of one lane that a scan in trial order calls."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    codes = np.zeros(block.lanes, dtype=np.int8)
+    one_by_one = {}   # rung -> code of (lane, slot), for the scan to call
+    searches = []     # reg_exact's, whose points are classified after the scan
+    for rung, stack in enumerate(block._stacks):
+        if stack is None:
+            continue
+        try:
+            if method == METHOD_ML and stack.book.size <= ML_SCAN_MAX_POINTS:
+                codes[stack.lanes] = _scan_codes(stack)
+            elif method in _REDUCTION_AIDED and stack.gates is not None:
+                codes[stack.lanes] = _reduction_aided_codes(stack, method)
+            elif method == METHOD_REG_EXACT and stack.form is not None:
+                searches.append(_RegularizedSearch(stack))
+                one_by_one[rung] = searches[-1].code
+            else:
+                one_by_one[rung] = _lane_decoder(block, stack, method)
+        except LatdecError:   # a stacked detector raised: the lanes go one by one
+            one_by_one[rung] = _lane_decoder(block, stack, method)
+    decoded, failure = block.lanes, None
+    if one_by_one:
+        decoded = errors = 0
+        for lane, (rung, slot) in enumerate(block._where[:block.lanes].tolist()):
+            if budget is not None and errors >= budget:
+                break
+            code = codes[lane]
+            if rung in one_by_one:
+                try:
+                    code = codes[lane] = one_by_one[rung](lane, slot)
+                except LatdecError as exc:
+                    failure = (lane, exc)
+                    break
+            decoded += 1
+            errors += code != _RIGHT
+    for search in searches:
+        search.classify(codes)
+    wrong = np.flatnonzero(codes[:decoded])
+    if budget is not None and len(wrong) >= budget:
+        # Stop at the budget-th error: a search classified past the region
+        # can move it before where the scan stopped.
+        wrong, failure = wrong[:budget], None
+        decoded = int(wrong[-1]) + 1 if budget else 0
+    return BlockOutcome(decoded, [(lane, _KINDS[codes[lane]]) for lane in wrong.tolist()],
+                        failure)
+
+
+def _lane_decoder(block: BlockStage, stack: _RungStack, method: str):
+    """The code of one lane of `stack` decoded alone, through its stage."""
+    def code(lane: int, slot: int) -> int:
+        out = _decode_lane(block.lane(lane), method)
+        if out.is_codeword and np.array_equal(out.coords, stack.sent[slot]):
+            return _RIGHT
+        return _KINDS.index(out.kind)
+    return code
+
+
+def _classified_codes(stack: _RungStack, slots, z: np.ndarray) -> np.ndarray:
+    """The codes of the lanes at `slots` decoded to coordinates z: their
+    points classified against the region, and the coordinates compared
+    with the sent ones."""
+    _, scaled_generator, dither = stack.fixed
+    inside = stack.design.region.contains(lattice_points(scaled_generator, dither, z))
+    wrong = (z != stack.sent[slots]).any(axis=-1)
+    return np.where(inside, np.where(wrong, _WRONG, _RIGHT), _OUTSIDE)
+
+
+def _scan_codes(stack: _RungStack) -> np.ndarray:
+    """`ml_decode` of every lane of a rung, as outcome codes: the scan of
+    `ml_decode` on chunks of at most ML_SCAN_MAX_POINTS // size lanes, so
+    no temporary is larger than one lane's scan of the largest codebook
+    scanned."""
+    book, count = stack.book, stack.count
+    step = max(1, ML_SCAN_MAX_POINTS // book.size)
+    best = np.concatenate([_scan_chunk(book.points, stack.y[lo:min(lo + step, count)],
+                                       stack.h[lo:min(lo + step, count)])
+                           for lo in range(0, count, step)])
+    wrong = (book.coords[best] != stack.sent[:count]).any(axis=-1)
+    return np.where(wrong, _WRONG, _RIGHT)
+
+
+def _scan_chunk(points: np.ndarray, ys: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """`ml_decode`'s codeword index for each lane of stacks (L, m) of y
+    and (L, m, n) of H: one (L, size, m) buffer, worked in place."""
+    resid = points @ np.swapaxes(hs, -1, -2)
+    np.subtract(ys[:, None, :], resid, out=resid)
+    dists = np.sum(np.multiply(resid, resid, out=resid), axis=-1)
+    return (dists <= (dists.min(axis=-1) + TIE_TOLERANCE)[:, None]).argmax(axis=-1)
+
+
+def _reduction_aided_codes(stack: _RungStack, method: str) -> np.ndarray:
+    """`lr_sic` or `lr_linear` of every lane of a rung, from its gate
+    stack: the target rotated by each reduced Q^T, the detector on the
+    stack of triangles, the unimodular map back and the classification.
+    A lane the gate or the swap cap refused is a timeout."""
+    gates = stack.gates
+    reduced, slots = gates.reduction, gates.slots
+    passed = np.flatnonzero(slots >= 0)
+    passed = passed[~reduced.refused[slots[passed]]]
+    codes = np.full(stack.count, _TIMEOUT, dtype=np.int8)
+    if passed.size:
+        s = slots[passed]
+        ytil = _matvec(np.swapaxes(reduced.q[s], -1, -2), stack.form[1][passed])
+        c = _DETECTORS[method](reduced.r[s], ytil)
+        z = _matvec(reduced.unimodular[s], c.astype(np.int64))
+        codes[passed] = _classified_codes(stack, passed, z)
+    return codes
+
+
+class _RegularizedSearch:
+    """`reg_exact` on a rung: the QR of every lane's basis and the target
+    rotated by Q^T, on the stacks, then one lane's sphere search per
+    `code` call, in slot order.  `code` compares the coordinates alone;
+    `classify` then places the searched lanes' points against the region,
+    all at once."""
+
+    def __init__(self, stack: _RungStack):
+        _, yprime, _, basis = stack.form
+        q, self.r = qr_decompose(basis)
+        self.ytil = _matvec(np.swapaxes(q, -1, -2), yprime)
+        self.stack = stack
+        self.z = np.empty(yprime.shape, dtype=np.int64)
+        self.searched = 0
+
+    def code(self, lane: int, slot: int) -> int:
+        [(z, _)] = _sphere_search(self.r[slot], self.ytil[slot])
+        self.z[slot] = z
+        self.searched += 1
+        return _WRONG if (self.z[slot] != self.stack.sent[slot]).any() else _RIGHT
+
+    def classify(self, codes: np.ndarray) -> None:
+        slots = np.arange(self.searched)
+        codes[self.stack.lanes[:self.searched]] = _classified_codes(
+            self.stack, slots, self.z[slots])

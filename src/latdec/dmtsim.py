@@ -16,8 +16,10 @@ whose `records` raise the failures it lists.  Each block has one path:
 the channel layer's trial sampler draws each trial from its own stream
 (ARQ trials through `channels.simulate_arq_episode`) into one
 `decoders.BlockStage`, which builds the block's channel stage once, on
-stacked arrays, and `decoders.decode` runs each method still running on
-each trial's lane of it, in trial order.
+stacked arrays, and one `decoders.decode` call per method still running
+decodes the block's lanes in trial order, up to the method's last error
+in the block.  The stacked detectors may decode lanes past that stopping
+trial as well as draw them; the records count only the lanes before it.
 `run_sweep` hands out every level's blocks from one loop, serial or
 pooled, sets a level up as its first block goes out, and scans the blocks
 in trial order, so that every method stops at its min_errors-th error and
@@ -289,17 +291,20 @@ def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
     `SweepConfig.cell_codebooks`, BLOCK_TRIALS at a time (a sweep's block
     is one such run).  Each trial of a run is drawn from its own stream
     into one `BlockStage`, whose channel stage, built once for the run, is
-    shared by every method still running; the methods then decode the
-    trials in order, lane by lane, and a method stops once its errors in
+    shared by every method still running; each method then decodes the
+    run in one `decode` call, in trial order, and stops once its errors in
     this block reach its entry in `budgets`; a method with budget 0 does
     not run.  The stage forms the GDFE only if a method that reads it runs,
     and the gated LLL only if a reduction-aided one does.  A run is drawn
     whole before it is decoded, so its trials past the last method's
-    stopping trial are drawn and staged for nothing.
+    stopping trial are drawn and staged for nothing, and the stacked
+    detectors (the ML scan, `lr_sic`, `lr_linear`) decode a method's
+    trials past its stopping trial too; the tally counts none of them.
 
-    A `LatdecError` is not raised but listed in the tally, for
-    `BlockTally.records` to raise: a method that fails stops, and a failed
-    trial draw ends the block after the trials before it."""
+    A `LatdecError` is not raised but listed in the tally, in serial
+    order (by trial, then by method), for `BlockTally.records` to raise: a
+    method that fails stops, and a failed trial draw ends the block after
+    the trials before it."""
     tally = BlockTally.empty(config, rho_db, start, stop)
     active = [m for m in config.methods if budgets[m] > 0]
     rho = 10.0 ** (float(rho_db) / 10.0)
@@ -315,33 +320,26 @@ def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
             break
         stage = BlockStage(rungs, min(BLOCK_TRIALS, stop - first), rho=rho,
                            gate_alpha=config.gate_alpha)
-        messages = []
         try:
             for trial in range(first, first + stage.size):
                 draw = draw_trial(trial)
-                stage.add(draw.y, draw.h, draw.codebook)
-                messages.append(draw.message)
+                stage.add(draw.y, draw.h, draw.codebook, draw.message)
         except LatdecError as exc:
             failed_draw = (trial, None, exc)
         stage.build(active)
-        for trial, message in enumerate(messages, start=first):
-            if not active:
-                break
-            lane = stage.lane(trial - first)
-            sent = lane.codebook.coords[message]
-            for method in tuple(active):
-                try:
-                    outcome = decode(lane, method=method)
-                except LatdecError as exc:
-                    tally.failures.append((trial, method, exc))
-                    active.remove(method)
-                    continue
-                tally.trials[method] += 1
-                if not (outcome.is_codeword and np.array_equal(outcome.coords, sent)):
-                    errors = tally.errors[method]
-                    errors.append((trial, outcome.kind))
-                    if len(errors) >= budgets[method]:
-                        active.remove(method)
+        failures = []
+        for method in tuple(active):
+            errors = tally.errors[method]
+            outcome = decode(stage, method=method, budget=budgets[method] - len(errors))
+            tally.trials[method] += outcome.decoded
+            errors += [(first + lane, kind) for lane, kind in outcome.errors]
+            if outcome.failure is not None:
+                lane, exc = outcome.failure
+                failures.append((first + lane, method, exc))
+            if outcome.failure is not None or len(errors) >= budgets[method]:
+                active.remove(method)
+        # Serial order: by trial, then (the sort is stable) by method.
+        tally.failures += sorted(failures, key=lambda failure: failure[0])
     if failed_draw is not None and active:
         tally.failures.append(failed_draw)
     return tally

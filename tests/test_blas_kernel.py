@@ -5,7 +5,10 @@ CPU at run time, so the last bits of a small matmul, QR or Cholesky can
 differ from one host to the next.  `OPENBLAS_CORETYPE` forces a kernel
 for one process.  Each test below reruns tests/test_pinned_records.py in
 a subprocess under a forced kernel, so a pinned hash that depends on the
-kernel fails here rather than on some other machine.  A test skips when
+kernel fails here rather than on some other machine, and with it the
+differential tests of the stacked block decode against the lane-by-lane
+loop, so a kernel whose stacked matmul rounds apart from a lone product
+fails here too.  A test skips when
 numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS or the CPU lacks the
 instructions the kernel needs."""
 
@@ -49,6 +52,9 @@ def test_pinned_records_hold_under_forced_kernel(coretype, flag):
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_pinned_records.py")],
+         str(ROOT / "tests" / "test_pinned_records.py"),
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_block_decode_matches_the_per_lane_loop",
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}"
+         "::test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -41,8 +41,8 @@ def _problem(y=None, h=None):
 def _block(y=None, h=None):
     """A two-lane block whose second lane holds the bad entry."""
     stage = BlockStage([(DESIGN, BOOK)], 2)
-    stage.add(np.ones(2), np.eye(2), BOOK)
-    stage.add(np.ones(2) if y is None else y, np.eye(2) if h is None else h, BOOK)
+    stage.add(np.ones(2), np.eye(2), BOOK, 0)
+    stage.add(np.ones(2) if y is None else y, np.eye(2) if h is None else h, BOOK, 0)
     stage.build(())
 
 

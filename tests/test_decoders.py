@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,52 @@ def test_sphere_node_budget_overflow(monkeypatch):
     monkeypatch.setattr(decoders, "NODE_BUDGET", 2)
     with pytest.raises(EnumerationOverflow):
         sphere_decode_regularized(prob)
+
+
+def test_sphere_search_holds_one_leaf_without_slack(monkeypatch):
+    # The generator's 1e-11 axis makes nearly every node a leaf a hair
+    # nearer than the last.  The search keeps only the leaves within the
+    # slack (none) of the best so far: it once kept all of them, 2.2 MB by
+    # 5e4 nodes and 43 MB by 1e6.  (Under tracemalloc 1e6 nodes take ~50 s.)
+    monkeypatch.setattr(decoders, "NODE_BUDGET", 5 * 10**4)
+    problem = RegularizedProblem(y=np.array([0.9, 0.1]), h=np.array([[3.0, 0.5], [0.5, 2.0]]),
+                                 t_reg=np.eye(2) / 100, scaled_generator=np.diag([1.0, 1e-11]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationOverflow):
+            sphere_decode_regularized(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_box_search_with_slack_keeps_every_leaf_within_it():
+    # Leaves dropped as the best falls are those past the final slack too:
+    # the search still returns every z of the box within the slack of the
+    # nearest, as scoring the whole box finds them.  Trials with a grid
+    # point within roundoff of the slack's edge are skipped.
+    rng = np.random.default_rng(2718)
+    checked = 0
+    for trial in range(200):
+        n = int(rng.integers(1, 5))
+        r = (np.triu(0.5 * rng.standard_normal((n, n)), 1)
+             + np.diag(rng.uniform(0.5, 2.0, n)))
+        y = 2.0 * rng.standard_normal(n)
+        lo = rng.integers(-3, 1, n)
+        hi = lo + rng.integers(0, 4, n)
+        slack = float(rng.uniform(0.0, 3.0))
+        grid = np.array(list(itertools.product(
+            *(range(a, b + 1) for a, b in zip(lo, hi)))), dtype=np.int64)
+        dists = np.sum((y - grid @ r.T) ** 2, axis=1)
+        edge = dists.min() + slack
+        if np.any(np.abs(dists - edge) < 1e-9):
+            continue
+        leaves = decoders._sphere_search(r, y, box=(lo, hi), slack=slack)
+        assert sorted(tuple(z) for z, _ in leaves) == sorted(
+            tuple(z) for z in grid[dists < edge]), f"trial {trial}"
+        checked += 1
+    assert checked > 150
 
 
 def _grid_minimizers(r, y, lo, hi):

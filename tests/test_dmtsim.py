@@ -490,9 +490,10 @@ def test_sweep_cell_matches_per_method_reference(model):
 
 def test_channel_stage_runs_once_per_trial(monkeypatch):
     # A block's channel stage is built once, on stacks: one GDFE and one
-    # gate of all its lanes; no lane is factored, gated or scanned alone.
+    # gate of all its lanes; no lane is factored, gated, checked or
+    # detected alone, but for `naive`'s QR.
     stacked = {"gdfe": [], "gate": []}
-    calls = {"lane_gate": 0, "scan": 0}
+    calls = {"lane_gate": 0, "scan": 0, "lane_detector": 0}
     factored, reduced = [], []
 
     def counted(name, fn):
@@ -527,6 +528,10 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     monkeypatch.setattr(decoders, "mmse_gdfe_filters", gdfe_spy)
     monkeypatch.setattr(decoders, "gated_reduce_stack", gate_spy)
     monkeypatch.setattr(decoders, "gated_reduce", counted("lane_gate", decoders.gated_reduce))
+    for detector in ("ml_decode", "sphere_decode_regularized", "babai_nearest_plane",
+                     "lr_aided_linear"):
+        monkeypatch.setattr(decoders, detector,
+                            counted("lane_detector", getattr(decoders, detector)))
     for module in (decoders, reduction):
         monkeypatch.setattr(module, "qr_decompose", qr_spy(module.qr_decompose))
     cfg = rayleigh_config(n_ant=2, methods=decoders.METHODS,
@@ -542,21 +547,27 @@ def test_channel_stage_runs_once_per_trial(monkeypatch):
     recs = level_block(cfg, 14.0).records()
     assert all(rec.trials == 60 for rec in recs)
     assert stacked == {"gdfe": [(60, 4, 4)], "gate": [(60, 4, 4)]}
-    assert calls["lane_gate"] == 0
+    assert calls["lane_gate"] == calls["lane_detector"] == 0
     # `BlockStage.build` checks the block's stacks; no lane scans again.
     assert calls["scan"] == 0
-    # One QR each for the regularized and the naive sphere search, and one
-    # of the block's stack inside LLL; the detectors read the reducer's
-    # factors and never factor a reduced basis.
-    assert reduced and len(factored) <= 2 * 60 + 1
+    # One QR per lane for the naive sphere search, one of the block's stack
+    # for the regularized one and one inside LLL; the detectors read the
+    # reducer's factors and never factor a reduced basis.
+    assert reduced and len(factored) == 60 + 2
     assert not any(np.array_equal(m, basis) for m in factored for basis in reduced)
 
 
-# Every DIFFERENTIAL_CASES model, plus the 8x8 ARQ rungs: two rounds of the
-# 2x2 design, which round 1 both ACKs and NACKs at this level.
+# Every DIFFERENTIAL_CASES model, plus the 8x8 ARQ rungs (two rounds of the
+# 2x2 design, which round 1 both ACKs and NACKs at this level) and a ball
+# code of 17 points on a generator that is not triangular.
 STAGE_CASES = dict(DIFFERENTIAL_CASES, arq_8x8=(
     ChannelConfig(model="mimo_arq", nt=2, nr=2, arq_rounds=2, arq_x_thresh=2.0),
-    square_design(4), 15.0, 1.0, 1.0))
+    square_design(4), 15.0, 1.0, 1.0), rotated_ball=(
+    ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+    LatticeDesign(generator=np.array([[1.0, 0.4, 0.0, 0.2], [0.3, 1.0, 0.1, 0.0],
+                                      [0.0, 0.2, 1.0, 0.3], [0.1, 0.0, 0.4, 1.0]]),
+                  region=ShapingRegion.ball(1.2), dither=np.full(4, 0.25)),
+    14.0, 0.0, 1.0))
 
 
 def stage_lanes(case, lanes, seed=5):
@@ -572,7 +583,7 @@ def stage_lanes(case, lanes, seed=5):
     draws = [draw(trial) for trial in range(lanes)]
     stage = decoders.BlockStage(rungs, lanes, rho=rho, gate_alpha=alpha)
     for d in draws:
-        stage.add(d.y, d.h, d.codebook)
+        stage.add(d.y, d.h, d.codebook, d.message)
     stage.build(ALL_METHODS)
     return stage, draws, rho, alpha
 
@@ -670,7 +681,7 @@ def test_a_lane_whose_stage_fails_fails_as_it_does_alone(monkeypatch):
     stage = decoders.BlockStage([(design, book), (thin, thin_book)], len(lanes),
                                 rho=100.0, gate_alpha=7.0)
     for y, h, _, b in lanes:
-        stage.add(y, h, b)
+        stage.add(y, h, b, 0)
     stage.build(ALL_METHODS)
     seen = set()
     for i, (y, h, d, b) in enumerate(lanes):
@@ -681,6 +692,195 @@ def test_a_lane_whose_stage_fails_fails_as_it_does_alone(monkeypatch):
             seen.add((i, want[0]))
     assert {(1, NotPositiveDefinite), (3, RankDeficient), (1, "codeword")} <= seen
     assert (3, "codeword") in seen or (3, "out_of_codebook") in seen
+
+
+def lane_by_lane(lanes, method, budget, rho=None, alpha=None):
+    """`decode(block, method=..., budget=...)` as a loop over the block's
+    lanes, (y, H, design, codebook, message) each, every one decoded alone
+    on its per-trial stage: the lanes decoded, the (lane, kind) of their
+    errors, and the failure that stopped the loop as (lane, type, message)."""
+    decoded, errors = 0, []
+    for lane, (y, h, design, book, message) in enumerate(lanes):
+        if budget is not None and len(errors) >= budget:
+            break
+        try:
+            out = decode(prepare(y, h, design, book, rho=rho, gate_alpha=alpha),
+                         method=method)
+        except LatdecError as exc:
+            return decoded, errors, (lane, type(exc), str(exc))
+        decoded += 1
+        if not (out.is_codeword and np.array_equal(out.coords, book.coords[message])):
+            errors.append((lane, out.kind))
+    return decoded, errors, None
+
+
+def block_decode(stage, method, budget):
+    """`decode(stage, method=..., budget=...)` in `lane_by_lane`'s terms."""
+    out = decode(stage, method=method, budget=budget)
+    failure = out.failure and (out.failure[0], type(out.failure[1]), str(out.failure[1]))
+    return out.decoded, out.errors, failure
+
+
+def assert_block_decodes_lane_by_lane(stage, lanes, methods, rho=None, alpha=None):
+    """Every method's block decode equals the lane-by-lane loop at the
+    budgets 0, 1, half its errors and more than it has; returns the
+    lane-by-lane loops with no budget."""
+    loops = {}
+    for method in methods:
+        loops[method] = want = lane_by_lane(lanes, method, None, rho, alpha)
+        for budget in sorted({0, 1, len(want[1]) // 2, len(want[1]) + 1}):
+            cut = lane_by_lane(lanes, method, budget, rho, alpha)
+            assert block_decode(stage, method, budget) == cut, (method, budget)
+        assert block_decode(stage, method, None) == want, method
+    return loops
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_block_decode_matches_the_per_lane_loop(case):
+    # 100 draws put 47 lanes on arq_8x8's 4x4 rung and 53 on its 8x8 one,
+    # short of 8n = 64: its reduction-aided lanes go one by one.
+    stage, draws, rho, alpha = stage_lanes(case, 100)
+    lanes = [(d.y, d.h, d.design, d.codebook, d.message) for d in draws]
+    loops = assert_block_decodes_lane_by_lane(stage, lanes, ALL_METHODS, rho, alpha)
+    kinds = {kind for _, errors, _ in loops.values() for _, kind in errors}
+    assert {"codeword", "out_of_codebook"} <= kinds
+    if case == "quasi_static_rayleigh":   # its low gate exponent refuses some
+        assert "timeout" in kinds
+
+
+def test_block_decode_of_lanes_refused_at_the_swap_cap(monkeypatch):
+    # A cap of one swap refuses every basis that needs two: a timeout,
+    # through the lockstep loop and the list loop alike.
+    monkeypatch.setattr(reduction, "iteration_bound_for_kappa", lambda kappa, n: 1)
+    stage, draws, rho, alpha = stage_lanes("arq_8x8", 300)
+    lanes = [(d.y, d.h, d.design, d.codebook, d.message) for d in draws]
+    loops = assert_block_decodes_lane_by_lane(stage, lanes, ("lr_sic", "lr_linear"),
+                                              rho, alpha)
+    assert all(("timeout" in {kind for _, kind in loop[1]}) for loop in loops.values())
+
+
+def test_block_ml_breaks_near_ties_as_the_scan():
+    # Targets a hair (1e-13) right of the midpoint between two codewords:
+    # within the scan's tie tolerance, so both decodes return the
+    # lexicographically first codeword, the farther one.
+    design = square_design(2)
+    book = enumerate_codebook(design, 1.0)
+    lanes = [(np.array([x, y]), np.eye(2), design, book, message)
+             for x in (1e-13, -0.5) for y in (0.5, 1e-13, -0.5) for message in range(book.size)]
+    stage = decoders.BlockStage([(design, book)], len(lanes))
+    for y, h, _, b, message in lanes:
+        stage.add(y, h, b, message)
+    stage.build(("ml",))
+    decoded, errors, _ = assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))["ml"]
+    want = [lane for lane, (y, *_, message) in enumerate(lanes) if not np.array_equal(
+        book.points[message], [-0.5, 0.5 if y[1] == 0.5 else -0.5])]
+    assert decoded == len(lanes) and [lane for lane, _ in errors] == want
+
+
+def ml_scan_limits(sizes):
+    """`ML_SCAN_MAX_POINTS` values around codebooks of `sizes` points: each
+    book searched, scanned one lane at a time on either side of a two-lane
+    chunk, and in chunks of 7 lanes with a short last one."""
+    return sorted({limit for size in sizes
+                   for limit in (size - 1, size, 2 * size - 1, 2 * size, 7 * size + 3)})
+
+
+@pytest.mark.parametrize("case", ["arq_8x8", "rotated_ball"])
+def test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop(monkeypatch, case):
+    stage, draws, rho, alpha = stage_lanes(case, 100)
+    lanes = [(d.y, d.h, d.design, d.codebook, d.message) for d in draws]
+    sizes = {stack.book.size for stack in stage._filled()}
+    for limit in ml_scan_limits(sizes):
+        monkeypatch.setattr(decoders, "ML_SCAN_MAX_POINTS", limit)
+        assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))
+
+
+# Lane 1 of each block below fails every method but `ml`: where it is
+# singular and huge, its rung has no triangular form; where it is thin, its
+# rung has no gate stack, and its basis fails `reg_exact`'s stacked QR.
+FELL_BACK = {
+    "singular": {"naive": RankDeficient, "reg_exact": NotPositiveDefinite,
+                 "lr_sic": NotPositiveDefinite, "lr_linear": NotPositiveDefinite},
+    "thin": {"naive": NearSingularChannel, "reg_exact": RankDeficient,
+             "lr_sic": RankDeficient, "lr_linear": RankDeficient},
+}
+
+
+@pytest.mark.parametrize("lockstep", [True, False], ids=["gate-stack", "per-lane-gate"])
+@pytest.mark.parametrize("failing", sorted(FELL_BACK))
+def test_block_decode_of_rungs_that_fell_back(monkeypatch, failing, lockstep):
+    # The lanes of `test_a_lane_whose_stage_fails_fails_as_it_does_alone`,
+    # twice over, with the singular or the thin one second.
+    if lockstep:
+        monkeypatch.setattr(decoders, "_LOCKSTEP_LANES_PER_DIM", 0)
+    design = square_design(2)
+    book = enumerate_codebook(design, 1.0)
+    thin = LatticeDesign(generator=np.diag([1.0, 2e-12]), region=ShapingRegion.ball(1.0))
+    thin_book = Codebook(points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                         coords=np.array([[0, 0], [1, 0]]), scale=1.0)
+    lanes = {"singular": (np.array([1e9, 1e9]), np.full((2, 2), 1e9), design, book, 0),
+             "thin": (np.array([0.9, 0.1]), np.diag([30.0, 0.1]), thin, thin_book, 1)}
+    lanes = [(np.array([0.4, 0.6]), np.eye(2), design, book, 1), lanes.pop(failing),
+             (np.array([0.1, 0.2]), np.array([[1.0, 0.9], [0.2, 0.3]]), design, book, 2),
+             *lanes.values()] * 2
+    stage = decoders.BlockStage([(design, book), (thin, thin_book)], len(lanes),
+                                rho=100.0, gate_alpha=7.0)
+    for y, h, _, b, message in lanes:
+        stage.add(y, h, b, message)
+    stage.build(ALL_METHODS)
+    loops = assert_block_decodes_lane_by_lane(stage, lanes, ALL_METHODS, 100.0, 7.0)
+    assert loops["ml"][0] == len(lanes) and loops["ml"][2] is None
+    assert {m: loop[2][:2] for m, loop in loops.items() if loop[2]} == {
+        m: (1, error) for m, error in FELL_BACK[failing].items()}
+
+
+def per_trial_tally(cfg, rho_db):
+    """`sweep_cell`'s tally of a whole level as a per-trial loop: trials in
+    order, each running method in the config's order on the trial's own
+    stage, a failure listed as (trial, method, type, message)."""
+    rho = 10.0 ** (rho_db / 10.0)
+    key = (dmtsim._key_from_float(rho_db), dmtsim._key_from_float(cfg.r))
+    draw = cfg.channel.trial_sampler(cfg.cell_codebooks(rho_db), rho,
+                                     lambda trial, *sub: trial_rng(cfg.seed, 0, *key, trial, *sub))
+    active = list(cfg.methods)
+    trials, errors, failures = dict.fromkeys(active, 0), {m: [] for m in active}, []
+    for trial in range(cfg.max_trials):
+        d = draw(trial)
+        for method in tuple(active):
+            try:
+                out = decode(prepare(d.y, d.h, d.design, d.codebook, rho=rho,
+                                     gate_alpha=cfg.gate_alpha), method=method)
+            except LatdecError as exc:
+                failures.append((trial, method, type(exc), str(exc)))
+                active.remove(method)
+                continue
+            trials[method] += 1
+            if not (out.is_codeword and np.array_equal(out.coords,
+                                                       d.codebook.coords[d.message])):
+                errors[method].append((trial, out.kind))
+                if len(errors[method]) >= cfg.min_errors:
+                    active.remove(method)
+    return trials, errors, failures
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("model, first", [("quasi_static_rayleigh", (18, "reg_exact")),
+                                          ("mimo_ofdm", (32, "naive"))])
+def test_enumeration_overflow_mid_block_is_listed_in_serial_order(
+        monkeypatch, model, first, block):
+    # At a cap of 20 nodes the Rayleigh level's `reg_exact` overflows at
+    # trial 18, before `naive` (listed first) does at 22, and the OFDM
+    # level's both overflow at trial 32: mid-block, in one block of 64
+    # trials or in blocks of 7.
+    monkeypatch.setattr(decoders, "NODE_BUDGET", 20)
+    monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", block)
+    cfg = differential_config(model, max_trials=120)
+    tally = level_block(cfg, cfg.rho_db[0])
+    trials, errors, failures = per_trial_tally(cfg, cfg.rho_db[0])
+    assert (tally.trials, tally.errors) == (trials, errors)
+    assert [(t, m, type(e), str(e)) for t, m, e in tally.failures] == failures
+    assert failures[0][:2] == first and len(failures) == 2
+    assert all(trial % dmtsim.BLOCK_TRIALS for trial, *_ in failures)
 
 
 def differential_config(model, **kw):
@@ -772,7 +972,7 @@ def test_scan_of_speculative_blocks_matches_serial(model, serial_records):
 
 def plant_failures(monkeypatch, plants):
     """Raise NearSingularChannel at each (rho_db, trial, method) of
-    `plants`: in that method's detector on the trial's lane, or for method
+    `plants`: in that method's decode of the trial's lane, or for method
     None in the trial's draw.  Forked pool workers inherit the patch."""
     keys = {(dmtsim._key_from_float(rho_db), trial): (rho_db, method)
             for rho_db, trial, method in plants}
@@ -786,7 +986,7 @@ def plant_failures(monkeypatch, plants):
 
     class PlantedStage(decoders.BlockStage):
         """Lane i is the block's i-th draw: its plant is noted when the
-        draw is added and looked up when the lane is decoded."""
+        draw is added."""
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -796,15 +996,18 @@ def plant_failures(monkeypatch, plants):
             super().add(*args)
             self.plants.append(current["draw"])
 
-        def lane(self, i):
-            current["plant"] = self.plants[i]
-            return super().lane(i)
-
-    def planted_decode(stage, *, method):
-        plant = current["plant"]
-        if plant is not None and plant[1] == method:
-            raise NearSingularChannel(f"planted at {plant[0]} dB, method {method}")
-        return decoders.decode(stage, method=method)
+    def planted_decode(block, *, method, budget):
+        # The block's outcome cut where the method reaches its planted lane,
+        # as a decode raising there would cut it.
+        out = decoders.decode(block, method=method, budget=budget)
+        planted = [lane for lane, plant in enumerate(block.plants)
+                   if plant is not None and plant[1] == method]
+        if planted and planted[0] < out.decoded:
+            lane = planted[0]
+            exc = NearSingularChannel(f"planted at {block.plants[lane][0]} dB, method {method}")
+            out = decoders.BlockOutcome(decoded=lane, failure=(lane, exc), errors=[
+                error for error in out.errors if error[0] < lane])
+        return out
 
     monkeypatch.setattr(dmtsim, "trial_rng", keyed_rng)
     monkeypatch.setattr(dmtsim, "BlockStage", PlantedStage)
@@ -895,18 +1098,20 @@ def test_serial_failure_ends_the_run_within_a_block(monkeypatch):
     calls = []
     planted = dmtsim.decode
 
-    def counted(stage, *, method):
-        calls.append(method)
-        return planted(stage, method=method)
+    def counted(block, *, method, budget):
+        out = planted(block, method=method, budget=budget)
+        calls.append((method, out.decoded))
+        return out
 
     monkeypatch.setattr(dmtsim, "decode", counted)
     monkeypatch.setattr(dmtsim, "BLOCK_TRIALS", 7)
     with pytest.raises(NearSingularChannel, match="12.0 dB, method naive"):
         run_sweep(cfg)
-    # `ml` runs on to the end of the failed block, and no further.
-    after = calls[calls.index("naive") + 1:]
-    assert "naive" not in after and "ml" in after
-    assert len(calls) <= dmtsim.BLOCK_TRIALS * len(cfg.methods)
+    # One decode of the first block per method: `naive` fails on its first
+    # lane, `ml` runs on to the end of the failed block, and no further.
+    decoded = dict(calls)
+    assert len(calls) == len(cfg.methods) and decoded.keys() == set(cfg.methods)
+    assert decoded["naive"] == 0 and decoded["ml"] == dmtsim.BLOCK_TRIALS
 
 
 class PlantedBug(Exception):

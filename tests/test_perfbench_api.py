@@ -3,7 +3,7 @@ function its tracer rebinds and every function its output checks call
 must exist, and installing then removing the tracer must leave every
 module binding as it was.  An API cut that breaks this would otherwise
 surface only in a traced benchmark run (`--trace 1`).  A sweep must also
-call the traced per-trial functions, or their metrics read 0."""
+call the traced per-block and per-trial functions, or their metrics read 0."""
 
 import collections
 import sys
@@ -53,8 +53,9 @@ def test_tracer_install_and_uninstall_restore_every_binding(tmp_path):
     latdec.ChannelConfig(model="mimo_arq", arq_rounds=2, arq_x_thresh=1.0)],
     ids=lambda c: c.model)
 def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
-    # Each recorded decode is one traced `decoders.decode` span of its
-    # method, and each ARQ trial of a block run one traced
+    # Each block a method runs in is one traced `decoders.decode` span of
+    # that method (the block's lanes decoded in one call, lanes decoded one
+    # by one included), and each ARQ trial of a block run one traced
     # `channels.simulate_arq_episode`: a block draws all its trials before
     # it decodes any, so a level draws up to the end of the block that
     # holds its last recorded trial.
@@ -72,10 +73,10 @@ def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
     finally:
         tracer.uninstall()
     spans = collections.Counter(span[0] for span in tracer.spans)
-    for method in config.methods:
-        decodes = sum(rec.trials for rec in records if rec.method == method)
-        assert decodes > 0 and spans[f"decoders.decode.{method}"] == decodes
     block = latdec.dmtsim.BLOCK_TRIALS
+    for method in config.methods:
+        blocks = sum(-(-rec.trials // block) for rec in records if rec.method == method)
+        assert blocks > 0 and spans[f"decoders.decode.{method}"] == blocks
     last = [max(rec.trials for rec in records if rec.rho_db == rho_db)
             for rho_db in config.rho_db]
     drawn = sum(min(config.max_trials, -(-t // block) * block) for t in last)
