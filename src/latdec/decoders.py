@@ -61,6 +61,7 @@ from .numkernel import (
     as_matrix,
     as_vector,
     cholesky_upper,
+    matvec,
     qr_decompose,
     singular_values,
     solve_lower_triangular,
@@ -211,16 +212,10 @@ def _triangular_form(y, h, t_reg, scaled_generator, dither) -> tuple:
     `einsum`)."""
     b, f = mmse_gdfe_filters(h, t_reg)
     y_eff = y - h @ dither
-    yprime = _matvec(f, y_eff)
+    yprime = matvec(f, y_eff)
     gamma = _squared_norm(y_eff) - _squared_norm(yprime)
     # Gamma is nonnegative in exact arithmetic; clamp roundoff.
     return b, yprime, np.where(0.0 > gamma, 0.0, gamma), b @ scaled_generator
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v, or that of each matrix and vector of stacks (..., m, n) and
-    (..., n), as a stacked matmul: each lane rounds as it would alone."""
-    return (a @ v[..., None])[..., 0]
 
 
 def _squared_norm(v: np.ndarray) -> np.ndarray:
@@ -552,17 +547,16 @@ class ChannelStage:
 @dataclass(eq=False)
 class _RungStack:
     """The lanes of one rung of a `BlockStage`: the rung's design and
-    codebook, the (T, phi G, u) its lanes share, their stacks (preallocated
-    for the whole block), the lane of the block each slot holds, and what
-    `build` forms of them."""
+    codebook, the (T, phi G, u) its lanes share, the lane of the block
+    each slot holds, their stacks, and what `build` forms of them."""
 
     design: LatticeDesign
     book: Codebook
     fixed: tuple                 # (T, phi G, u)
-    y: np.ndarray                # (size, m) received vectors
-    h: np.ndarray                # (size, m, n) channels
-    sent: np.ndarray             # (size, n) coordinates of the sent codewords
-    lanes: list = field(default_factory=list)   # slot -> lane
+    lanes: np.ndarray            # slot -> lane, ascending
+    y: np.ndarray                # (count, m) received vectors
+    h: np.ndarray                # (count, m, n) channels
+    sent: np.ndarray             # (count, n) coordinates of the sent codewords
     form: tuple | None = None    # stacked (B, y', Gamma, basis)
     gates: GateStack | None = None
 
@@ -575,51 +569,46 @@ class BlockStage:
     """The channel stage of a block of received vectors, built once on
     stacks and shared by every method that decodes them.
 
-    `add` writes each lane's (y, H) and the coordinates of its sent
-    codeword into its rung's preallocated stacks, so lanes are grouped by
-    rung (an ARQ episode by its stopping round).  `build(methods)` checks
-    each rung's stacks once for NaN/Inf, then forms on (B, n, n) arrays
-    what the methods read: the GDFE of all its lanes if one reads the
-    triangular form, and their condition gate and lockstep LLL if one is
-    reduction-aided (which needs `rho` and `gate_alpha`; a rung of fewer
-    than 8 n lanes is left to the per-lane `gated_reduce`).  `decode(block,
-    method=..., budget=...)` then decodes the whole block for one method.
-    `lane(i)` is lane i's `ChannelStage`, views into the stacks, which
-    `decode` reads as it reads a stage built alone: each lane's arrays
-    equal, bit for bit, what `RegularizedProblem.prepared()` and
-    `gated_reduce` give it.  A rung whose stacked GDFE or gate raises a
+    `stacks[rung]` holds the block's lanes sent from that rung's codebook
+    (an ARQ episode's rung is its stopping round's) as (lanes, y, H,
+    messages): their lane numbers in the block, ascending, and their
+    stacked received vectors, channels and message indices, as
+    `channels.BlockDraw` gives them; None where the rung has no lane.
+    `build(methods)` checks each rung's stacks once for NaN/Inf, then forms
+    on (B, n, n) arrays what the methods read: the GDFE of all its lanes if
+    one reads the triangular form, and their condition gate and lockstep
+    LLL if one is reduction-aided (which needs `rho` and `gate_alpha`; a
+    rung of fewer than 8 n lanes is left to the per-lane `gated_reduce`).
+    `decode(block, method=..., budget=...)` then decodes the whole block for
+    one method.  `lane(i)` is lane i's `ChannelStage`, views into the
+    stacks, which `decode` reads as it reads a stage built alone: each
+    lane's arrays equal, bit for bit, what `RegularizedProblem.prepared()`
+    and `gated_reduce` give it.  A rung whose stacked GDFE or gate raises a
     `LatdecError` (any one lane failing a floor does) leaves its lanes to
     that per-lane path, which then builds each on first use and raises
     there, for each method that reads it."""
 
-    def __init__(self, rungs: list, size: int, rho: float | None = None,
+    def __init__(self, rungs: list, stacks: list, rho: float | None = None,
                  gate_alpha: float | None = None):
         self.rungs, self.rho, self.gate_alpha = rungs, rho, gate_alpha
-        self.size = size   # lanes the stacks hold
-        self.lanes = 0     # lanes written
-        self._where = np.zeros((size, 2), dtype=np.intp)  # lane -> (rung, slot)
-        self._stacks = [None] * len(rungs)   # rung -> _RungStack, once it has a lane
-
-    def add(self, y, h, codebook: Codebook, message: int) -> None:
-        """Write the next lane, codeword `message` of `codebook` (one of
-        the rungs') sent over channel `h` and received as `y`."""
-        rung = next(i for i, (_, book) in enumerate(self.rungs) if book is codebook)
-        if self._stacks[rung] is None:
-            design = self.rungs[rung][0]
-            n = design.dimension
-            self._stacks[rung] = _RungStack(
-                design=design, book=codebook,
-                fixed=(np.eye(n), codebook.scale * design.generator,
-                       np.zeros(n) if design.dither is None else design.dither),
-                y=np.empty((self.size,) + np.shape(y)), h=np.empty((self.size,) + np.shape(h)),
-                sent=np.empty((self.size, n), dtype=np.int64))
-        stack = self._stacks[rung]
-        slot = stack.count
-        stack.y[slot], stack.h[slot] = y, h
-        stack.sent[slot] = codebook.coords[message]
-        stack.lanes.append(self.lanes)
-        self._where[self.lanes] = rung, slot
-        self.lanes += 1
+        self._stacks = []   # rung -> _RungStack, or None where it has no lane
+        for (design, book), stack in zip(rungs, stacks):
+            if stack is not None:
+                lanes, y, h, messages = stack
+                stack = _RungStack(
+                    design=design, book=book,
+                    fixed=(np.eye(design.dimension), book.scale * design.generator,
+                           np.zeros(design.dimension) if design.dither is None
+                           else design.dither),
+                    lanes=np.asarray(lanes, dtype=np.intp), y=y, h=h,
+                    sent=book.coords[messages])
+            self._stacks.append(stack)
+        self.lanes = sum(stack.count for stack in self._filled())   # lanes held
+        self._where = np.zeros((self.lanes, 2), dtype=np.intp)  # lane -> (rung, slot)
+        for rung, stack in enumerate(self._stacks):
+            if stack is not None:
+                self._where[stack.lanes, 0] = rung
+                self._where[stack.lanes, 1] = np.arange(stack.count)
 
     def _filled(self) -> list:
         """The rungs' stacks that hold lanes."""
@@ -631,15 +620,13 @@ class BlockStage:
         reduce = (any(m in _REDUCTION_AIDED for m in methods)
                   and self.rho is not None and self.gate_alpha is not None)
         stacks = self._filled()
-        if not all(np.isfinite(s.y[:s.count]).all() and np.isfinite(s.h[:s.count]).all()
-                   for s in stacks):
+        if not all(np.isfinite(s.y).all() and np.isfinite(s.h).all() for s in stacks):
             for i in range(self.lanes):   # the first bad lane raises, as it would alone
                 RegularizedProblem(*self._lane_arrays(i))
         for stack in stacks if gdfe or reduce else ():
-            hs = stack.h[:stack.count]
             try:
-                stack.form = _triangular_form(stack.y[:stack.count], hs, *stack.fixed)
-                if reduce and len(hs) >= _LOCKSTEP_LANES_PER_DIM * hs.shape[-1]:
+                stack.form = _triangular_form(stack.y, stack.h, *stack.fixed)
+                if reduce and stack.count >= _LOCKSTEP_LANES_PER_DIM * stack.h.shape[-1]:
                     stack.gates = gated_reduce_stack(stack.form[3], self.rho, self.gate_alpha)
             except LatdecError:
                 pass   # left to the per-lane path
@@ -763,7 +750,7 @@ def _decode_block(block: BlockStage, method: str, budget: int | None) -> BlockOu
     decoded, failure = block.lanes, None
     if one_by_one:
         decoded = errors = 0
-        for lane, (rung, slot) in enumerate(block._where[:block.lanes].tolist()):
+        for lane, (rung, slot) in enumerate(block._where.tolist()):
             if budget is not None and errors >= budget:
                 break
             code = codes[lane]
@@ -817,7 +804,7 @@ def _scan_codes(stack: _RungStack) -> np.ndarray:
     best = np.concatenate([_scan_chunk(book.points, stack.y[lo:min(lo + step, count)],
                                        stack.h[lo:min(lo + step, count)])
                            for lo in range(0, count, step)])
-    wrong = (book.coords[best] != stack.sent[:count]).any(axis=-1)
+    wrong = (book.coords[best] != stack.sent).any(axis=-1)
     return np.where(wrong, _WRONG, _RIGHT)
 
 
@@ -842,9 +829,9 @@ def _reduction_aided_codes(stack: _RungStack, method: str) -> np.ndarray:
     codes = np.full(stack.count, _TIMEOUT, dtype=np.int8)
     if passed.size:
         s = slots[passed]
-        ytil = _matvec(np.swapaxes(reduced.q[s], -1, -2), stack.form[1][passed])
+        ytil = matvec(np.swapaxes(reduced.q[s], -1, -2), stack.form[1][passed])
         c = _DETECTORS[method](reduced.r[s], ytil)
-        z = _matvec(reduced.unimodular[s], c.astype(np.int64))
+        z = matvec(reduced.unimodular[s], c.astype(np.int64))
         codes[passed] = _classified_codes(stack, passed, z)
     return codes
 
@@ -859,7 +846,7 @@ class _RegularizedSearch:
     def __init__(self, stack: _RungStack):
         _, yprime, _, basis = stack.form
         q, self.r = qr_decompose(basis)
-        self.ytil = _matvec(np.swapaxes(q, -1, -2), yprime)
+        self.ytil = matvec(np.swapaxes(q, -1, -2), yprime)
         self.stack = stack
         self.z = np.empty(yprime.shape, dtype=np.int64)
         self.searched = 0

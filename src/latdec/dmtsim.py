@@ -13,13 +13,14 @@ scheduled.
 `SweepConfig.cell_codebooks` sets up a level, for the sweep and the dry
 run alike; `sweep_cell` runs a block of its trials into a `BlockTally`,
 whose `records` raise the failures it lists.  Each block has one path:
-the channel layer's trial sampler draws each trial from its own stream
-(ARQ trials through `channels.simulate_arq_episode`) into one
-`decoders.BlockStage`, which builds the block's channel stage once, on
-stacked arrays, and one `decoders.decode` call per method still running
-decodes the block's lanes in trial order, up to the method's last error
-in the block.  The stacked detectors may decode lanes past that stopping
-trial as well as draw them; the records count only the lanes before it.
+the channel layer draws all its trials at once (`ChannelConfig.draw_block`,
+each trial's draw that of its own stream, bit for bit) into per-rung
+stacks, which one `decoders.BlockStage` takes whole and builds the
+block's channel stage on once, and one `decoders.decode` call per method
+still running decodes the block's lanes in trial order, up to the
+method's last error in the block.  The stacked detectors may decode
+lanes past that stopping trial as well as draw them; the records count
+only the lanes before it.
 `run_sweep` hands out every level's blocks from one loop, serial or
 pooled, sets a level up as its first block goes out, and scans the blocks
 in trial order, so that every method stops at its min_errors-th error and
@@ -37,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import ChannelConfig, trial_rng
+from .channels import ChannelConfig, TrialStreams
 from .decoders import (METHOD_LR_LINEAR, METHOD_LR_SIC, METHOD_NAIVE, METHODS,
                        BlockStage, decode)
 from .errors import InsufficientData, LatdecError
@@ -289,11 +290,12 @@ def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
                stop: int, budgets: dict) -> BlockTally:
     """Trials [start, stop) of one signal level on its `rungs` from
     `SweepConfig.cell_codebooks`, BLOCK_TRIALS at a time (a sweep's block
-    is one such run).  Each trial of a run is drawn from its own stream
-    into one `BlockStage`, whose channel stage, built once for the run, is
-    shared by every method still running; each method then decodes the
-    run in one `decode` call, in trial order, and stops once its errors in
-    this block reach its entry in `budgets`; a method with budget 0 does
+    is one such run).  Each run is drawn at once by the channel layer
+    (`ChannelConfig.draw_block`, every trial's draw that of its own
+    stream) into one `BlockStage`, whose channel stage, built once for the
+    run, is shared by every method still running; each method then decodes
+    the run in one `decode` call, in trial order, and stops once its errors
+    in this block reach its entry in `budgets`; a method with budget 0 does
     not run.  The stage forms the GDFE only if a method that reads it runs,
     and the gated LLL only if a reduction-aided one does.  A run is drawn
     whole before it is decoded, so its trials past the last method's
@@ -308,24 +310,17 @@ def sweep_cell(config: SweepConfig, rungs: list, rho_db: float, start: int,
     tally = BlockTally.empty(config, rho_db, start, stop)
     active = [m for m in config.methods if budgets[m] > 0]
     rho = 10.0 ** (float(rho_db) / 10.0)
-    rho_key, r_key = _key_from_float(rho_db), _key_from_float(config.r)
-
-    def stream(trial: int, *sub: int):
-        return trial_rng(config.seed, _KIND_ERROR, rho_key, r_key, trial, *sub)
-
-    draw_trial = config.channel.trial_sampler(rungs, rho, stream)
+    key = (_KIND_ERROR, _key_from_float(rho_db), _key_from_float(config.r))
     failed_draw = None
     for first in range(start, stop, BLOCK_TRIALS):
         if not active or failed_draw is not None:
             break
-        stage = BlockStage(rungs, min(BLOCK_TRIALS, stop - first), rho=rho,
-                           gate_alpha=config.gate_alpha)
-        try:
-            for trial in range(first, first + stage.size):
-                draw = draw_trial(trial)
-                stage.add(draw.y, draw.h, draw.codebook, draw.message)
-        except LatdecError as exc:
-            failed_draw = (trial, None, exc)
+        draw = config.channel.draw_block(rungs, rho, config.seed, key,
+                                         np.arange(first, min(first + BLOCK_TRIALS, stop)))
+        if draw.failure is not None:
+            lane, exc = draw.failure
+            failed_draw = (first + lane, None, exc)
+        stage = BlockStage(rungs, draw.stacks, rho=rho, gate_alpha=config.gate_alpha)
         stage.build(active)
         failures = []
         for method in tuple(active):
@@ -349,26 +344,31 @@ def estimate_outage_probability(rho: float, rate_bits: float, t: int,
                                 channel: ChannelConfig, trials: int,
                                 seed: int = 0) -> OutageEstimate:
     """Frequency of the mutual-information outage event
-    log2 det(I + H H^T) < 2 * rate_bits * t over channel draws."""
+    log2 det(I + H H^T) < 2 * rate_bits * t over channel draws, drawn
+    BLOCK_TRIALS at a time on stacks, each trial's from its own stream."""
     if trials < 1000:
         raise ValueError("use at least 1000 trials for outage estimates")
     if rate_bits < 0.0:
         raise ValueError("rate must be nonnegative")
-    rho_key = _key_from_float(10.0 * math.log10(rho))
+    key = (_KIND_OUTAGE, _key_from_float(10.0 * math.log10(rho)), 0)
     count = 0
     threshold = 2.0 * rate_bits * t
-    for trial in range(trials):
-        rng = trial_rng(seed, _KIND_OUTAGE, rho_key, 0, trial)
-        h = channel.sample(t, rho, rng)
-        gram = np.eye(h.shape[0]) + h @ h.T
-        u = cholesky_upper(0.5 * (gram + gram.T))
-        log2det = 2.0 * float(np.sum(np.log2(np.diag(u))))
-        if log2det < threshold:
-            count += 1
+    for first in range(0, trials, BLOCK_TRIALS):
+        lanes = np.arange(first, min(first + BLOCK_TRIALS, trials))
+        h = channel.sample(t, rho, TrialStreams(seed, key, lanes))
+        count += int(np.count_nonzero(_outage_log2det(h) < threshold))
     lo, hi = wilson_interval(count, trials)
     return OutageEstimate(rho_linear=float(rho), rate_bits=float(rate_bits),
                           trials=trials, count=count, p_hat=count / trials,
                           ci_lo=lo, ci_hi=hi)
+
+
+def _outage_log2det(h) -> np.ndarray:
+    """log2 det(I + H H^T) of a real channel, or of each of a stack, through
+    its upper Cholesky factor."""
+    gram = np.eye(h.shape[-2]) + h @ np.swapaxes(h, -1, -2)
+    u = cholesky_upper(0.5 * (gram + np.swapaxes(gram, -1, -2)))
+    return 2.0 * np.sum(np.log2(np.diagonal(u, axis1=-2, axis2=-1)), axis=-1)
 
 
 def estimate_diversity_slope(records, min_errors: int = 50,

@@ -45,6 +45,7 @@ __all__ = [
     "singular_values",
     "solve_upper_triangular",
     "solve_lower_triangular",
+    "matvec",
 ]
 
 
@@ -78,6 +79,12 @@ def _as_array(a, ndim: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf")
     return m
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v, or that of each matrix and vector of stacks (..., m, n) and
+    (..., n), as a stacked matmul: each lane rounds as it would alone."""
+    return (a @ v[..., None])[..., 0]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

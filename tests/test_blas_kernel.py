@@ -6,9 +6,11 @@ differ from one host to the next.  `OPENBLAS_CORETYPE` forces a kernel
 for one process.  Each test below reruns tests/test_pinned_records.py in
 a subprocess under a forced kernel, so a pinned hash that depends on the
 kernel fails here rather than on some other machine, and with it the
-differential tests of the stacked block decode against the lane-by-lane
-loop, so a kernel whose stacked matmul rounds apart from a lone product
-fails here too.  A test skips when
+differential tests of the stacked block draw against the per-trial draw
+and of the stacked block decode against the lane-by-lane loop, so a
+kernel whose stacked matmul (h @ x, e @ x, an OFDM tone sum, an outage
+Gram matrix) rounds apart from a lone product fails here too.  A test
+skips when
 numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS or the CPU lacks the
 instructions the kernel needs."""
 
@@ -53,6 +55,9 @@ def test_pinned_records_hold_under_forced_kernel(coretype, flag):
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_pinned_records.py"),
+         f"{ROOT / 'tests' / 'test_channels.py'}"
+         "::test_block_draw_is_the_per_trial_draw_bit_for_bit",
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_outage_block_draw_matches_the_per_trial_loop",
          f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_block_decode_matches_the_per_lane_loop",
          f"{ROOT / 'tests' / 'test_dmtsim.py'}"
          "::test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop"],

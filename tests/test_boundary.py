@@ -12,14 +12,14 @@ import pytest
 import yaml
 
 from latdec.cli import main
-from latdec.decoders import BlockStage, RegularizedProblem
+from latdec.decoders import RegularizedProblem
 from latdec.channels import NoiseModel
 from latdec.dmtsim import ChannelConfig, SweepConfig
 from latdec.errors import SchemaError
 from latdec.experiment import parse_experiment
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook
 from latdec.reduction import gate_exponent_default
-from per_trial import prepare
+from per_trial import block_stage, prepare
 
 DESIGN = LatticeDesign(generator=np.eye(2), region=ShapingRegion.box([0.6, 0.6]),
                        dither=np.array([0.5, 0.5]))
@@ -40,10 +40,9 @@ def _problem(y=None, h=None):
 
 def _block(y=None, h=None):
     """A two-lane block whose second lane holds the bad entry."""
-    stage = BlockStage([(DESIGN, BOOK)], 2)
-    stage.add(np.ones(2), np.eye(2), BOOK, 0)
-    stage.add(np.ones(2) if y is None else y, np.eye(2) if h is None else h, BOOK, 0)
-    stage.build(())
+    block_stage([(DESIGN, BOOK)], [
+        (np.ones(2), np.eye(2), BOOK, 0),
+        (np.ones(2) if y is None else y, np.eye(2) if h is None else h, BOOK, 0)]).build(())
 
 
 # Each entry builds one object or runs one entry point with a single bad

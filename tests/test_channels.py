@@ -10,6 +10,7 @@ from latdec import channels
 from latdec.channels import (
     ChannelConfig,
     NoiseModel,
+    TrialStreams,
     arq_ack,
     complex_gaussian,
     embed_complex,
@@ -24,7 +25,7 @@ from latdec.channels import (
 )
 from latdec.decoders import decode
 from latdec.lattice import LatticeDesign, ShapingRegion, enumerate_codebook, scaling_factor
-from per_trial import prepare
+from per_trial import prepare, trial_sampler
 
 
 def square_design(n, t=1, half_width=0.6):
@@ -245,7 +246,8 @@ def test_fixed_channel_passthrough():
     (ChannelConfig(model="fixed", h_real=np.ones((3, 2))), 1),
 ])
 def test_real_dims_match_a_draw(channel, t):
-    assert channel.real_dims(t) == channel.sample(t, 10.0, trial_rng(3, 0)).shape
+    streams = TrialStreams(3, (0,), np.arange(2))
+    assert (2,) + channel.real_dims(t) == channel.sample(t, 10.0, streams).shape
 
 
 def test_noise_model_validation():
@@ -438,47 +440,178 @@ def _stream(trial, *sub):
     return trial_rng(1009, trial, *sub)
 
 
+def _block_draw(chan, rungs, rho, trials):
+    """`draw_block` of `trials` on the streams of `_stream`."""
+    return chan.draw_block(rungs, rho, 1009, (), np.arange(trials))
+
+
 @pytest.mark.parametrize("name", sorted(LADDER_CASES))
 def test_trial_sampler_enumerates_the_cell_designs(name, monkeypatch):
-    # The sampler draws on the rungs `cell_codebooks` enumerated, once each,
-    # and enumerates nothing itself.
+    # The block draw puts every lane on one of the rungs `cell_codebooks`
+    # enumerated, once each, and enumerates nothing itself.
     chan, design, rho, r = LADDER_CASES[name]
     built = spy_enumeration(monkeypatch)
     rungs = chan.cell_codebooks(design, rho, r)
     assert len(built) == len(rungs)
     for (d, phi, book), (rung_design, rung_book) in zip(built, rungs):
         assert d is rung_design and book is rung_book and book.scale == phi
-    draw_trial = chan.trial_sampler(rungs, rho, _stream)
-    draws = [draw_trial(trial) for trial in range(20)]
+    draw = _block_draw(chan, rungs, rho, 20)
     assert len(built) == len(rungs)
-    assert all(any(draw.codebook is book for _, book in rungs) for draw in draws)
+    stacks = [stack for stack in draw.stacks if stack is not None]
+    assert draw.failure is None
+    assert sorted(np.concatenate([lanes for lanes, *_ in stacks])) == list(range(20))
+    for (d, book), stack in zip(rungs, draw.stacks):
+        if stack is not None:
+            lanes, y, h, messages = stack
+            assert h.shape == (len(lanes),) + (d.dimension,) * 2
+            assert y.shape == (len(lanes), d.dimension) and messages.max() < book.size
 
 
 def test_arq_draw_stopping_at_round_l_decodes_on_rung_l(monkeypatch):
     chan, design, rho, r = LADDER_CASES["arq3"]
     built = spy_enumeration(monkeypatch)
-    draw_trial = chan.trial_sampler(chan.cell_codebooks(design, rho, r), rho, _stream)
-    stops = set()
+    draw = _block_draw(chan, chan.cell_codebooks(design, rho, r), rho, 60)
+    rung_of = {int(lane): l for l, stack in enumerate(draw.stacks, start=1)
+               if stack is not None for lane in stack[0]}
     for trial in range(60):
         hc = complex_gaussian(_stream(trial), (1, 1))
         # Rounds 1 and 2 stop on ACK, round 3 always.
         acks = [arq_ack(hc, rho, chan.arq_x_thresh, l) for l in (1, 2)] + [True]
-        stop = acks.index(True) + 1
-        stops.add(stop)
-        draw = draw_trial(trial)
-        d, _, book = built[stop - 1]
-        assert draw.design is d and draw.codebook is book
-        assert draw.h.shape == (stop * 4, stop * 4)
-    assert stops == {1, 2, 3}
+        assert rung_of[trial] == acks.index(True) + 1
+    for (d, _, _), stack in zip(built, draw.stacks):
+        assert stack[2].shape[1:] == (d.dimension, d.dimension)
+    assert set(rung_of.values()) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("name", sorted(LADDER_CASES))
 def test_prepare_scales_the_generator_by_the_codebook_scale(name):
     chan, design, rho, r = LADDER_CASES[name]
-    draw_trial = chan.trial_sampler(chan.cell_codebooks(design, rho, r), rho, _stream)
+    draw_trial = trial_sampler(chan, chan.cell_codebooks(design, rho, r), rho, _stream)
     for trial in range(20):
         draw = draw_trial(trial)
         stage = prepare(draw.y, draw.h, draw.design, draw.codebook)
         assert stage.codebook is draw.codebook
         assert np.array_equal(stage.problem.scaled_generator,
                               draw.codebook.scale * draw.design.generator)
+
+
+# The block draw against numpy's own generator: the raw Philox words of
+# each lane's SeedSequence key, Lemire's integers, and every model's
+# H, message and y against the per-trial reference, by tobytes().
+
+@pytest.mark.parametrize("seed, key, sub", [
+    (0, (0, 1, 2), ()), (20260822, (0, 14_000_000, 0), (1,)),
+    (2**32 + 5, (1, 2**32 - 1, 7), ()), (2**64 - 1, (3,), (1,)), (2**70 + 9, (), ())])
+def test_trial_streams_are_numpy_philox_words(seed, key, sub):
+    trials = np.r_[0:61, 2**32 - 2, 2**32 + 1, 10**9]
+    got = TrialStreams(seed, key, trials, sub).raw(13)
+    for lane, trial in enumerate(trials.tolist()):
+        spawn = tuple(int(k) & 0xFFFFFFFF for k in (*key, trial, *sub))
+        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=spawn)
+        assert got[lane].tobytes() == np.random.Philox(ss).random_raw(13).tobytes(), trial
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, 2**31 + 1, 2**32 - 1])
+def test_trial_streams_integers_and_random_are_the_generators(size):
+    # At 2^31 + 1 about half the first draws are rejected, so the redraws
+    # (the buffered high half, then the next word) run; a second call reads
+    # the half the first one left.
+    trials = np.arange(400)
+    streams = TrialStreams(9, (1, 2), trials)
+    got = (streams.integers(size), streams.random(3), streams.integers(size),
+           streams.random(2))
+    for trial in trials.tolist():
+        rng = trial_rng(9, 1, 2, trial)
+        want = (rng.integers(size), rng.random(3), rng.integers(size), rng.random(2))
+        for w, g in zip(want, got):
+            assert np.asarray(w).tobytes() == g[trial].tobytes(), trial
+    first = TrialStreams(9, (1, 2), trials).raw(1)[:, 0] & 0xFFFFFFFF
+    rejected = np.mean((first * size & 0xFFFFFFFF) < (2**32 - size) % size)
+    assert 0.4 < rejected < 0.6 if size == 2**31 + 1 else rejected < 0.01
+
+
+SELF_INTERFERENCE = NoiseModel(kind="self_interference", sigma_e=0.5)
+
+#: Every model: channel, base design, rho_db, r.
+DRAW_CASES = {
+    "rayleigh_1x1": (ChannelConfig(model="quasi_static_rayleigh"),
+                     square_design(2), 30.0, 0.0),
+    "rayleigh_2x2": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+                     square_design(4), 20.0, 1.0),
+    "rayleigh_2x2_self_interference": (
+        ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2, noise=SELF_INTERFERENCE),
+        square_design(4), 20.0, 1.0),
+    "ofdm_1x1_2taps": (ChannelConfig(model="mimo_ofdm", tones=2, taps=2),
+                       square_design(4, t=2), 14.0, 0.0),
+    "ofdm_2x1_3taps": (ChannelConfig(model="mimo_ofdm", nt=2, nr=1, tones=3, taps=3),
+                       square_design(12, t=3), 14.0, 0.0),
+    "naf_relay": (ChannelConfig(model="naf_relay"), square_design(4, t=2), 16.0, 0.0),
+    "fixed": (ChannelConfig(model="fixed", h_real=np.array([[1.0, 0.9], [0.2, 0.3]])),
+              square_design(2), 8.0, 0.0),
+    "arq_2rounds": (ChannelConfig(model="mimo_arq", nt=2, nr=2, arq_rounds=2,
+                                  arq_x_thresh=2.0), square_design(4), 15.0, 1.0),
+    "arq_3rounds_self_interference": (
+        ChannelConfig(model="mimo_arq", arq_rounds=3, arq_x_thresh=1.0,
+                      noise=SELF_INTERFERENCE), square_design(2), 20.0, 0.5),
+}
+
+#: Blocks of 1, 7, 64 and 256 trials one after another, then 7 trials
+#: whose indices pass 2^32 (each key word is taken mod 2^32).
+DRAW_BLOCKS = [np.arange(0, 1), np.arange(1, 8), np.arange(8, 72), np.arange(72, 328),
+               np.arange(2**32 - 3, 2**32 + 4)]
+
+
+@pytest.mark.parametrize("seed", [5, 2**40 + 3])
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+def test_block_draw_is_the_per_trial_draw_bit_for_bit(case, seed):
+    chan, design, rho_db, r = DRAW_CASES[case]
+    rho = 10.0 ** (rho_db / 10.0)
+    rungs = chan.cell_codebooks(design, rho, r)
+    key = (0, 14_000_000, 7)
+    reference = trial_sampler(chan, rungs, rho,
+                              lambda trial, *sub: trial_rng(seed, *key, trial, *sub))
+    lanes_per_rung = np.zeros(len(rungs), dtype=int)
+    for trials in DRAW_BLOCKS:
+        draw = chan.draw_block(rungs, rho, seed, key, trials)
+        assert draw.failure is None
+        seen = []
+        for rung, ((_, book), stack) in enumerate(zip(rungs, draw.stacks)):
+            if stack is None:
+                continue
+            lanes, y, h, messages = stack
+            seen += lanes.tolist()
+            for lane, y_i, h_i, message in zip(lanes.tolist(), y, h, messages.tolist()):
+                want = reference(int(trials[lane]))
+                assert want.codebook is book and want.message == message, lane
+                assert h_i.shape == want.h.shape and h_i.tobytes() == want.h.tobytes(), lane
+                assert y_i.shape == want.y.shape and y_i.tobytes() == want.y.tobytes(), lane
+            lanes_per_rung[rung] += len(lanes)
+        assert sorted(seen) == list(range(len(trials)))
+    # ARQ: lanes that ACK early and lanes that NACK to the last round.
+    assert (lanes_per_rung > 0).all()
+
+
+def test_a_failed_ack_ends_the_block_at_its_lane(monkeypatch):
+    # Lane 5's Gram matrix is planted singular: the lanes before it are
+    # drawn, and it raises as its episode's round-1 ACK does.
+    chan, design, rho_db, r = DRAW_CASES["arq_2rounds"]
+    rho = 10.0 ** (rho_db / 10.0)
+    rungs = chan.cell_codebooks(design, rho, r)
+    gram_logdet = channels._gram_logdet
+
+    def planted(hc, rho):
+        sign, logdet = gram_logdet(hc, rho)
+        if np.ndim(sign):
+            sign[5] = 0.0
+        return sign, logdet
+
+    monkeypatch.setattr(channels, "_gram_logdet", planted)
+    whole = chan.draw_block(rungs, rho, 5, (0,), np.arange(4, 20))
+    monkeypatch.undo()
+    draw = chan.draw_block(rungs, rho, 5, (0,), np.arange(4, 9))
+    assert whole.failure[0] == 5
+    assert str(whole.failure[1]) == "mutual-information Gram matrix not positive"
+    for got, want in zip(whole.stacks, draw.stacks):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -36,7 +36,7 @@ from latdec.lattice import (
     enumerate_codebook,
 )
 from latdec.reduction import lll_reduce
-from per_trial import prepare
+from per_trial import prepare, trial_sampler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -558,8 +558,8 @@ def ml_search_everywhere(monkeypatch):
 def assert_search_matches_scan(channel, design, rho_db, r, draws, seed):
     """Search and scan agree on `draws` seeded draws of one cell."""
     rho = 10.0 ** (rho_db / 10.0)
-    draw_trial = channel.trial_sampler(channel.cell_codebooks(design, rho, r), rho,
-                                       lambda t, *sub: trial_rng(seed, t, *sub))
+    draw_trial = trial_sampler(channel, channel.cell_codebooks(design, rho, r), rho,
+                               lambda t, *sub: trial_rng(seed, t, *sub))
     for trial in range(draws):
         draw = draw_trial(trial)
         stage = prepare(draw.y, draw.h, draw.design, draw.codebook)

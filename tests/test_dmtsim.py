@@ -41,7 +41,8 @@ from latdec.errors import (EmptyCodebook, InsufficientData, LatdecError, NearSin
                            NotPositiveDefinite, RankDeficient)
 from latdec.lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
                             scaling_factor)
-from per_trial import prepare
+from latdec.numkernel import cholesky_upper
+from per_trial import block_stage, prepare, trial_sampler
 
 
 def square_design(n, t=1):
@@ -320,6 +321,31 @@ def test_outage_rejects_ofdm_duration_not_multiple_of_tones():
         estimate_outage_probability(10.0, 1.0, 3, chan, trials=1000)
 
 
+def test_outage_block_draw_matches_the_per_trial_loop():
+    # Criterion 9's cells (2x2 Rayleigh, T = 1, 4 bits per use, its seed
+    # and levels), 1000 trials each: every trial's H and log2 det, drawn and
+    # formed on stacks, equal bit for bit what its own `trial_rng` stream
+    # and a lone Cholesky give, so the counts are the per-trial loop's.
+    chan = ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2)
+    seed, rate_bits = 20260822, 4.0
+    for rho_db in (10.0, 14.0, 18.0, 22.0, 26.0, 30.0):
+        rho = 10.0 ** (rho_db / 10.0)
+        key = (dmtsim._KIND_OUTAGE, dmtsim._key_from_float(10.0 * math.log10(rho)), 0)
+        h = chan.sample(1, rho, channels.TrialStreams(seed, key, np.arange(1000)))
+        got = dmtsim._outage_log2det(h)
+        count = 0
+        for trial in range(1000):
+            want = sample_quasi_static_rayleigh(2, 2, 1, rho, trial_rng(seed, *key, trial))
+            gram = np.eye(4) + want @ want.T
+            u = cholesky_upper(0.5 * (gram + gram.T))
+            log2det = 2.0 * float(np.sum(np.log2(np.diag(u))))
+            assert h[trial].tobytes() == want.tobytes(), (rho_db, trial)
+            assert got[trial].tobytes() == np.float64(log2det).tobytes(), (rho_db, trial)
+            count += log2det < 2.0 * rate_bits
+        outage = estimate_outage_probability(rho, rate_bits, 1, chan, trials=1000, seed=seed)
+        assert outage.count == count
+
+
 def test_outage_decreases_with_signal_level():
     chan = ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=1)
     weak = estimate_outage_probability(2.0, 1.0, 1, chan, trials=3000, seed=5)
@@ -571,19 +597,18 @@ STAGE_CASES = dict(DIFFERENTIAL_CASES, arq_8x8=(
 
 
 def stage_lanes(case, lanes, seed=5):
-    """The case's first `lanes` draws at its level, written into one
-    `BlockStage` and built for every method, with the draws."""
+    """The case's first `lanes` trials at its level, drawn at once into one
+    `BlockStage` and built for every method, with their per-trial draws."""
     chan, design, rho_db, r, alpha = STAGE_CASES[case]
     cfg = SweepConfig(design=design, channel=chan, methods=ALL_METHODS,
                       rho_db=(rho_db, rho_db + 4.0), r=r, seed=seed, gate_alpha=alpha)
     rho = 10.0 ** (rho_db / 10.0)
     rungs = cfg.cell_codebooks(rho_db)
-    draw = chan.trial_sampler(rungs, rho,
-                              lambda trial, *sub: trial_rng(seed, 0, 1, 2, trial, *sub))
+    draw = trial_sampler(chan, rungs, rho,
+                         lambda trial, *sub: trial_rng(seed, 0, 1, 2, trial, *sub))
     draws = [draw(trial) for trial in range(lanes)]
-    stage = decoders.BlockStage(rungs, lanes, rho=rho, gate_alpha=alpha)
-    for d in draws:
-        stage.add(d.y, d.h, d.codebook, d.message)
+    block = chan.draw_block(rungs, rho, seed, (0, 1, 2), np.arange(lanes))
+    stage = decoders.BlockStage(rungs, block.stacks, rho=rho, gate_alpha=alpha)
     stage.build(ALL_METHODS)
     return stage, draws, rho, alpha
 
@@ -678,10 +703,8 @@ def test_a_lane_whose_stage_fails_fails_as_it_does_alone(monkeypatch):
              (np.array([1e9, 1e9]), np.full((2, 2), 1e9), design, book),
              (np.array([0.1, 0.2]), np.array([[1.0, 0.9], [0.2, 0.3]]), design, book),
              (np.array([0.9, 0.1]), np.diag([30.0, 0.1]), thin, thin_book)]
-    stage = decoders.BlockStage([(design, book), (thin, thin_book)], len(lanes),
-                                rho=100.0, gate_alpha=7.0)
-    for y, h, _, b in lanes:
-        stage.add(y, h, b, 0)
+    stage = block_stage([(design, book), (thin, thin_book)],
+                        [(y, h, b, 0) for y, h, _, b in lanes], rho=100.0, gate_alpha=7.0)
     stage.build(ALL_METHODS)
     seen = set()
     for i, (y, h, d, b) in enumerate(lanes):
@@ -767,9 +790,7 @@ def test_block_ml_breaks_near_ties_as_the_scan():
     book = enumerate_codebook(design, 1.0)
     lanes = [(np.array([x, y]), np.eye(2), design, book, message)
              for x in (1e-13, -0.5) for y in (0.5, 1e-13, -0.5) for message in range(book.size)]
-    stage = decoders.BlockStage([(design, book)], len(lanes))
-    for y, h, _, b, message in lanes:
-        stage.add(y, h, b, message)
+    stage = block_stage([(design, book)], [(y, h, b, message) for y, h, _, b, message in lanes])
     stage.build(("ml",))
     decoded, errors, _ = assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))["ml"]
     want = [lane for lane, (y, *_, message) in enumerate(lanes) if not np.array_equal(
@@ -823,10 +844,9 @@ def test_block_decode_of_rungs_that_fell_back(monkeypatch, failing, lockstep):
     lanes = [(np.array([0.4, 0.6]), np.eye(2), design, book, 1), lanes.pop(failing),
              (np.array([0.1, 0.2]), np.array([[1.0, 0.9], [0.2, 0.3]]), design, book, 2),
              *lanes.values()] * 2
-    stage = decoders.BlockStage([(design, book), (thin, thin_book)], len(lanes),
-                                rho=100.0, gate_alpha=7.0)
-    for y, h, _, b, message in lanes:
-        stage.add(y, h, b, message)
+    stage = block_stage([(design, book), (thin, thin_book)],
+                        [(y, h, b, message) for y, h, _, b, message in lanes],
+                        rho=100.0, gate_alpha=7.0)
     stage.build(ALL_METHODS)
     loops = assert_block_decodes_lane_by_lane(stage, lanes, ALL_METHODS, 100.0, 7.0)
     assert loops["ml"][0] == len(lanes) and loops["ml"][2] is None
@@ -840,8 +860,8 @@ def per_trial_tally(cfg, rho_db):
     stage, a failure listed as (trial, method, type, message)."""
     rho = 10.0 ** (rho_db / 10.0)
     key = (dmtsim._key_from_float(rho_db), dmtsim._key_from_float(cfg.r))
-    draw = cfg.channel.trial_sampler(cfg.cell_codebooks(rho_db), rho,
-                                     lambda trial, *sub: trial_rng(cfg.seed, 0, *key, trial, *sub))
+    draw = trial_sampler(cfg.channel, cfg.cell_codebooks(rho_db), rho,
+                         lambda trial, *sub: trial_rng(cfg.seed, 0, *key, trial, *sub))
     active = list(cfg.methods)
     trials, errors, failures = dict.fromkeys(active, 0), {m: [] for m in active}, []
     for trial in range(cfg.max_trials):
@@ -973,28 +993,34 @@ def test_scan_of_speculative_blocks_matches_serial(model, serial_records):
 def plant_failures(monkeypatch, plants):
     """Raise NearSingularChannel at each (rho_db, trial, method) of
     `plants`: in that method's decode of the trial's lane, or for method
-    None in the trial's draw.  Forked pool workers inherit the patch."""
+    None in the trial's draw, which then ends its block there.  Forked
+    pool workers inherit the patch."""
     keys = {(dmtsim._key_from_float(rho_db), trial): (rho_db, method)
             for rho_db, trial, method in plants}
     current = {}
+    draw_block = ChannelConfig.draw_block
 
-    def keyed_rng(*key):
-        plant = current["draw"] = keys.get((key[2], key[4]))
-        if plant is not None and plant[1] is None:
-            raise NearSingularChannel(f"planted at {plant[0]} dB, method None")
-        return trial_rng(*key)
+    def planted_draw(channel, rungs, rho, seed, key, trials):
+        draw = draw_block(channel, rungs, rho, seed, key, trials)
+        plants = current["block"] = [keys.get((key[1], trial)) for trial in trials]
+        failed = [lane for lane, plant in enumerate(plants)
+                  if plant is not None and plant[1] is None]
+        if failed:   # the block's lanes before the failed draw, as drawn
+            lane = failed[0]
+            stacks = [None if stack is None or not (stack[0] < lane).any()
+                      else tuple(a[stack[0] < lane] for a in stack)
+                      for stack in draw.stacks]
+            exc = NearSingularChannel(f"planted at {plants[lane][0]} dB, method None")
+            draw = channels.BlockDraw(stacks, (lane, exc))
+        return draw
 
     class PlantedStage(decoders.BlockStage):
-        """Lane i is the block's i-th draw: its plant is noted when the
-        draw is added."""
+        """Lane i is the block's i-th trial: its plant is the one its draw
+        noted."""
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.plants = []
-
-        def add(self, *args):
-            super().add(*args)
-            self.plants.append(current["draw"])
+            self.plants = current["block"]
 
     def planted_decode(block, *, method, budget):
         # The block's outcome cut where the method reaches its planted lane,
@@ -1009,7 +1035,7 @@ def plant_failures(monkeypatch, plants):
                 error for error in out.errors if error[0] < lane])
         return out
 
-    monkeypatch.setattr(dmtsim, "trial_rng", keyed_rng)
+    monkeypatch.setattr(ChannelConfig, "draw_block", planted_draw)
     monkeypatch.setattr(dmtsim, "BlockStage", PlantedStage)
     monkeypatch.setattr(dmtsim, "decode", planted_decode)
 

@@ -3,7 +3,7 @@ function its tracer rebinds and every function its output checks call
 must exist, and installing then removing the tracer must leave every
 module binding as it was.  An API cut that breaks this would otherwise
 surface only in a traced benchmark run (`--trace 1`).  A sweep must also
-call the traced per-block and per-trial functions, or their metrics read 0."""
+call the traced per-block functions, or their metrics read 0."""
 
 import collections
 import sys
@@ -55,10 +55,12 @@ def test_tracer_install_and_uninstall_restore_every_binding(tmp_path):
 def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
     # Each block a method runs in is one traced `decoders.decode` span of
     # that method (the block's lanes decoded in one call, lanes decoded one
-    # by one included), and each ARQ trial of a block run one traced
-    # `channels.simulate_arq_episode`: a block draws all its trials before
-    # it decodes any, so a level draws up to the end of the block that
-    # holds its last recorded trial.
+    # by one included).  Each block is drawn at once by
+    # `ChannelConfig.draw_block`: one traced `channels.complex_gaussian`
+    # span draws its channels, and no trial builds its own `trial_rng` or
+    # runs its own `simulate_arq_episode`, so those metrics read 0.  A block
+    # draws all its trials before it decodes any, so a level draws up to
+    # the end of the block that holds its last recorded trial.
     design = latdec.LatticeDesign(generator=np.eye(2),
                                   region=latdec.ShapingRegion.box([0.6, 0.6]),
                                   dither=np.full(2, 0.5))
@@ -79,6 +81,5 @@ def test_sweeps_run_through_the_traced_decode_and_episode(channel, tmp_path):
         assert blocks > 0 and spans[f"decoders.decode.{method}"] == blocks
     last = [max(rec.trials for rec in records if rec.rho_db == rho_db)
             for rho_db in config.rho_db]
-    drawn = sum(min(config.max_trials, -(-t // block) * block) for t in last)
-    episodes = drawn if channel.model == "mimo_arq" else 0
-    assert spans["channels.simulate_arq_episode"] == episodes
+    assert spans["channels.complex_gaussian"] == sum(-(-t // block) for t in last)
+    assert spans["channels.trial_rng"] == spans["channels.simulate_arq_episode"] == 0
