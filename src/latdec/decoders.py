@@ -22,8 +22,9 @@ ML scans the codebook (`ml_decode`) up to `ML_SCAN_MAX_POINTS` codewords.
 Above that it runs the sphere search on H (phi G), bounded to the
 codebook's integer coordinate box (a box-constrained Schnorr-Euchner
 search; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
-lattices", IEEE T-IT 2002), and hands the few codewords near the best to
-`ml_decode`, whose tie rule then returns the scan's codeword.
+lattices", IEEE T-IT 2002), with no leaf test on a codebook that fills
+that box, and hands the few codewords near the best to `ml_decode`, whose
+tie rule then returns the scan's codeword.
 
 Every method decodes a `ChannelStage`, the channel stage of one received
 vector shared by the methods, through `decode(stage, method=...)`: the
@@ -34,10 +35,11 @@ forms the GDFE, the condition gate and LLL of all its lanes at once on
 `RegularizedProblem.prepared()` and `gated_reduce` would, and
 `decode(block, method=..., budget=...)` decodes the whole block for one
 method up to its budget-th error: the ML scan, the nearest-plane and
-rounding detectors and `reg_exact`'s QR run on the (B, n) stacks, each
-lane's outcome the one its own stage gives, bit for bit.  The stacked
-detectors decode every lane of a rung, so lanes past the method's
-stopping lane may be decoded for nothing; they are not counted.
+rounding detectors and the QR and rotated target of `reg_exact` and of
+large-codebook ML run on the (B, n) stacks, each lane's outcome the one
+its own stage gives, bit for bit.  The stacked detectors decode every
+lane of a rung, so lanes past the method's stopping lane may be decoded
+for nothing; they are not counted.
 """
 
 from __future__ import annotations
@@ -307,39 +309,59 @@ def ml_decode(y, h, codebook: Codebook) -> DecodeOutcome:
 
 
 def _ml_search(stage: ChannelStage) -> DecodeOutcome:
-    """`ml_decode` over a codebook too large to scan, by the box-bounded
-    sphere search.
-
-    The search runs on H (phi G) with target y - H u inside the codebook's
-    coordinate box, uncapped, and tests each leaf's `lattice_points` with
-    the region, as the enumeration tests its candidates.  Every codeword
-    within `ML_TIE_SLACK` of the nearest goes, in the codebook's
-    lexicographic order, to `ml_decode`, whose tie rule then picks the
-    scan's codeword.  A channel with fewer outputs than inputs, or a
-    rank-deficient one, is scanned."""
+    """`ml_decode` of one stage over a codebook too large to scan: the
+    `_MLSearch` of a one-lane stack.  A channel with fewer outputs than
+    inputs, or a rank-deficient one, is scanned."""
     problem, book = stage.problem, stage.codebook
-    m, n = problem.h.shape
-    a, u = problem.scaled_generator, problem.dither
-    region = stage.design.region
-    target = problem.y - problem.h @ u
-    leaves = []
-    if m >= n:
-        try:
-            leaves = _closest_point(
-                problem.h @ a, target, box=book.coord_box(),
-                slack=ML_TIE_SLACK * (1.0 + float(target @ target)),
-                accept=lambda z: region.contains(lattice_points(a, u, z)))
-        except RankDeficient:
-            pass
-    if not leaves:
-        # A wide or rank-deficient channel, or (by roundoff alone) no
-        # codeword passing the leaf test.
+    try:
+        search = _MLSearch(problem.y[None], problem.h[None], problem.scaled_generator,
+                           problem.dither, stage.design.region, book)
+    except RankDeficient:
         return ml_decode(problem.y, problem.h, book)
-    zs = np.array([z for z, _ in leaves])
-    pts = lattice_points(a, u, zs)
-    order = np.lexsort(pts.T[::-1])
-    return ml_decode(problem.y, problem.h,
-                     Codebook(points=pts[order], coords=zs[order], scale=book.scale))
+    return search.decode(0)
+
+
+class _MLSearch:
+    """`ml_decode` over a codebook too large to scan, by the box-bounded
+    sphere search, for each lane of stacks (L, m) of y and (L, m, n) of H
+    sent from `book`, on the lattice phi G = `scaled_generator` with
+    dither u.
+
+    The constructor forms H (phi G), its QR, the target y - H u and its
+    rotation by Q^T on the stacks (stacked matmuls, so each lane gets the
+    bits it gets alone).  It raises RankDeficient for a wide H (m < n),
+    whose H (phi G) has rank below n, and if any lane's QR does.
+    `decode(slot)` then searches one lane inside the codebook's coordinate
+    box, uncapped.  A book that fills its box needs no leaf test; any
+    other tests each leaf's `lattice_points` with the region, as the
+    enumeration tests its candidates.  Every codeword within
+    `ML_TIE_SLACK` of the nearest goes, in the codebook's lexicographic
+    order, to `ml_decode`, whose tie rule then picks the scan's codeword."""
+
+    def __init__(self, y, h, scaled_generator, dither, region, book: Codebook):
+        m, n = h.shape[-2:]
+        if m < n:
+            raise RankDeficient(f"H (phi G) is {m} x {n}: rank below {n}")
+        q, self.r = qr_decompose(h @ scaled_generator)
+        self.target = y - matvec(h, dither)
+        self.ytil = matvec(np.swapaxes(q, -1, -2), self.target)
+        self.y, self.h, self.a, self.u, self.book = y, h, scaled_generator, dither, book
+        self.accept = None if book.fills_box else (
+            lambda z: region.contains(lattice_points(scaled_generator, dither, z)))
+
+    def decode(self, slot: int) -> DecodeOutcome:
+        y, h, target = self.y[slot], self.h[slot], self.target[slot]
+        leaves = _sphere_search(self.r[slot], self.ytil[slot], box=self.book.coord_box(),
+                                slack=ML_TIE_SLACK * (1.0 + float(target @ target)),
+                                accept=self.accept)
+        if not leaves:
+            # By roundoff alone, no codeword passing the leaf test.
+            return ml_decode(y, h, self.book)
+        zs = np.array([z for z, _ in leaves])
+        pts = lattice_points(self.a, self.u, zs)
+        order = np.lexsort(pts.T[::-1])
+        return ml_decode(y, h, Codebook(points=pts[order], coords=zs[order],
+                                        scale=self.book.scale))
 
 
 def _babai_backsub(r: np.ndarray, ytil: np.ndarray) -> np.ndarray:
@@ -437,14 +459,13 @@ def _sphere_search(r: np.ndarray, ytil: np.ndarray, box=None,
     return [(zl.astype(np.int64), c) for zl, c in leaves]
 
 
-def _closest_point(basis: np.ndarray, target: np.ndarray, box=None,
-                   slack: float = 0.0, accept=None) -> list:
-    """Leaves (z, squared distance) of the lattice points `basis` @ z
+def _closest_point(basis: np.ndarray, target: np.ndarray) -> list:
+    """The one leaf [(z, squared distance)] of the lattice point `basis` @ z
     nearest to `target`, distance taken within the basis's column space:
-    QR of the basis, the target rotated by Q^T, then sphere search (see
-    `_sphere_search` for the box, slack and leaf test)."""
+    QR of the basis, the target rotated by Q^T, then the unbounded sphere
+    search."""
     q, r = qr_decompose(basis)
-    return _sphere_search(r, q.T @ target, box=box, slack=slack, accept=accept)
+    return _sphere_search(r, q.T @ target)
 
 
 def sphere_decode_regularized(problem: RegularizedProblem) -> LatticeDecodeResult:
@@ -687,11 +708,13 @@ def decode(stage, *, method: str,
     gives, bit for bit, but the detectors run on the rungs' stacks: the ML
     scan of a codebook of at most `ML_SCAN_MAX_POINTS` points, the
     reduction-aided detectors of a rung with a gate stack (both on every
-    lane of the rung, past the stopping lane too), and `reg_exact`'s QR and
-    rotation of the target, whose search then runs lane by lane.  `naive`,
-    larger codebooks' ML, and every rung whose stacks lack what the method
-    reads or whose stacked detector raises a `LatdecError` are decoded lane
-    by lane through the stage path, which raises each lane's own failure."""
+    lane of the rung, past the stopping lane too), and the QR and rotated
+    target of `reg_exact` and of ML over a larger codebook, whose searches
+    then run lane by lane.  `naive`, and every rung whose stacks lack
+    what the method reads or whose stacked detector raises a `LatdecError`
+    (ML's search on a wide rung, with fewer outputs than inputs, or a
+    stacked QR with one rank-deficient lane), are decoded lane by lane
+    through the stage path, which raises each lane's own failure."""
     if isinstance(stage, BlockStage):
         return _decode_block(stage, method, budget)
     if budget is not None:
@@ -738,6 +761,8 @@ def _decode_block(block: BlockStage, method: str, budget: int | None) -> BlockOu
         try:
             if method == METHOD_ML and stack.book.size <= ML_SCAN_MAX_POINTS:
                 codes[stack.lanes] = _scan_codes(stack)
+            elif method == METHOD_ML:
+                one_by_one[rung] = _searched_codes(stack)
             elif method in _REDUCTION_AIDED and stack.gates is not None:
                 codes[stack.lanes] = _reduction_aided_codes(stack, method)
             elif method == METHOD_REG_EXACT and stack.form is not None:
@@ -834,6 +859,19 @@ def _reduction_aided_codes(stack: _RungStack, method: str) -> np.ndarray:
         z = matvec(reduced.unimodular[s], c.astype(np.int64))
         codes[passed] = _classified_codes(stack, passed, z)
     return codes
+
+
+def _searched_codes(stack: _RungStack):
+    """ML of a rung whose book is too large to scan: one `_MLSearch` of
+    its stacks, then the code of one lane's search per call."""
+    _, scaled_generator, dither = stack.fixed
+    search = _MLSearch(stack.y, stack.h, scaled_generator, dither, stack.design.region,
+                       stack.book)
+
+    def code(lane: int, slot: int) -> int:
+        wrong = (search.decode(slot).coords != stack.sent[slot]).any()
+        return _WRONG if wrong else _RIGHT
+    return code
 
 
 class _RegularizedSearch:

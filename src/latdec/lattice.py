@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class Codebook:
     points: np.ndarray  # (N, n) float64, lexicographically sorted
     coords: np.ndarray  # (N, n) int64 lattice coordinates
     scale: float
-    # (lo, hi), set by coord_box() on first use.
+    # (lo, hi), set by the product enumeration or by coord_box() on first use.
     _box: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -174,6 +175,13 @@ class Codebook:
         if self._box is None:
             self._box = (self.coords.min(axis=0), self.coords.max(axis=0))
         return self._box
+
+    @cached_property
+    def fills_box(self) -> bool:
+        """Whether every integer z of `coord_box()` is a codeword's
+        coordinates: the size equals the box's volume."""
+        lo, hi = self.coord_box()
+        return self.size == math.prod((hi - lo + 1).tolist())
 
 
 def scaling_factor(rho: float, r: float, t: int, n: int) -> float:
@@ -230,6 +238,9 @@ def _iter_integer_box(lo: np.ndarray, hi: np.ndarray):
         yield lo + np.stack(np.unravel_index(idx, sizes), axis=1)
 
 
+_EMPTY = "codebook is empty for this design and scale: no candidate lies in the region"
+
+
 def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     """Exact finite codebook {phi G z + u} intersect R.
 
@@ -237,10 +248,21 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
     BudgetExceeded past `DEFAULT_ENUM_BUDGET` of them; membership is the
     closed-set region test.  Raises EmptyCodebook when no candidate lies
     in the region, an empty candidate box included.
+
+    A box region on a diagonal phi G with a positive diagonal is a product
+    of per-axis ranges, and is built as one (`_product_codebook`), bit for
+    bit the book the candidate scan below gives; every other design
+    (a rotated generator, a ball, a negative diagonal) is scanned.
     """
     lo, hi = _candidate_box(design, phi)
     a = phi * design.generator
     u = design.dither_or_zero()
+    diagonal = np.diagonal(a)
+    if (design.region.kind == "box" and (diagonal > 0.0).all()
+            and np.array_equal(a, np.diag(diagonal))):
+        book = _product_codebook(a, u, design.region.half_widths, lo, hi, float(phi))
+        if book is not None:
+            return book
     kept_pts = []
     kept_z = []
     for z in _iter_integer_box(lo, hi):
@@ -250,13 +272,40 @@ def enumerate_codebook(design: LatticeDesign, phi: float) -> Codebook:
             kept_pts.append(pts[mask])
             kept_z.append(z[mask])
     if not kept_pts:
-        raise EmptyCodebook("codebook is empty for this design and scale: "
-                            "no candidate lies in the region")
+        raise EmptyCodebook(_EMPTY)
     pts = np.concatenate(kept_pts, axis=0)
     zs = np.concatenate(kept_z, axis=0)
     # Canonical order: lexicographic by point coordinates.
     order = np.lexsort(pts.T[::-1])
     return Codebook(points=pts[order], coords=zs[order], scale=float(phi))
+
+
+def _product_codebook(a, u, half_widths, lo, hi, phi: float) -> Codebook | None:
+    """The box code of a diagonal `a` with a positive diagonal: axis i
+    keeps the candidates z_i whose |z_i a_ii + u_i| passes the box test,
+    which is the test of every point with that coordinate (the point's
+    other terms are exact zeros), and the coordinates are the odometer
+    product of the kept ranges.  While each axis's point coordinates
+    strictly increase with z_i, that product is the scan's lexicographic
+    order; None where roundoff ties two of them (a step a_ii below the
+    spacing of doubles near u_i), which the scan then orders.  The points
+    come from `lattice_points`, as the scan's do."""
+    axes = []
+    for i in range(len(lo)):
+        z = np.arange(lo[i], hi[i] + 1, dtype=np.int64)
+        x = z.astype(np.float64) * a[i, i] + u[i]
+        inside = np.abs(x) <= half_widths[i] + MEMBERSHIP_SLACK
+        if not inside.any():
+            raise EmptyCodebook(_EMPTY)
+        if not (np.diff(x[inside]) > 0.0).all():
+            return None
+        axes.append(z[inside])
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    book = Codebook(points=lattice_points(a, u, coords), coords=coords, scale=phi)
+    # The kept ranges are the coordinate box: spare coord_box() its min and
+    # max over the (N, n) coordinates, about 5 ms at 83521 points.
+    book._box = (np.array([z[0] for z in axes]), np.array([z[-1] for z in axes]))
+    return book
 
 
 def random_dither(generator, phi: float, rng) -> np.ndarray:

@@ -10,7 +10,10 @@ y, bit for bit.  `block_stage` writes such draws into one `BlockStage`.
 triangular form (`prepared()`) and gated LLL reduction (`gated_reduce`,
 the single-basis list loop) are built on first use, at most once, and
 only for a method that reads them.  A `BlockStage` lane must decode to
-the same outcome, and raise the same failure, for every method."""
+the same outcome, and raise the same failure, for every method.
+
+`spy_ml_searches` makes ML search every codebook and records each search
+it builds, for the tests that check the search against the scan."""
 
 import numpy as np
 
@@ -24,7 +27,9 @@ from latdec.channels import (
     sample_quasi_static_rayleigh,
     simulate_arq_episode,
 )
+from latdec import decoders
 from latdec.decoders import BlockStage, ChannelStage, RegularizedProblem
+from latdec.errors import LatdecError
 
 
 def prepare(y, h, design, codebook, rho=None, gate_alpha=None) -> ChannelStage:
@@ -95,3 +100,32 @@ def block_stage(rungs, lanes, rho=None, gate_alpha=None) -> BlockStage:
                        np.array([lanes[i][3] for i in on], dtype=np.int64))
                       if on else None)
     return BlockStage(rungs, stacks, rho=rho, gate_alpha=gate_alpha)
+
+
+def spy_ml_searches(monkeypatch):
+    """Make ML search every codebook (`ML_SCAN_MAX_POINTS` = 0), and
+    return two lists filled in call order: `searches`, each `_MLSearch`
+    built (of a lone stage or of a block's rung) as (lanes, the type of
+    the `LatdecError` its constructor raised, or None), and `leaf_tests`,
+    each box-bounded sphere search as whether it tests its leaves."""
+    monkeypatch.setattr(decoders, "ML_SCAN_MAX_POINTS", 0)
+    searches, leaf_tests = [], []
+    search, sphere_search = decoders._MLSearch, decoders._sphere_search
+
+    def spied_search(y, *args):
+        try:
+            built = search(y, *args)
+        except LatdecError as exc:
+            searches.append((len(y), type(exc)))
+            raise
+        searches.append((len(y), None))
+        return built
+
+    def spied_sphere_search(r, ytil, box=None, slack=0.0, accept=None):
+        if box is not None:
+            leaf_tests.append(accept is not None)
+        return sphere_search(r, ytil, box=box, slack=slack, accept=accept)
+
+    monkeypatch.setattr(decoders, "_MLSearch", spied_search)
+    monkeypatch.setattr(decoders, "_sphere_search", spied_sphere_search)
+    return searches, leaf_tests

@@ -7,11 +7,11 @@ for one process.  Each test below reruns tests/test_pinned_records.py in
 a subprocess under a forced kernel, so a pinned hash that depends on the
 kernel fails here rather than on some other machine, and with it the
 differential tests of the stacked block draw against the per-trial draw
-and of the stacked block decode against the lane-by-lane loop, so a
-kernel whose stacked matmul (h @ x, e @ x, an OFDM tone sum, an outage
-Gram matrix) rounds apart from a lone product fails here too.  A test
-skips when
-numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS or the CPU lacks the
+and of the stacked block decode (large-book ML's stacked QR and its
+fallbacks included) against the lane-by-lane loop, so a kernel whose
+stacked matmul (h @ x, e @ x, H phi G, an OFDM tone sum, an outage Gram
+matrix) or QR rounds apart from a lone one fails here too.  A test skips
+when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS or the CPU lacks the
 instructions the kernel needs."""
 
 import os
@@ -60,6 +60,10 @@ def test_pinned_records_hold_under_forced_kernel(coretype, flag):
          f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_outage_block_draw_matches_the_per_trial_loop",
          f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_block_decode_matches_the_per_lane_loop",
          f"{ROOT / 'tests' / 'test_dmtsim.py'}"
-         "::test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop"],
+         "::test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop",
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}"
+         "::test_block_ml_search_of_a_rung_whose_stacked_qr_raises",
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_block_ml_search_of_wide_and_unfilled_books",
+         f"{ROOT / 'tests' / 'test_dmtsim.py'}::test_block_ml_search_of_a_box_book_tests_no_leaf"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -27,7 +27,7 @@ from latdec.decoders import (
     regularized_metric,
     sphere_decode_regularized,
 )
-from latdec.errors import EnumerationOverflow, NearSingularChannel
+from latdec.errors import EnumerationOverflow, NearSingularChannel, RankDeficient
 from latdec.lattice import (
     MEMBERSHIP_SLACK,
     Codebook,
@@ -36,7 +36,7 @@ from latdec.lattice import (
     enumerate_codebook,
 )
 from latdec.reduction import lll_reduce
-from per_trial import prepare, trial_sampler
+from per_trial import prepare, spy_ml_searches, trial_sampler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -542,16 +542,9 @@ ML_SEARCH_CASES = {
 
 @pytest.fixture
 def ml_search_everywhere(monkeypatch):
-    """Search every codebook; count the searches that reach the QR."""
-    monkeypatch.setattr(decoders, "ML_SCAN_MAX_POINTS", 0)
-    searches = []
-    closest = decoders._closest_point
-
-    def counted(*args, **kwargs):
-        searches.append(kwargs.get("box"))
-        return closest(*args, **kwargs)
-
-    monkeypatch.setattr(decoders, "_closest_point", counted)
+    """Search every codebook; list each search built as (lanes, the
+    failure its constructor raised or None)."""
+    searches, _ = spy_ml_searches(monkeypatch)
     return searches
 
 
@@ -575,7 +568,7 @@ def test_ml_search_matches_scan_on_every_channel_model(name, ml_search_everywher
     channel, design, rho_db, r = ML_SEARCH_CASES[name]
     assert_search_matches_scan(channel, design, rho_db, r, draws=60, seed=41)
     wide = name == "rayleigh_wide"  # fewer outputs than inputs: scanned
-    assert len(ml_search_everywhere) == (0 if wide else 60)
+    assert ml_search_everywhere == [(1, RankDeficient if wide else None)] * 60
 
 
 def test_ml_search_matches_scan_on_every_rate_growth_cell(ml_search_everywhere, tmp_path):
@@ -666,7 +659,7 @@ def test_ml_search_scans_a_rank_deficient_channel(ml_search_everywhere):
     want = ml_decode(y, h, book)
     assert np.array_equal(out.coords, want.coords)
     assert out.metric == want.metric
-    assert ml_search_everywhere
+    assert ml_search_everywhere == [(1, RankDeficient)]
 
 
 def test_ml_search_ignores_the_node_budget(ml_search_everywhere, monkeypatch):
@@ -678,4 +671,4 @@ def test_ml_search_ignores_the_node_budget(ml_search_everywhere, monkeypatch):
     uncapped = run_sweep(config).records
     monkeypatch.setattr(decoders, "NODE_BUDGET", 1)
     assert run_sweep(config).records == uncapped
-    assert ml_search_everywhere
+    assert any(raised is None for _, raised in ml_search_everywhere)

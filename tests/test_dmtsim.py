@@ -42,7 +42,7 @@ from latdec.errors import (EmptyCodebook, InsufficientData, LatdecError, NearSin
 from latdec.lattice import (Codebook, LatticeDesign, ShapingRegion, enumerate_codebook,
                             scaling_factor)
 from latdec.numkernel import cholesky_upper
-from per_trial import block_stage, prepare, trial_sampler
+from per_trial import block_stage, prepare, spy_ml_searches, trial_sampler
 
 
 def square_design(n, t=1):
@@ -814,6 +814,76 @@ def test_block_ml_scans_in_chunks_and_searches_as_the_per_lane_loop(monkeypatch,
     for limit in ml_scan_limits(sizes):
         monkeypatch.setattr(decoders, "ML_SCAN_MAX_POINTS", limit)
         assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))
+
+
+def test_block_ml_search_of_a_rung_whose_stacked_qr_raises(monkeypatch):
+    # Lane 3's channel has a zero column, so H (phi G) fails the QR floor
+    # and the rung's stacked search raises: every lane then goes through
+    # its own search, and lane 3 is scanned.
+    searches, _ = spy_ml_searches(monkeypatch)
+    design = square_design(2)
+    book = enumerate_codebook(design, 0.25)
+    rng = np.random.default_rng(29)
+    lanes = [(rng.standard_normal(2), rng.standard_normal((2, 2)), design, book,
+              int(rng.integers(book.size))) for _ in range(12)]
+    lanes[3] = (lanes[3][0], np.array([[1.0, 0.0], [0.5, 0.0]]), design, book, lanes[3][4])
+    stage = block_stage([(design, book)], [(y, h, b, message) for y, h, _, b, message in lanes])
+    stage.build(("ml",))
+    searches.clear()
+    assert block_decode(stage, "ml", None)[2] is None
+    assert searches == [(12, RankDeficient)] + [(1, None)] * 3 + [(1, RankDeficient)] + [
+        (1, None)] * 8
+    assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))
+
+
+# name -> (channel, design, signal level dB, rate): a wide channel, and two
+# codebooks that do not fill their coordinate box.
+ML_BLOCK_CASES = {
+    "wide_2x1": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=1),
+                 square_design(4), 14.0, 0.5),
+    "ball": (ChannelConfig(model="quasi_static_rayleigh", nt=2, nr=2),
+             LatticeDesign(generator=np.eye(4), region=ShapingRegion.ball(1.8),
+                           dither=np.full(4, 0.5)), 16.0, 0.5),
+    "rotated_box": (ChannelConfig(model="quasi_static_rayleigh", nt=1, nr=1),
+                    LatticeDesign(generator=np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]),
+                                  region=ShapingRegion.box(np.full(2, 0.6)),
+                                  dither=np.full(2, 0.5)), 14.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ML_BLOCK_CASES))
+def test_block_ml_search_of_wide_and_unfilled_books(monkeypatch, case):
+    searches, leaf_tests = spy_ml_searches(monkeypatch)
+    chan, design, rho_db, r = ML_BLOCK_CASES[case]
+    rho, seed, count = 10.0 ** (rho_db / 10.0), 5, 100
+    rungs = chan.cell_codebooks(design, rho, r)
+    draw = trial_sampler(chan, rungs, rho,
+                         lambda trial, *sub: trial_rng(seed, 0, 1, 2, trial, *sub))
+    lanes = [(d.y, d.h, d.design, d.codebook, d.message)
+             for d in (draw(trial) for trial in range(count))]
+    block = chan.draw_block(rungs, rho, seed, (0, 1, 2), np.arange(count))
+    stage = decoders.BlockStage(rungs, block.stacks)
+    stage.build(("ml",))
+    assert block_decode(stage, "ml", None) == lane_by_lane(lanes, "ml", None)
+    if case == "wide_2x1":   # fewer outputs than inputs: every search refused, so scanned
+        assert searches[0] == (count, RankDeficient) and len(searches) == 2 * count + 1
+        assert all(raised is RankDeficient for _, raised in searches) and leaf_tests == []
+    else:   # the block's one stacked search, then the reference's one per lane
+        [(_, book)] = rungs
+        assert not book.fills_box
+        assert searches[0] == (count, None) and len(searches) == count + 1
+        assert leaf_tests and all(leaf_tests)
+    assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))
+
+
+def test_block_ml_search_of_a_box_book_tests_no_leaf(monkeypatch):
+    searches, leaf_tests = spy_ml_searches(monkeypatch)
+    stage, draws, _, _ = stage_lanes("quasi_static_rayleigh", 100)
+    [(_, book)] = stage.rungs
+    assert book.fills_box
+    lanes = [(d.y, d.h, d.design, d.codebook, d.message) for d in draws]
+    assert_block_decodes_lane_by_lane(stage, lanes, ("ml",))
+    assert (100, None) in searches and leaf_tests and not any(leaf_tests)
 
 
 # Lane 1 of each block below fails every method but `ml`: where it is

@@ -1,22 +1,28 @@
 """Shaping regions, scaling and codebook enumeration, checked against
 hand-counted cases."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from latdec import lattice
-from latdec.channels import trial_rng
-from latdec.errors import BudgetExceeded
+from latdec import lattice, load_experiment
+from latdec.channels import _arq_fragments, trial_rng
+from latdec.errors import BudgetExceeded, EmptyCodebook
 from latdec.lattice import (
     LatticeDesign,
     ShapingRegion,
     enumerate_codebook,
     lattice_points,
+    _candidate_box,
     random_dither,
     round_half_away_from_zero,
     round_half_away_from_zero_scalar,
     scaling_factor,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def square_design(n, half_width=0.6, dither=0.5):
@@ -243,3 +249,139 @@ def test_integer_box_spans_chunks_in_odometer_order():
     hi = -lo                        # 21^3 * 29 = 268569 rows > 2^18
     chunks = _assert_same_chunks(lo, hi)
     assert len(chunks) == 2 and len(chunks[0]) == 1 << 18
+
+
+# Box codebooks as coordinate products.  Each case is built twice: by
+# `enumerate_codebook` as it stands, and by the candidate scan with the
+# product path switched off, and the two must agree bit for bit.
+
+def shipped_designs():
+    """The shipped designs and their 2- and 3-round ARQ fragments."""
+    designs = {}
+    for name in ("vblast_2x2", "pilot_1x1"):
+        design = load_experiment(str(ROOT / "configs" / f"{name}.yaml")).design
+        for l, fragment in enumerate(_arq_fragments(design, 3), start=1):
+            designs[f"{name}_x{l}"] = fragment
+    return designs
+
+
+PRODUCT_DESIGNS = dict(
+    shipped_designs(),
+    positive_diagonal=LatticeDesign(
+        generator=np.diag([0.7, 1.3, 2.0, 0.45]),
+        region=ShapingRegion.box([0.6, 1.1, 2.5, 0.35]),
+        dither=np.array([0.1, -0.3, 0.25, 0.5])),
+    no_dither=square_design(4, dither=None),
+    # Points land on the boundary +-1.0 exactly at phi = 0.5.
+    on_the_boundary=square_design(3, half_width=1.0, dither=None),
+)
+
+#: Candidate boxes up to this volume are scanned as the reference.
+SCANNED_CANDIDATES = 120_000
+
+
+def scanned(monkeypatch, design, phi):
+    """The codebook of the candidate scan alone."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_product_codebook", lambda *args: None)
+        return enumerate_codebook(design, phi)
+
+
+def assert_same_book(got, want):
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.coords.dtype == want.coords.dtype == np.int64
+    assert got.size == want.size and got.scale == want.scale
+    for g, w in zip(got.coord_box(), want.coord_box()):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_DESIGNS))
+def test_product_codebook_is_the_scanned_one_bit_for_bit(monkeypatch, name):
+    # Levels 0 to 44.5 dB at r = 0, 0.5, 1 and 1.5 (r / l on an l-round
+    # fragment, as a sweep sets it up), each cell whose candidate box the
+    # scan can afford; past the budget both raise before building.
+    design = PRODUCT_DESIGNS[name]
+    built = []
+    monkeypatch.setattr(lattice, "_product_codebook",
+                        lambda *args, built_as=lattice._product_codebook:
+                        built.append(args[-1]) or built_as(*args))
+    cells = 0
+    for r in (0.0, 0.5, 1.0, 1.5):
+        for rho_db in np.arange(0.0, 45.0, 0.5):
+            phi = scaling_factor(10.0 ** (rho_db / 10.0), r / design.coding_duration,
+                                 design.coding_duration, design.dimension)
+            try:
+                lo, hi = _candidate_box(design, phi)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_codebook(design, phi)
+                continue
+            if np.prod(hi - lo + 1) > SCANNED_CANDIDATES:
+                continue
+            got = enumerate_codebook(design, phi)
+            assert built[-1] == phi     # built as a product
+            assert got.fills_box
+            assert_same_book(got, scanned(monkeypatch, design, phi))
+            cells += 1
+    assert cells >= 180
+
+
+@pytest.mark.parametrize("design, fills_box", [
+    (LatticeDesign(generator=np.diag([1.0, -1.0]), region=ShapingRegion.box([1.6, 1.6]),
+                   dither=np.array([0.5, 0.25])), True),
+    (LatticeDesign(generator=np.array([[1.0, 0.5], [0.0, 0.8]]),
+                   region=ShapingRegion.box([1.6, 1.6])), False),
+    (LatticeDesign(generator=np.eye(2), region=ShapingRegion.ball(1.6)), False),
+], ids=["negative_diagonal", "rotated", "ball"])
+def test_other_designs_are_scanned(monkeypatch, design, fills_box):
+    monkeypatch.setattr(lattice, "_product_codebook",
+                        lambda *args: pytest.fail("not a product design"))
+    book = enumerate_codebook(design, 0.5)
+    assert np.array_equal(book.points, lattice_points(0.5 * design.generator,
+                                                      design.dither_or_zero(),
+                                                      book.coords))
+    assert np.array_equal(np.lexsort(book.points.T[::-1]), np.arange(book.size))
+    assert book.fills_box == fills_box
+
+
+def test_a_book_with_a_hole_does_not_fill_its_box():
+    coords = np.array([[0, 0], [0, 1], [1, 1]])
+    book = lattice.Codebook(points=coords.astype(float), coords=coords, scale=1.0)
+    assert not book.fills_box
+    coords = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert lattice.Codebook(points=coords.astype(float), coords=coords, scale=1.0).fills_box
+
+
+@pytest.mark.parametrize("design, phi", [
+    (square_design(2, half_width=0.3), 1.0),   # every candidate outside
+    (square_design(2, half_width=0.1), 1.0),   # an empty candidate box
+    (LatticeDesign(generator=np.diag([1.0, 2.0]), region=ShapingRegion.box([0.6, 0.1]),
+                   dither=np.array([0.5, 0.5])), 1.0),   # one axis empty
+], ids=["outside", "empty_box", "one_axis"])
+def test_an_empty_product_raises_as_the_scan(monkeypatch, design, phi):
+    with pytest.raises(EmptyCodebook) as product:
+        enumerate_codebook(design, phi)
+    with pytest.raises(EmptyCodebook) as scan:
+        scanned(monkeypatch, design, phi)
+    assert str(product.value) == str(scan.value)
+
+
+def test_a_product_past_the_budget_raises_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(lattice, "DEFAULT_ENUM_BUDGET", 100)
+    monkeypatch.setattr(lattice, "_product_codebook",
+                        lambda *args: pytest.fail("built past the budget"))
+    with pytest.raises(BudgetExceeded):
+        enumerate_codebook(square_design(2, half_width=500.0), phi=1.0)
+
+
+def test_a_product_with_tied_points_is_scanned(monkeypatch):
+    # A step of 1e-6 below the spacing of doubles near 1e10: neighbouring
+    # coordinates round to one point, so only the scan's sort orders them.
+    design = LatticeDesign(generator=np.diag([1e-6, 1.0]),
+                           region=ShapingRegion.box([3e-6, 0.6]),
+                           dither=np.array([1e10, 0.5]))
+    assert lattice._product_codebook(
+        design.generator, design.dither, design.region.half_widths,
+        *_candidate_box(design, 1.0), 1.0) is None
+    assert_same_book(enumerate_codebook(design, 1.0), scanned(monkeypatch, design, 1.0))
